@@ -342,7 +342,7 @@ fn e9_ablations() {
     let db_plain = build(false);
     let db_ix = build(true);
     let q = "SELECT COUNT(*) FROM t WHERE k = 37";
-    let mut s_plain = db_plain.session();
+    let s_plain = db_plain.session();
     let s_ix = db_ix.session();
     let t_scan = mean_time(budget, || {
         s_plain.query(q).unwrap();
@@ -385,8 +385,8 @@ fn e9_ablations() {
         t_hash.as_secs_f64() * 1e3,
         t_nl.as_secs_f64() / t_hash.as_secs_f64()
     );
-    // Row executor vs the vectorized batch executor on the same plans.
-    println!("row vs batch executor (identical plans, 10k-row scans):");
+    // The reference row interpreter vs the batch engine on the same plans.
+    println!("reference interpreter vs batch engine (identical plans, 10k-row scans):");
     for (label, sql) in [
         ("point filter", "SELECT COUNT(*) FROM t WHERE k = 37"),
         (
@@ -395,16 +395,9 @@ fn e9_ablations() {
         ),
         ("filtered sum", "SELECT SUM(v) FROM t WHERE k < 50"),
     ] {
-        s_plain.set_vectorized(false);
-        let t_row = mean_time(budget, || {
-            s_plain.query(sql).unwrap();
-        });
-        s_plain.set_vectorized(true);
-        let t_batch = mean_time(budget, || {
-            s_plain.query(sql).unwrap();
-        });
+        let (t_row, t_batch, _) = time_executors(&db_plain, sql, budget);
         println!(
-            "  {:>14}: row {:>8.1} us | batch {:>8.1} us | {:>4.1}x",
+            "  {:>14}: reference {:>8.1} us | batch {:>8.1} us | {:>4.1}x",
             label,
             us(t_row),
             us(t_batch),
@@ -463,11 +456,11 @@ fn e10_period_index() {
         }
         setup
     };
-    let mut plain = build(false);
+    let plain = build(false);
     let indexed = build(true);
     println!(
         "{:>22} | {:>9} | {:>9} | {:>7} | {:>9} | {:>7} | {:>8}",
-        "window", "row us", "batch us", "vec", "ivscan us", "ix", "rows"
+        "window", "ref us", "batch us", "vec", "ivscan us", "ix", "rows"
     );
     let budget = Duration::from_millis(100);
     for (label, window) in [
@@ -476,25 +469,16 @@ fn e10_period_index() {
         ("2 years", "{[1994-01-01, 1995-12-31]}"),
     ] {
         let sql = format!("SELECT COUNT(*) FROM rx WHERE overlaps(valid, '{window}'::Element)");
-        plain.session.set_vectorized(false);
-        let rows_row = plain.session.query(&sql).unwrap().rows[0][0]
-            .as_int()
-            .unwrap();
-        let t_row = mean_time(budget, || {
-            plain.session.query(&sql).unwrap();
-        });
-        plain.session.set_vectorized(true);
-        let rows = plain.session.query(&sql).unwrap().rows[0][0]
-            .as_int()
-            .unwrap();
-        let rows_ix = indexed.session.query(&sql).unwrap().rows[0][0]
-            .as_int()
-            .unwrap();
-        assert_eq!(rows, rows_row, "executors must agree");
-        assert_eq!(rows, rows_ix, "index must not change the answer");
-        let t_batch = mean_time(budget, || {
-            plain.session.query(&sql).unwrap();
-        });
+        let (t_row, t_batch, answer) = time_executors(&plain.db, &sql, budget);
+        let rows = answer[0][0].as_int().unwrap();
+        for setup in [&plain, &indexed] {
+            let got = setup.session.query(&sql).unwrap().rows[0][0].as_int();
+            assert_eq!(
+                got,
+                Some(rows),
+                "a session must answer as the bare executors do"
+            );
+        }
         let t_ix = mean_time(budget, || {
             indexed.session.query(&sql).unwrap();
         });

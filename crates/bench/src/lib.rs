@@ -6,7 +6,11 @@
 //! binary and the statistically careful criterion benches measure the
 //! same code paths.
 
-use minidb::{Database, Session};
+use minidb::plan::Planner;
+use minidb::sql::ast::Statement;
+use minidb::sql::parse_statement;
+use minidb::{exec, Database, ExecCtx, Row, Session};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tip_blade::{TipBlade, TipTypes};
@@ -71,6 +75,41 @@ pub fn mean_time(budget: Duration, mut f: impl FnMut()) -> Duration {
         }
     }
     t0.elapsed() / iters
+}
+
+/// E9/E10's executor columns: plans the SELECT `sql` once, then times
+/// the reference row interpreter (`exec::execute_rows`) and the batch
+/// engine (`exec::execute`) over that one plan and one pin of the
+/// tables, so parse, plan and the plan cache stay out of both numbers.
+/// Returns `(reference, batch, rows)`; the two must produce the same rows.
+pub fn time_executors(
+    db: &Database,
+    sql: &str,
+    budget: Duration,
+) -> (Duration, Duration, Vec<Row>) {
+    let Ok(Statement::Select(select)) = parse_statement(sql) else {
+        panic!("not a SELECT: {sql}");
+    };
+    let ctx = ExecCtx::new(tip_blade::chronon_to_unix(experiment_now()));
+    let params = HashMap::new();
+    db.with_catalog(|catalog| {
+        db.with_tables(|tables| {
+            let plan = Planner::new(catalog, tables, &params, ctx.clone())
+                .plan_select(&select)
+                .expect("plan")
+                .plan;
+            let rows = exec::execute(&plan, tables, &ctx).expect("batch engine");
+            let reference = exec::execute_rows(&plan, tables, &ctx, None).expect("reference");
+            assert_eq!(rows, reference, "executors must agree on: {sql}");
+            let t_reference = mean_time(budget, || {
+                exec::execute_rows(&plan, tables, &ctx, None).expect("reference");
+            });
+            let t_batch = mean_time(budget, || {
+                exec::execute(&plan, tables, &ctx).expect("batch engine");
+            });
+            (t_reference, t_batch, rows)
+        })
+    })
 }
 
 // ----- E5/E7: the integrated and layered forms of the same operations -----

@@ -1,16 +1,25 @@
-//! Row/batch executor parity: every query must produce **byte-identical**
-//! `format_result` output whether it runs on the vectorized batch path or
-//! the row fallback. A random table of TIP-typed rows is loaded once per
-//! case, then a pool of randomized queries — filters, OVERLAPS window
-//! probes, point containment, aggregates, ORDER BY/LIMIT, DISTINCT, a
-//! hash join, a kernel-less routine (forcing the mixed batch/row bridge),
-//! and `AS OF` time travel — runs through two sessions, one with
-//! `SET VECTORIZED OFF`, and the outputs are compared verbatim. Errors
-//! must match too: if one path rejects a query, the other must reject it
-//! with the same message.
+//! Executor parity: every query must produce **byte-identical**
+//! `format_result` output from the batch engine (`exec::execute`, the one
+//! executor sessions run) and from the reference row interpreter
+//! (`exec::execute_rows`). Each query is planned once and both run that
+//! plan over the same pinned tables. A random table of TIP-typed rows —
+//! with NULL and empty-Element lanes — is loaded once per case, then a
+//! pool of randomized queries runs: filters, OVERLAPS window probes,
+//! point containment, aggregates, ORDER BY/LIMIT, DISTINCT, hash and
+//! nested-loop joins, a FROM-less SELECT, and routines with no
+//! hand-written kernel (so evaluated through the elementwise wrapper) in
+//! filter, projection, aggregate-argument and hash-key position. Several
+//! of those routines raise on an empty Element, so a wrapper that touched
+//! a lane the filter or CASE had already deselected would fail the query
+//! outright. `AS OF` time travel, which only a session can resolve, is
+//! checked against the answer captured before the overwrite.
 
-use minidb::{Database, Session};
+use minidb::plan::Planner;
+use minidb::sql::ast::Statement;
+use minidb::sql::parse_statement;
+use minidb::{exec, Database, ExecCtx, QueryResult};
 use proptest::prelude::*;
+use std::collections::HashMap;
 use tip_blade::TipBlade;
 use tip_core::{Chronon, Span};
 
@@ -18,95 +27,225 @@ fn date(day: u32) -> String {
     (Chronon::from_ymd(1990, 1, 1).unwrap() + Span::from_days(day as i64)).to_string()
 }
 
-/// (id, grp, val, start day, length in days); `val < -50` stores NULL.
+/// (id, grp, val, start day, shape). `val < -50` stores a NULL `val`.
+/// `shape < 10` stores a NULL `valid`, `shape < 20` the empty Element;
+/// above that it is the first period's length in days, and from 220 up
+/// a second period follows.
 type RxRow = (i64, i64, i64, u32, u32);
 
-fn build(rows: &[RxRow]) -> std::sync::Arc<Database> {
+fn element_literal(start: u32, shape: u32) -> String {
+    match shape {
+        0..=9 => "NULL".to_owned(),
+        10..=19 => "'{}'".to_owned(),
+        _ => {
+            let end = start + shape - 19;
+            let mut text = format!("'{{[{}, {}]", date(start), date(end));
+            if shape >= 220 {
+                text.push_str(&format!(", [{}, {}]", date(end + 5), date(end + 5 + shape)));
+            }
+            text + "}'"
+        }
+    }
+}
+
+fn build(rows: impl IntoIterator<Item = RxRow>) -> std::sync::Arc<Database> {
     let db = Database::new();
     db.install_blade(&TipBlade).expect("fresh db");
     let s = db.session();
     s.execute("CREATE TABLE rx (id INT, grp INT, val INT, valid Element)")
         .expect("ddl");
-    for (id, grp, val, start, len) in rows {
-        let val = if *val < -50 {
-            "NULL".to_owned()
-        } else {
-            val.to_string()
-        };
-        s.execute(&format!(
-            "INSERT INTO rx VALUES ({id}, {grp}, {val}, '{{[{}, {}]}}')",
-            date(*start),
-            date(*start + *len),
-        ))
-        .expect("insert");
+    let tuples: Vec<String> = rows
+        .into_iter()
+        .map(|(id, grp, val, start, shape)| {
+            let val = if val < -50 {
+                "NULL".to_owned()
+            } else {
+                val.to_string()
+            };
+            format!("({id}, {grp}, {val}, {})", element_literal(start, shape))
+        })
+        .collect();
+    for chunk in tuples.chunks(500) {
+        s.execute(&format!("INSERT INTO rx VALUES {}", chunk.join(", ")))
+            .expect("insert");
     }
     db
 }
 
-fn check(srow: &Session, sbatch: &Session, sql: &str) {
-    // Every query in the pool is valid SQL: a symmetric failure would
-    // hide a generator bug, so errors are only tolerated when *both*
-    // paths produce the identical message AND the query legitimately can
-    // fail — which none here can. Demand success outright.
-    let a = srow
-        .query(sql)
-        .unwrap_or_else(|e| panic!("row path failed for {sql}: {e}"));
-    let b = sbatch
-        .query(sql)
-        .unwrap_or_else(|e| panic!("batch path failed for {sql}: {e}"));
+/// Plans `sql` once and runs the plan on both executors. Every query in
+/// the pool is valid and cannot legitimately fail, so an error on either
+/// side is a failure, not a symmetric outcome to tolerate. `shape`, when
+/// given, must appear in the plan's description: it pins a query to the
+/// operator it is in the pool to exercise.
+fn check(db: &Database, sql: &str, shape: Option<&str>) {
+    let Ok(Statement::Select(select)) = parse_statement(sql) else {
+        panic!("not a SELECT: {sql}");
+    };
+    let ctx = ExecCtx::new(0);
+    let params = HashMap::new();
+    let (columns, batch, reference) = db.with_catalog(|catalog| {
+        db.with_tables(|tables| {
+            let planned = Planner::new(catalog, tables, &params, ctx.clone())
+                .plan_select(&select)
+                .unwrap_or_else(|e| panic!("planning failed for {sql}: {e}"));
+            let described = planned.plan.describe();
+            if let Some(shape) = shape {
+                assert!(described.contains(shape), "{sql} planned as {described}");
+            }
+            let batch = exec::execute(&planned.plan, tables, &ctx)
+                .unwrap_or_else(|e| panic!("batch engine failed for {sql}: {e}"));
+            let reference = exec::execute_rows(&planned.plan, tables, &ctx, None)
+                .unwrap_or_else(|e| panic!("reference interpreter failed for {sql}: {e}"));
+            (planned.columns, batch, reference)
+        })
+    });
+    let render = |rows| {
+        db.format_result(&QueryResult {
+            columns: columns.clone(),
+            rows,
+        })
+    };
     assert_eq!(
-        srow.format_result(&a),
-        sbatch.format_result(&b),
+        render(batch),
+        render(reference),
         "output diverges for {sql}"
     );
+}
+
+/// The query pool over `rx`, each with the plan shape it must take (if it
+/// is there for one).
+fn pool(c1: i64, lo: &str, hi: &str, point: &str, lim: u64) -> Vec<(String, Option<&'static str>)> {
+    let window = format!("'{{[{lo}, {hi}]}}'::Element");
+    let period = format!("'[{lo}, {hi}]'::Period");
+    let q = |sql: String| (sql, None);
+    vec![
+        q(format!("SELECT id, grp, val FROM rx WHERE val > {c1}")),
+        q(format!("SELECT id FROM rx WHERE overlaps(valid, {window})")),
+        q(format!(
+            "SELECT id FROM rx WHERE contains(valid, '{point}'::Chronon)"
+        )),
+        q("SELECT grp, COUNT(*), SUM(val) FROM rx GROUP BY grp ORDER BY grp".to_owned()),
+        q(format!(
+            "SELECT id, val FROM rx WHERE val > {c1} OR grp = 2 ORDER BY id DESC LIMIT {lim}"
+        )),
+        q(format!(
+            "SELECT COUNT(*) FROM rx WHERE overlaps(valid, {window}) AND val > {c1}"
+        )),
+        q("SELECT DISTINCT grp FROM rx ORDER BY grp".to_owned()),
+        (
+            format!(
+                "SELECT a.id, b.id FROM rx a, rx b \
+                 WHERE a.grp = b.grp AND a.val > b.val ORDER BY a.id, b.id LIMIT {lim}"
+            ),
+            Some("hashjoin"),
+        ),
+        // Kernel-less routines in filter position. `start` raises on an
+        // empty Element: only the AND's surviving lanes may reach it.
+        q(format!(
+            "SELECT id FROM rx WHERE is_empty(valid) = FALSE AND val > {c1}"
+        )),
+        q(format!(
+            "SELECT id FROM rx WHERE NOT is_empty(valid) AND start(valid) < '{point}'::Chronon"
+        )),
+        // ... in projection position, over a filtered scan and under CASE.
+        q("SELECT id, start(valid), end(valid) FROM rx WHERE NOT is_empty(valid)".to_owned()),
+        q(
+            "SELECT id, CASE WHEN is_empty(valid) THEN NULL ELSE finish(valid) END FROM rx"
+                .to_owned(),
+        ),
+        q(format!(
+            "SELECT id, total_seconds(length(restrict(valid, {period}))) FROM rx \
+             WHERE grp < 3 ORDER BY id LIMIT {lim}"
+        )),
+        q(format!(
+            "SELECT id, union(valid, {window}), difference(valid, {window}) FROM rx"
+        )),
+        // ... as aggregate arguments and as a group key.
+        q(format!(
+            "SELECT grp, SUM(total_seconds(length(valid))), \
+             length(group_union(restrict(valid, {period}))) FROM rx GROUP BY grp ORDER BY grp"
+        )),
+        q(
+            "SELECT is_empty(valid), COUNT(*) FROM rx GROUP BY is_empty(valid) ORDER BY 2, 1"
+                .to_owned(),
+        ),
+        // ... as hash keys on both sides of a join.
+        (
+            "SELECT a.id, b.id FROM rx a, rx b \
+             WHERE total_seconds(length(a.valid)) = total_seconds(length(b.valid)) \
+               AND a.id < b.id"
+                .to_owned(),
+            Some("hashjoin"),
+        ),
+        // A non-equi join is a nested loop; its raw order is under check.
+        (
+            "SELECT a.id, b.id FROM rx a, rx b \
+             WHERE a.grp = 0 AND b.id < 100 AND overlaps(a.valid, b.valid)"
+                .to_owned(),
+            Some("nljoin"),
+        ),
+        (
+            format!(
+                "SELECT a.id, b.val FROM rx a, rx b WHERE b.id < 40 AND a.val < b.val OFFSET {lim}"
+            ),
+            Some("nljoin"),
+        ),
+        // No FROM: a `Nothing` plan under the projection.
+        (
+            format!("SELECT 1 + {c1}, total_seconds(length({window}))"),
+            Some("nothing"),
+        ),
+    ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn batch_and_row_paths_agree(
+    fn batch_engine_and_reference_interpreter_agree(
         rows in proptest::collection::vec(
-            (0i64..200, 0i64..4, -60i64..50, 0u32..3000, 1u32..400),
+            (0i64..200, 0i64..4, -60i64..50, 0u32..3000, 0u32..420),
             0..60,
         ),
         params in (-50i64..50, 0u32..3200, 0u32..3200, 0u32..3400, 1u64..20),
     ) {
         let (c1, d1, d2, point, lim) = params;
-        let db = build(&rows);
+        let db = build(rows);
+        let session = db.session();
+
+        let sql = format!("SELECT id, grp, val FROM rx WHERE val > {c1}");
+        let before = session.format_result(&session.query(&sql).expect("select"));
         let seq = db.commit_seq();
-        db.session()
+        session
             .execute(&format!("UPDATE rx SET val = {c1} WHERE grp = 1"))
             .expect("update");
-
-        let mut srow = db.session();
-        srow.set_vectorized(false);
-        let sbatch = db.session();
-        prop_assert!(!srow.vectorized() && sbatch.vectorized());
+        let as_of = session
+            .query(&format!("{sql} AS OF COMMIT {seq}"))
+            .expect("as of");
+        prop_assert_eq!(before, session.format_result(&as_of));
 
         let (lo, hi) = (date(d1.min(d2)), date(d1.max(d2)));
-        let queries = [
-            format!("SELECT id, grp, val FROM rx WHERE val > {c1}"),
-            format!("SELECT id FROM rx WHERE overlaps(valid, '{{[{lo}, {hi}]}}'::Element)"),
-            format!("SELECT id FROM rx WHERE contains(valid, '{}'::Chronon)", date(point)),
-            "SELECT grp, COUNT(*), SUM(val) FROM rx GROUP BY grp ORDER BY grp".to_owned(),
-            format!("SELECT id, val FROM rx WHERE val > {c1} OR grp = 2 ORDER BY id DESC LIMIT {lim}"),
-            format!(
-                "SELECT COUNT(*) FROM rx \
-                 WHERE overlaps(valid, '{{[{lo}, {hi}]}}'::Element) AND val > {c1}"
-            ),
-            // `length`/`total_seconds` have no batch kernel: this exercises
-            // the row fallback and the batch<->row bridges in mixed plans.
-            format!("SELECT id, total_seconds(length(valid)) FROM rx WHERE grp < 3 ORDER BY id LIMIT {lim}"),
-            "SELECT DISTINCT grp FROM rx ORDER BY grp".to_owned(),
-            format!(
-                "SELECT a.id, b.id FROM rx a, rx b \
-                 WHERE a.grp = b.grp AND a.val > b.val ORDER BY a.id, b.id LIMIT {lim}"
-            ),
-            format!("SELECT id, grp, val FROM rx WHERE val > {c1} AS OF COMMIT {seq}"),
-        ];
-        for sql in &queries {
-            check(&srow, &sbatch, sql);
+        for (sql, shape) in pool(c1, &lo, &hi, &date(point), lim) {
+            check(&db, &sql, shape);
         }
+    }
+}
+
+/// The same pool over a table several batches long, so selections,
+/// LIMIT/OFFSET cut-offs and join probes cross batch boundaries.
+#[test]
+fn executors_agree_across_batch_boundaries() {
+    let rows = (0..2600u32).map(|i| {
+        (
+            i64::from(i),
+            i64::from(i % 40),
+            i64::from(i * 7 % 110) - 60,
+            i * 13 % 3000,
+            i * 11 % 420,
+        )
+    });
+    let db = build(rows);
+    for (sql, shape) in pool(3, &date(900), &date(1400), &date(1200), 1500) {
+        check(&db, &sql, shape);
     }
 }

@@ -71,10 +71,10 @@ pub enum BoundKind {
     /// Strict scalar routine or operator application.
     Apply {
         f: ScalarFnImpl,
-        /// Vectorized kernel for the resolved overload, when one is
-        /// registered. `None` forces the enclosing plan subtree onto the
-        /// row path (see [`BoundExpr::is_batchable`]).
-        batch: Option<BatchFnImpl>,
+        /// Vectorized kernel for the resolved overload: the one the
+        /// catalog has registered for it, else `f` behind
+        /// [`crate::exec::elementwise`].
+        batch: BatchFnImpl,
         args: Vec<BoundExpr>,
     },
     /// Strict cast application.
@@ -173,32 +173,6 @@ impl BoundExpr {
                 if let Some(e) = else_ {
                     e.collect_columns(out);
                 }
-            }
-        }
-    }
-
-    /// `true` when every function/operator application in the tree has a
-    /// registered batch kernel, i.e. the expression can be evaluated a
-    /// column at a time by the vectorized engine. Pure structural nodes
-    /// (literals, column refs, AND/OR/NOT/CASE, IS NULL, casts) are
-    /// always batchable; only an `Apply` without a kernel poisons the
-    /// tree and forces the row fallback.
-    pub fn is_batchable(&self) -> bool {
-        match &self.kind {
-            BoundKind::Literal(_) | BoundKind::Param { .. } | BoundKind::ColumnRef(_) => true,
-            BoundKind::Apply { batch, args, .. } => {
-                batch.is_some() && args.iter().all(BoundExpr::is_batchable)
-            }
-            BoundKind::Cast { arg, .. } | BoundKind::Neg(arg) | BoundKind::Not(arg) => {
-                arg.is_batchable()
-            }
-            BoundKind::And(a, b) | BoundKind::Or(a, b) => a.is_batchable() && b.is_batchable(),
-            BoundKind::IsNull { arg, .. } => arg.is_batchable(),
-            BoundKind::Case { branches, else_ } => {
-                branches
-                    .iter()
-                    .all(|(w, t)| w.is_batchable() && t.is_batchable())
-                    && else_.as_ref().is_none_or(|e| e.is_batchable())
             }
         }
     }
@@ -554,7 +528,7 @@ impl<'a> Binder<'a> {
                     ty: DataType::Bool,
                     now_dep,
                     kind: BoundKind::Apply {
-                        batch: Some(crate::exec::elementwise(matcher.clone())),
+                        batch: crate::exec::elementwise(matcher.clone()),
                         f: matcher,
                         args: vec![text, pat],
                     },
@@ -717,7 +691,10 @@ impl<'a> Binder<'a> {
                 let ov = self.catalog.resolve_operator(cat_op, l.ty, r.ty)?;
                 let (ov_lhs, ov_rhs, ov_ret, ov_now, ov_f) =
                     (ov.lhs, ov.rhs, ov.ret, ov.now_dependent, ov.f.clone());
-                let batch = self.catalog.operator_batch_kernel(cat_op, ov_lhs, ov_rhs);
+                let batch = self
+                    .catalog
+                    .operator_batch_kernel(cat_op, ov_lhs, ov_rhs)
+                    .unwrap_or_else(|| crate::exec::elementwise(ov_f.clone()));
                 let l = self.coerce(l, ov_lhs, false)?;
                 let r = self.coerce(r, ov_rhs, false)?;
                 let now_dep = ov_now || l.now_dep || r.now_dep;
@@ -739,7 +716,10 @@ impl<'a> Binder<'a> {
         let arg_types: Vec<DataType> = args.iter().map(|a| a.ty).collect();
         let ov = self.catalog.resolve_function(name, &arg_types)?;
         let (params, ret, ov_now, f) = (ov.params.clone(), ov.ret, ov.now_dependent, ov.f.clone());
-        let batch = self.catalog.function_batch_kernel(name, &params);
+        let batch = self
+            .catalog
+            .function_batch_kernel(name, &params)
+            .unwrap_or_else(|| crate::exec::elementwise(f.clone()));
         let mut coerced = Vec::with_capacity(args.len());
         let mut now_dep = ov_now;
         for (a, &p) in args.into_iter().zip(&params) {

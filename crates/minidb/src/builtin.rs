@@ -474,11 +474,6 @@ pub fn install(cat: &mut Catalog) {
     register_functions(cat);
     register_numeric_casts(cat);
     register_aggregates(cat);
-    // Every built-in scalar gets at least an elementwise batch kernel so
-    // purely built-in queries always qualify for the vectorized path;
-    // the hot integer comparisons then get specialized tight-loop
-    // kernels on top.
-    cat.vectorize_all_scalars();
     crate::exec::vector_ops::install_builtin_kernels(cat);
 }
 

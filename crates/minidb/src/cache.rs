@@ -38,12 +38,6 @@ pub struct CachedPlan {
     pub tables: Vec<String>,
     /// DDL generation the plan was built against.
     pub generation: u64,
-    /// Whether the plan qualified for the vectorized batch path when it
-    /// was built. Recorded (rather than recomputed per execution) so the
-    /// executor's routing decision is stable for a cached plan; a blade
-    /// install bumps the generation and evicts the entry, so capability
-    /// is re-resolved the first execution after any catalog change.
-    pub batch: bool,
 }
 
 /// Outcome of a cache probe.
@@ -178,7 +172,6 @@ mod tests {
             param_sig: Vec::new(),
             tables: Vec::new(),
             generation: 1,
-            batch: false,
         }
     }
 

@@ -293,8 +293,9 @@ pub struct Catalog {
     casts: HashMap<(DataType, DataType), CastDef>,
     aggregates: HashMap<String, Vec<AggregateOverload>>,
     blades: Vec<BladeInfo>,
-    /// Batch kernels, keyed by (lowercased name, overload parameter
-    /// types). An overload without an entry forces the row path.
+    /// Hand-written batch kernels, keyed by (lowercased name, overload
+    /// parameter types). An overload without an entry runs its scalar
+    /// implementation through [`crate::exec::elementwise`].
     fn_batch: HashMap<(String, Vec<DataType>), BatchFnImpl>,
     /// Batch kernels for operator overloads, keyed by (op, lhs, rhs).
     op_batch: HashMap<(BinaryOp, DataType, DataType), BatchFnImpl>,
@@ -428,10 +429,12 @@ impl Catalog {
         Ok(())
     }
 
-    /// Attaches (or replaces) a batch kernel for the routine overload
-    /// with exactly these parameter types. The overload itself need not
-    /// exist yet; binding only consults kernels for overloads it
-    /// resolved.
+    /// Attaches (or replaces) a hand-written batch kernel for the routine
+    /// overload with exactly these parameter types. A kernel is an
+    /// optimisation, never a capability: an overload without one is
+    /// evaluated through [`crate::exec::elementwise`] by the same
+    /// executor. The overload itself need not exist yet; binding only
+    /// consults kernels for overloads it resolved.
     pub fn register_function_batch(&mut self, name: &str, params: Vec<DataType>, k: BatchFnImpl) {
         self.fn_batch.insert((name.to_ascii_lowercase(), params), k);
     }
@@ -464,37 +467,6 @@ impl Catalog {
         rhs: DataType,
     ) -> Option<BatchFnImpl> {
         self.op_batch.get(&(op, lhs, rhs)).cloned()
-    }
-
-    /// Attaches an elementwise batch kernel to every routine and
-    /// operator overload that doesn't already have one. Called for the
-    /// built-ins at install time; blades opt in per routine instead, so
-    /// a UDT routine without an explicit kernel keeps the row path.
-    pub fn vectorize_all_scalars(&mut self) {
-        let mut fns = Vec::new();
-        for (name, ovs) in &self.functions {
-            for ov in ovs {
-                let key = (name.clone(), ov.params.clone());
-                if !self.fn_batch.contains_key(&key) {
-                    fns.push((key, ov.f.clone()));
-                }
-            }
-        }
-        for (key, f) in fns {
-            self.fn_batch.insert(key, crate::exec::elementwise(f));
-        }
-        let mut ops = Vec::new();
-        for (op, ovs) in &self.operators {
-            for ov in ovs {
-                let key = (*op, ov.lhs, ov.rhs);
-                if !self.op_batch.contains_key(&key) {
-                    ops.push((key, ov.f.clone()));
-                }
-            }
-        }
-        for (key, f) in ops {
-            self.op_batch.insert(key, crate::exec::elementwise(f));
-        }
     }
 
     /// Registers a cast.

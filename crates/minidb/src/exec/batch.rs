@@ -5,10 +5,10 @@
 //! selection [`Bitmap`]; operators narrow the selection instead of
 //! copying survivors. Expressions are evaluated whole-column at a time
 //! by [`eval_vec`], which routes each scalar application through its
-//! registered batch kernel (hand-specialized for the hot temporal
-//! predicates, an elementwise wrapper otherwise) and preserves the row
-//! evaluator's semantics exactly: strict NULLs, three-valued AND/OR with
-//! lane-masked short circuit, first-match CASE.
+//! batch kernel (hand-specialized for the hot temporal predicates, an
+//! elementwise wrapper otherwise) and preserves the row evaluator's
+//! semantics exactly: strict NULLs, three-valued AND/OR with lane-masked
+//! short circuit, first-match CASE.
 
 use crate::binder::{BoundExpr, BoundKind};
 use crate::catalog::ExecCtx;
@@ -113,8 +113,7 @@ impl Batch {
         rows
     }
 
-    /// Clones the selected lanes of one logical row (used by join
-    /// assembly, which emits row-major output).
+    /// Clones one lane out as a row.
     fn gather(&self, lane: usize) -> Row {
         self.cols.iter().map(|c| c.get(lane).clone()).collect()
     }
@@ -143,16 +142,10 @@ pub fn eval_vec(e: &BoundExpr, ctx: &ExecCtx, batch: &Batch, sel: &Bitmap) -> Db
             .ok_or_else(|| DbError::MissingParam { name: name.clone() }),
         BoundKind::ColumnRef(i) => Ok(batch.cols[*i].clone()),
         BoundKind::Apply {
-            f: _,
-            batch: k,
+            batch: kernel,
             args,
+            ..
         } => {
-            let Some(kernel) = k else {
-                // No kernel: the capability check routes such plans to the
-                // row executor; this path only runs for sub-expressions of
-                // an otherwise batchable tree and keeps eval_vec total.
-                return eval_gather(e, ctx, batch, sel);
-            };
             let mut argv = Vec::with_capacity(args.len());
             for a in args {
                 argv.push(eval_vec(a, ctx, batch, sel)?);
@@ -303,17 +296,6 @@ pub fn eval_vec(e: &BoundExpr, ctx: &ExecCtx, batch: &Batch, sel: &Bitmap) -> Db
             Ok(Vector::vals(out))
         }
     }
-}
-
-/// Row-at-a-time fallback inside the batch evaluator: gathers each
-/// selected lane into a row and defers to [`BoundExpr::eval`].
-fn eval_gather(e: &BoundExpr, ctx: &ExecCtx, batch: &Batch, sel: &Bitmap) -> DbResult<Vector> {
-    let mut out = vec![Value::Null; batch.len];
-    for i in sel.iter() {
-        let row = batch.gather(i);
-        out[i] = e.eval(ctx, &row)?;
-    }
-    Ok(Vector::vals(out))
 }
 
 /// Narrows the batch's selection to the lanes where `pred` evaluates
@@ -703,10 +685,11 @@ pub(super) fn aggregate_rows(
 }
 
 /// Hash join with vectorized probe-key evaluation. The build side is
-/// consumed row-wise at open (identical to the row operator); the probe
-/// side evaluates its keys whole-column and assembles joined rows per
-/// match. Residual filters run row-wise over the joined row, so they
-/// need not be batch-capable.
+/// consumed row-wise at open; the probe side evaluates its keys
+/// whole-column and assembles joined rows per match, in left-then-bucket
+/// order. The residual filter runs row-wise over each joined row. With
+/// no keys every left row probes the one bucket, which is how a
+/// nested-loop join runs.
 pub(super) struct BatchHashJoin<'a> {
     pub left: Box<dyn BatchStream + 'a>,
     pub table: HashMap<GroupKey, Vec<Row>>,
@@ -739,7 +722,8 @@ impl BatchStream for BatchHashJoin<'_> {
                     continue;
                 };
                 for r in matches {
-                    let mut joined = batch.gather(i);
+                    let mut joined = Vec::with_capacity(self.arity);
+                    joined.extend(batch.cols.iter().map(|c| c.get(i).clone()));
                     joined.extend_from_slice(r);
                     match self.filter {
                         Some(pred) => {
@@ -757,34 +741,6 @@ impl BatchStream for BatchHashJoin<'_> {
             }
         }
         Ok(None)
-    }
-}
-
-// ----- batch <-> row bridges ------------------------------------------------
-//
-// Bridges are pure adapters between the two stream shapes. They carry no
-// operator profile: they are not plan nodes, so EXPLAIN ANALYZE never
-// shows them and the pinned-tables trailer cannot double-count them.
-
-/// Feeds a row stream into a batch consumer.
-pub(super) struct RowToBatch<'a> {
-    pub input: Box<dyn super::RowStream + 'a>,
-}
-
-impl BatchStream for RowToBatch<'_> {
-    fn next_batch(&mut self) -> DbResult<Option<Batch>> {
-        let mut rows: Vec<Row> = Vec::with_capacity(BATCH_ROWS);
-        while rows.len() < BATCH_ROWS {
-            match self.input.next_row()? {
-                Some(r) => rows.push(r),
-                None => break,
-            }
-        }
-        if rows.is_empty() {
-            return Ok(None);
-        }
-        let arity = rows[0].len();
-        Ok(Some(Batch::from_rows(&mut rows, arity)))
     }
 }
 

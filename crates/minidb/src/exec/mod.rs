@@ -1,13 +1,14 @@
-//! Plan execution: a vectorized batch engine over column vectors with a
-//! Volcano row fallback.
+//! Plan execution: a vectorized batch engine over column vectors.
 //!
-//! Every plan node is opened on the batch path when it (and its
-//! expressions) are batch-capable — see [`crate::plan::Plan::batch_capable`]
-//! — and on the row path otherwise. The decision is per node: mixed
-//! plans bridge between the two shapes with uninstrumented batch↔row
-//! adapters, so a single row-only UDT routine only forces its own
-//! subtree off the fast path. Both paths produce byte-identical results;
-//! the row operators in [`row_fallback`] are the reference semantics.
+//! Every plan node opens as a [`BatchStream`], and every scalar
+//! application in its expressions carries a batch kernel — the one a
+//! blade registered, else the scalar behind [`elementwise`] — so there
+//! is one executor and no capability check in front of it.
+//!
+//! [`execute_rows`] runs the same plans on the Volcano row interpreter
+//! in `row_fallback`. That interpreter is the reference semantics the
+//! batch engine must match byte for byte (the parity tests and the
+//! benchmark's replay call it); no statement a session runs reaches it.
 
 pub mod batch;
 mod row_fallback;
@@ -28,7 +29,7 @@ use std::time::Instant;
 use batch::{
     aggregate_rows, distinct_rows, drain_rows, sort_rows, BatchChain, BatchFilter, BatchHashJoin,
     BatchLimit, BatchOffset, BatchProject, BatchScan, BatchTake, BatchToRow, ColumnScan,
-    MaterializedBatches, RowToBatch,
+    MaterializedBatches,
 };
 
 /// A pull-based row stream.
@@ -37,8 +38,7 @@ pub trait RowStream {
     fn next_row(&mut self) -> DbResult<Option<Row>>;
 }
 
-/// Executes a plan to completion, materializing all result rows. Batch-
-/// capable subtrees run vectorized.
+/// Executes a plan to completion, materializing all result rows.
 pub fn execute(plan: &Plan, src: &dyn TableSource, ctx: &ExecCtx) -> DbResult<Vec<Row>> {
     execute_with(plan, src, ctx, None)
 }
@@ -52,25 +52,25 @@ pub fn execute_with(
     ctx: &ExecCtx,
     prof: Option<&OpProfile>,
 ) -> DbResult<Vec<Row>> {
-    drain_any(open_impl(plan, src, ctx, prof, false)?)
+    drain_rows(open_batch(plan, src, ctx, prof)?.as_mut())
 }
 
-/// [`execute_with`], forced onto the row path for every operator. Used
-/// by sessions that disable vectorization (`Session::set_vectorized`)
-/// and by the row-vs-batch parity and benchmark harnesses.
+/// Executes a plan on the reference row interpreter instead of the batch
+/// engine: the oracle [`execute`] is checked against. A profile, when
+/// given, receives each scan's access path and rows touched and nothing
+/// else.
 pub fn execute_rows(
     plan: &Plan,
     src: &dyn TableSource,
     ctx: &ExecCtx,
     prof: Option<&OpProfile>,
 ) -> DbResult<Vec<Row>> {
-    drain_any(open_impl(plan, src, ctx, prof, true)?)
+    row_fallback::execute(plan, src, ctx, prof)
 }
 
-/// Opens a plan into a row stream. Scans snapshot their table at open
-/// time, so DML against the same table during iteration cannot corrupt
-/// the stream. Batch-capable subtrees still run vectorized internally;
-/// the result is adapted back to rows at the top.
+/// Opens a plan into a row stream over the batch engine. Scans snapshot
+/// their table at open time, so DML against the same table during
+/// iteration cannot corrupt the stream.
 pub fn open<'a>(
     plan: &'a Plan,
     src: &dyn TableSource,
@@ -80,67 +80,25 @@ pub fn open<'a>(
 }
 
 /// [`open`] with an optional operator profile. Scan nodes record their
-/// access path and rows touched into the matching profile node; when the
-/// profile is timed (`EXPLAIN ANALYZE`), every operator stream is
-/// additionally wrapped to count calls/batches, rows produced, and
-/// inclusive wall time.
+/// access path and rows touched into the matching profile node and every
+/// operator counts its pulls, batches and rows; when the profile is
+/// timed (`EXPLAIN ANALYZE`), inclusive wall time is recorded as well.
 pub fn open_with<'a>(
     plan: &'a Plan,
     src: &dyn TableSource,
     ctx: &'a ExecCtx,
     prof: Option<&'a OpProfile>,
 ) -> DbResult<Box<dyn RowStream + 'a>> {
-    Ok(to_row(open_impl(plan, src, ctx, prof, false)?))
+    Ok(Box::new(BatchToRow::new(open_batch(plan, src, ctx, prof)?)))
 }
 
-/// Either shape of operator stream; bridged on demand.
-enum AnyStream<'a> {
-    Rows(Box<dyn RowStream + 'a>),
-    Batches(Box<dyn BatchStream + 'a>),
-}
-
-fn to_row(s: AnyStream<'_>) -> Box<dyn RowStream + '_> {
-    match s {
-        AnyStream::Rows(r) => r,
-        AnyStream::Batches(b) => Box::new(BatchToRow::new(b)),
-    }
-}
-
-fn to_batch(s: AnyStream<'_>) -> Box<dyn BatchStream + '_> {
-    match s {
-        AnyStream::Batches(b) => b,
-        AnyStream::Rows(r) => Box::new(RowToBatch { input: r }),
-    }
-}
-
-/// Pulls a stream of either shape to exhaustion.
-fn drain_any(s: AnyStream<'_>) -> DbResult<Vec<Row>> {
-    match s {
-        AnyStream::Rows(r) => drain(r),
-        AnyStream::Batches(mut b) => drain_rows(b.as_mut()),
-    }
-}
-
-/// Pulls a row stream to exhaustion.
-fn drain(mut stream: Box<dyn RowStream + '_>) -> DbResult<Vec<Row>> {
-    let mut out = Vec::new();
-    while let Some(row) = stream.next_row()? {
-        out.push(row);
-    }
-    Ok(out)
-}
-
-/// Opens one plan node, choosing the batch path when the node is batch-
-/// capable (and `rows_only` is not forced), the row path otherwise.
-/// Children are opened recursively with the same policy and bridged to
-/// whatever shape this node consumes.
-fn open_impl<'a>(
+/// Opens one plan node, and recursively its children, as a batch stream.
+fn open_batch<'a>(
     plan: &'a Plan,
     src: &dyn TableSource,
     ctx: &'a ExecCtx,
     prof: Option<&'a OpProfile>,
-    rows_only: bool,
-) -> DbResult<AnyStream<'a>> {
+) -> DbResult<Box<dyn BatchStream + 'a>> {
     // Open-time work (scan materialization, hash build, aggregation) is
     // charged to this node; child opens record their own share, keeping
     // all reported times inclusive.
@@ -148,32 +106,10 @@ fn open_impl<'a>(
         Some(p) if p.is_timed() => Some(Instant::now()),
         _ => None,
     };
-    let use_batch = !rows_only && plan.node_batchable();
-    let child = |i: usize| prof.map(|p| p.child(i));
-    let stream: AnyStream<'a> = match plan {
-        Plan::Nothing => AnyStream::Rows(Box::new(row_fallback::Once { done: false })),
-        Plan::Scan {
-            table,
-            index_eq,
-            index_overlap,
-            index_range,
-            filter,
-            project,
-            arity,
-        } if use_batch
-            && index_eq.is_none()
-            && index_overlap.is_none()
-            && index_range.is_none() =>
-        {
-            // Full scans on the batch path read columns straight out of
-            // the table's version slots — no per-row materialization.
-            let t = src.table(table)?;
-            let (count, cols) = t.scan_columns(project.as_deref())?;
-            if let Some(p) = prof {
-                p.record_scan(AccessPath::FullScan, count as u64);
-            }
-            AnyStream::Batches(Box::new(ColumnScan::new(count, cols, filter, ctx)))
-        }
+    let child = |p: &'a Plan, i: usize| open_batch(p, src, ctx, prof.map(|pr| pr.child(i)));
+    let stream: Box<dyn BatchStream + 'a> = match plan {
+        // One row of no columns: `SELECT 1` projects its constants over it.
+        Plan::Nothing => Box::new(MaterializedBatches::new(vec![Vec::new()], 0)),
         Plan::Scan {
             table,
             index_eq,
@@ -183,84 +119,64 @@ fn open_impl<'a>(
             project,
             arity,
         } => {
-            let (rows, path) = materialize_scan(
-                table,
-                index_eq,
-                index_overlap,
-                index_range,
-                project,
-                src,
-                ctx,
-            )?;
-            if let Some(p) = prof {
-                p.record_scan(path, rows.len() as u64);
-            }
-            if use_batch {
-                AnyStream::Batches(Box::new(BatchScan {
+            if index_eq.is_none() && index_overlap.is_none() && index_range.is_none() {
+                // Full scans read columns straight out of the table's
+                // version slots — no per-row materialization.
+                let t = src.table(table)?;
+                let (count, cols) = t.scan_columns(project.as_deref())?;
+                if let Some(p) = prof {
+                    p.record_scan(AccessPath::FullScan, count as u64);
+                }
+                Box::new(ColumnScan::new(count, cols, filter, ctx))
+            } else {
+                let (rows, path) = materialize_scan(
+                    table,
+                    index_eq,
+                    index_overlap,
+                    index_range,
+                    project,
+                    src,
+                    ctx,
+                )?;
+                if let Some(p) = prof {
+                    p.record_scan(path, rows.len() as u64);
+                }
+                Box::new(BatchScan {
                     rows,
                     pos: 0,
                     arity: *arity,
                     filter,
                     ctx,
-                }))
-            } else {
-                AnyStream::Rows(Box::new(row_fallback::Scan {
-                    rows: rows.into_iter(),
-                    filter,
-                    ctx,
-                }))
+                })
             }
         }
-        Plan::Filter { input, pred } => {
-            let inner = open_impl(input, src, ctx, child(0), rows_only)?;
-            if use_batch {
-                AnyStream::Batches(Box::new(BatchFilter {
-                    input: to_batch(inner),
-                    pred,
-                    ctx,
-                }))
-            } else {
-                AnyStream::Rows(Box::new(row_fallback::Filter {
-                    input: to_row(inner),
-                    pred,
-                    ctx,
-                }))
-            }
-        }
-        Plan::Project { input, exprs } => {
-            let inner = open_impl(input, src, ctx, child(0), rows_only)?;
-            if use_batch {
-                AnyStream::Batches(Box::new(BatchProject {
-                    input: to_batch(inner),
-                    exprs,
-                    ctx,
-                }))
-            } else {
-                AnyStream::Rows(Box::new(row_fallback::Project {
-                    input: to_row(inner),
-                    exprs,
-                    ctx,
-                }))
-            }
-        }
+        Plan::Filter { input, pred } => Box::new(BatchFilter {
+            input: child(input, 0)?,
+            pred,
+            ctx,
+        }),
+        Plan::Project { input, exprs } => Box::new(BatchProject {
+            input: child(input, 0)?,
+            exprs,
+            ctx,
+        }),
         Plan::NlJoin {
             left,
             right,
             filter,
         } => {
-            // Materialize the right side once; stream the left. Nested-
-            // loop join stays row-only: its per-pair residual evaluation
-            // gains nothing from batching.
-            let right_rows = drain_any(open_impl(right, src, ctx, child(1), rows_only)?)?;
-            let inner = open_impl(left, src, ctx, child(0), rows_only)?;
-            AnyStream::Rows(Box::new(row_fallback::NlJoin {
-                left: to_row(inner),
-                right_rows,
+            // A hash join with no keys: the materialized right side is
+            // the one bucket every left row probes, and the join
+            // predicate is the residual filter.
+            let right_rows = drain_rows(child(right, 1)?.as_mut())?;
+            Box::new(BatchHashJoin {
+                left: child(left, 0)?,
+                table: HashMap::from([(GroupKey(Vec::new()), right_rows)]),
+                left_keys: &[],
                 filter,
                 ctx,
-                cur_left: None,
-                right_pos: 0,
-            }))
+                arity: plan.arity(),
+            })
         }
         Plan::HashJoin {
             left,
@@ -271,7 +187,7 @@ fn open_impl<'a>(
         } => {
             // Build on the right, probe with the left.
             let mut table: HashMap<GroupKey, Vec<Row>> = HashMap::new();
-            for row in drain_any(open_impl(right, src, ctx, child(1), rows_only)?)? {
+            for row in drain_rows(child(right, 1)?.as_mut())? {
                 let mut key = Vec::with_capacity(right_keys.len());
                 let mut has_null = false;
                 for k in right_keys {
@@ -284,220 +200,62 @@ fn open_impl<'a>(
                 }
                 table.entry(GroupKey(key)).or_default().push(row);
             }
-            let inner = open_impl(left, src, ctx, child(0), rows_only)?;
-            if use_batch {
-                AnyStream::Batches(Box::new(BatchHashJoin {
-                    left: to_batch(inner),
-                    table,
-                    left_keys,
-                    filter,
-                    ctx,
-                    arity: plan.arity(),
-                }))
-            } else {
-                AnyStream::Rows(Box::new(row_fallback::HashJoin {
-                    left: to_row(inner),
-                    table,
-                    left_keys,
-                    filter,
-                    ctx,
-                    cur_left: None,
-                    matches: Vec::new(),
-                    match_pos: 0,
-                }))
-            }
+            Box::new(BatchHashJoin {
+                left: child(left, 0)?,
+                table,
+                left_keys,
+                filter,
+                ctx,
+                arity: plan.arity(),
+            })
         }
         Plan::Aggregate { input, keys, aggs } => {
-            let inner = open_impl(input, src, ctx, child(0), rows_only)?;
-            if use_batch {
-                let mut input = to_batch(inner);
-                let rows = aggregate_rows(input.as_mut(), ctx, keys, aggs)?;
-                AnyStream::Batches(Box::new(MaterializedBatches::new(rows, plan.arity())))
-            } else {
-                let rows = drain(to_row(inner))?;
-                type GroupState = (
-                    Vec<Box<dyn crate::catalog::AggregateState>>,
-                    Vec<Option<std::collections::HashSet<GroupKey>>>,
-                );
-                let mut groups: HashMap<GroupKey, GroupState> = HashMap::new();
-                let mut order: Vec<GroupKey> = Vec::new();
-                let fresh = || -> GroupState {
-                    (
-                        aggs.iter().map(|a| (a.factory)()).collect(),
-                        aggs.iter()
-                            .map(|a| a.distinct.then(std::collections::HashSet::new))
-                            .collect(),
-                    )
-                };
-                for row in &rows {
-                    let mut kv = Vec::with_capacity(keys.len());
-                    for k in keys {
-                        kv.push(k.eval(ctx, row)?);
-                    }
-                    let gk = GroupKey(kv);
-                    let (states, seen) = match groups.get_mut(&gk) {
-                        Some(s) => s,
-                        None => {
-                            order.push(gk.clone());
-                            groups.entry(gk.clone()).or_insert_with(fresh)
-                        }
-                    };
-                    for ((spec, st), dedup) in aggs.iter().zip(states.iter_mut()).zip(seen) {
-                        let v = spec.arg.eval(ctx, row)?;
-                        if v.is_null() {
-                            continue; // SQL: aggregates skip NULLs
-                        }
-                        if let Some(seen_vals) = dedup {
-                            if !seen_vals.insert(GroupKey(vec![v.clone()])) {
-                                continue; // DISTINCT: already counted
-                            }
-                        }
-                        st.step(ctx, &v)?;
-                    }
-                }
-                // Global aggregate over an empty input still yields one row.
-                if keys.is_empty() && order.is_empty() {
-                    let gk = GroupKey(Vec::new());
-                    order.push(gk.clone());
-                    groups.insert(gk, fresh());
-                }
-                let mut out = Vec::with_capacity(order.len());
-                for gk in order {
-                    let (states, _) = groups.remove(&gk).expect("group present");
-                    let mut row = gk.0;
-                    for st in states {
-                        row.push(st.finish(ctx)?);
-                    }
-                    out.push(row);
-                }
-                AnyStream::Rows(Box::new(row_fallback::Materialized {
-                    rows: out.into_iter(),
-                }))
-            }
+            let rows = aggregate_rows(child(input, 0)?.as_mut(), ctx, keys, aggs)?;
+            Box::new(MaterializedBatches::new(rows, plan.arity()))
         }
         Plan::Distinct { input, visible } => {
-            let inner = open_impl(input, src, ctx, child(0), rows_only)?;
-            if use_batch {
-                let mut input = to_batch(inner);
-                let rows = distinct_rows(input.as_mut(), *visible)?;
-                AnyStream::Batches(Box::new(MaterializedBatches::new(rows, plan.arity())))
-            } else {
-                let rows = drain(to_row(inner))?;
-                let mut seen: HashMap<GroupKey, ()> = HashMap::with_capacity(rows.len());
-                let mut out = Vec::new();
-                for row in rows {
-                    let key = GroupKey(row[..*visible].to_vec());
-                    if seen.insert(key, ()).is_none() {
-                        out.push(row);
-                    }
-                }
-                AnyStream::Rows(Box::new(row_fallback::Materialized {
-                    rows: out.into_iter(),
-                }))
-            }
+            let rows = distinct_rows(child(input, 0)?.as_mut(), *visible)?;
+            Box::new(MaterializedBatches::new(rows, plan.arity()))
         }
         Plan::Sort { input, keys } => {
-            let inner = open_impl(input, src, ctx, child(0), rows_only)?;
-            if use_batch {
-                let mut input = to_batch(inner);
-                let rows = sort_rows(input.as_mut(), keys)?;
-                AnyStream::Batches(Box::new(MaterializedBatches::new(rows, plan.arity())))
-            } else {
-                let mut rows = drain(to_row(inner))?;
-                rows.sort_by(|a, b| {
-                    for (i, desc) in keys {
-                        let ord = a[*i].cmp_ordering(&b[*i]);
-                        let ord = if *desc { ord.reverse() } else { ord };
-                        if ord != std::cmp::Ordering::Equal {
-                            return ord;
-                        }
-                    }
-                    std::cmp::Ordering::Equal
-                });
-                AnyStream::Rows(Box::new(row_fallback::Materialized {
-                    rows: rows.into_iter(),
-                }))
-            }
+            let rows = sort_rows(child(input, 0)?.as_mut(), keys)?;
+            Box::new(MaterializedBatches::new(rows, plan.arity()))
         }
-        Plan::Take { input, keep } => {
-            let inner = open_impl(input, src, ctx, child(0), rows_only)?;
-            if use_batch {
-                AnyStream::Batches(Box::new(BatchTake {
-                    input: to_batch(inner),
-                    keep: *keep,
-                }))
-            } else {
-                AnyStream::Rows(Box::new(row_fallback::Take {
-                    input: to_row(inner),
-                    keep: *keep,
-                }))
-            }
-        }
-        Plan::Limit { input, n } => {
-            let inner = open_impl(input, src, ctx, child(0), rows_only)?;
-            if use_batch {
-                AnyStream::Batches(Box::new(BatchLimit {
-                    input: to_batch(inner),
-                    remaining: *n,
-                }))
-            } else {
-                AnyStream::Rows(Box::new(row_fallback::Limit {
-                    input: to_row(inner),
-                    remaining: *n,
-                }))
-            }
-        }
-        Plan::Offset { input, n } => {
-            let inner = open_impl(input, src, ctx, child(0), rows_only)?;
-            if use_batch {
-                AnyStream::Batches(Box::new(BatchOffset {
-                    input: to_batch(inner),
-                    to_skip: *n,
-                }))
-            } else {
-                AnyStream::Rows(Box::new(row_fallback::Offset {
-                    input: to_row(inner),
-                    to_skip: *n,
-                }))
-            }
-        }
+        Plan::Take { input, keep } => Box::new(BatchTake {
+            input: child(input, 0)?,
+            keep: *keep,
+        }),
+        Plan::Limit { input, n } => Box::new(BatchLimit {
+            input: child(input, 0)?,
+            remaining: *n,
+        }),
+        Plan::Offset { input, n } => Box::new(BatchOffset {
+            input: child(input, 0)?,
+            to_skip: *n,
+        }),
         Plan::Union { inputs } => {
-            if use_batch {
-                let mut streams = Vec::with_capacity(inputs.len());
-                for (i, arm) in inputs.iter().enumerate() {
-                    streams.push(to_batch(open_impl(arm, src, ctx, child(i), rows_only)?));
-                }
-                AnyStream::Batches(Box::new(BatchChain {
-                    streams,
-                    current: 0,
-                }))
-            } else {
-                let mut streams = Vec::with_capacity(inputs.len());
-                for (i, arm) in inputs.iter().enumerate() {
-                    streams.push(to_row(open_impl(arm, src, ctx, child(i), rows_only)?));
-                }
-                AnyStream::Rows(Box::new(row_fallback::Chain {
-                    streams,
-                    current: 0,
-                }))
+            let mut streams = Vec::with_capacity(inputs.len());
+            for (i, arm) in inputs.iter().enumerate() {
+                streams.push(child(arm, i)?);
             }
+            Box::new(BatchChain {
+                streams,
+                current: 0,
+            })
         }
     };
     if let (Some(p), Some(t0)) = (prof, t0) {
         p.record_open_nanos(t0.elapsed().as_nanos() as u64);
     }
-    Ok(match (stream, prof) {
-        // Row streams only pay per-row clock reads under EXPLAIN ANALYZE.
-        (AnyStream::Rows(inner), Some(p)) if p.is_timed() => {
-            AnyStream::Rows(Box::new(Instrumented { inner, prof: p }))
-        }
-        // Batch streams are cheap to count (once per ~1024 rows), so they
-        // are instrumented whenever a profile exists — this is what feeds
-        // the `exec.batches` metric even for plain SELECTs.
-        (AnyStream::Batches(inner), Some(p)) => {
-            AnyStream::Batches(Box::new(InstrumentedBatch { inner, prof: p }))
-        }
-        (s, _) => s,
+    // Counting is once per ~1024 rows, so operators are instrumented
+    // whenever a profile exists — this is what feeds the `exec.batches`
+    // metric even for plain SELECTs.
+    Ok(match prof {
+        Some(p) => Box::new(InstrumentedBatch {
+            inner: stream,
+            prof: p,
+        }),
+        None => stream,
     })
 }
 
@@ -600,23 +358,6 @@ fn materialize_scan(
     }
 }
 
-/// Timing wrapper around a row operator stream; only used when the
-/// profile is timed, so ordinary queries never pay per-row clock reads.
-struct Instrumented<'a> {
-    inner: Box<dyn RowStream + 'a>,
-    prof: &'a OpProfile,
-}
-impl RowStream for Instrumented<'_> {
-    fn next_row(&mut self) -> DbResult<Option<Row>> {
-        let t0 = Instant::now();
-        let r = self.inner.next_row();
-        let produced = matches!(&r, Ok(Some(_)));
-        self.prof
-            .record_call(produced, t0.elapsed().as_nanos() as u64);
-        r
-    }
-}
-
 /// Counting (and, under EXPLAIN ANALYZE, timing) wrapper around a batch
 /// operator stream.
 struct InstrumentedBatch<'a> {
@@ -628,10 +369,10 @@ impl BatchStream for InstrumentedBatch<'_> {
         let t0 = self.prof.is_timed().then(Instant::now);
         let r = self.inner.next_batch();
         let nanos = t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-        match &r {
-            Ok(Some(b)) => self.prof.record_batch(b.sel.count() as u64, nanos),
-            // The exhausted pull still costs time but is not a batch.
-            _ => self.prof.record_open_nanos(nanos),
+        // The exhausted pull still costs time but is not a batch.
+        self.prof.record_call(nanos);
+        if let Ok(Some(b)) = &r {
+            self.prof.record_batch(b.sel.count() as u64);
         }
         r
     }

@@ -1,20 +1,247 @@
-//! The Volcano row operators: the total fallback for plans (or plan
-//! subtrees) that cannot run on the batch path — typically because they
-//! apply a UDT routine with no registered batch kernel, or use an
-//! operator shape the batch engine does not implement (nested-loop
-//! join). Semantics here are the reference; the batch engine must match
-//! them byte for byte.
+//! The reference interpreter: Volcano row operators evaluating every
+//! expression with [`BoundExpr::eval`], one row at a time. Semantics here
+//! are the reference; the batch engine must match them byte for byte.
+//! The only entry is [`execute`] (public as `exec::execute_rows`), and the
+//! only code shared with the batch engine is `materialize_scan`, so a bug
+//! in a batch operator or kernel cannot hide in both.
 
 use crate::binder::BoundExpr;
-use crate::catalog::ExecCtx;
+use crate::catalog::{AggregateState, ExecCtx};
 use crate::error::DbResult;
+use crate::obs::OpProfile;
+use crate::pin::TableSource;
+use crate::plan::Plan;
 use crate::value::{GroupKey, Row};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-use super::RowStream;
+use super::{materialize_scan, RowStream};
 
-pub(super) struct Once {
-    pub done: bool,
+/// Runs `plan` to completion on the row operators. A profile, when
+/// given, receives each scan's access path and rows touched.
+pub(super) fn execute(
+    plan: &Plan,
+    src: &dyn TableSource,
+    ctx: &ExecCtx,
+    prof: Option<&OpProfile>,
+) -> DbResult<Vec<Row>> {
+    drain(open(plan, src, ctx, prof)?)
+}
+
+fn drain(mut stream: Box<dyn RowStream + '_>) -> DbResult<Vec<Row>> {
+    let mut out = Vec::new();
+    while let Some(row) = stream.next_row()? {
+        out.push(row);
+    }
+    Ok(out)
+}
+
+fn open<'a>(
+    plan: &'a Plan,
+    src: &dyn TableSource,
+    ctx: &'a ExecCtx,
+    prof: Option<&OpProfile>,
+) -> DbResult<Box<dyn RowStream + 'a>> {
+    let child = |p: &'a Plan, i: usize| open(p, src, ctx, prof.map(|pr| pr.child(i)));
+    Ok(match plan {
+        Plan::Nothing => Box::new(Once { done: false }),
+        Plan::Scan {
+            table,
+            index_eq,
+            index_overlap,
+            index_range,
+            filter,
+            project,
+            ..
+        } => {
+            let (rows, path) = materialize_scan(
+                table,
+                index_eq,
+                index_overlap,
+                index_range,
+                project,
+                src,
+                ctx,
+            )?;
+            if let Some(p) = prof {
+                p.record_scan(path, rows.len() as u64);
+            }
+            Box::new(Scan {
+                rows: rows.into_iter(),
+                filter,
+                ctx,
+            })
+        }
+        Plan::Filter { input, pred } => Box::new(Filter {
+            input: child(input, 0)?,
+            pred,
+            ctx,
+        }),
+        Plan::Project { input, exprs } => Box::new(Project {
+            input: child(input, 0)?,
+            exprs,
+            ctx,
+        }),
+        Plan::NlJoin {
+            left,
+            right,
+            filter,
+        } => {
+            // Materialize the right side once; stream the left.
+            let right_rows = drain(child(right, 1)?)?;
+            Box::new(NlJoin {
+                left: child(left, 0)?,
+                right_rows,
+                filter,
+                ctx,
+                cur_left: None,
+                right_pos: 0,
+            })
+        }
+        Plan::HashJoin {
+            left,
+            right,
+            left_keys,
+            right_keys,
+            filter,
+        } => {
+            // Build on the right, probe with the left.
+            let mut table: HashMap<GroupKey, Vec<Row>> = HashMap::new();
+            for row in drain(child(right, 1)?)? {
+                let mut key = Vec::with_capacity(right_keys.len());
+                let mut has_null = false;
+                for k in right_keys {
+                    let v = k.eval(ctx, &row)?;
+                    has_null |= v.is_null();
+                    key.push(v);
+                }
+                if has_null {
+                    continue; // NULL never matches an equi-join key
+                }
+                table.entry(GroupKey(key)).or_default().push(row);
+            }
+            Box::new(HashJoin {
+                left: child(left, 0)?,
+                table,
+                left_keys,
+                filter,
+                ctx,
+                cur_left: None,
+                matches: Vec::new(),
+                match_pos: 0,
+            })
+        }
+        Plan::Aggregate { input, keys, aggs } => {
+            let rows = drain(child(input, 0)?)?;
+            type GroupState = (Vec<Box<dyn AggregateState>>, Vec<Option<HashSet<GroupKey>>>);
+            let mut groups: HashMap<GroupKey, GroupState> = HashMap::new();
+            let mut order: Vec<GroupKey> = Vec::new();
+            let fresh = || -> GroupState {
+                (
+                    aggs.iter().map(|a| (a.factory)()).collect(),
+                    aggs.iter().map(|a| a.distinct.then(HashSet::new)).collect(),
+                )
+            };
+            for row in &rows {
+                let mut kv = Vec::with_capacity(keys.len());
+                for k in keys {
+                    kv.push(k.eval(ctx, row)?);
+                }
+                let gk = GroupKey(kv);
+                let (states, seen) = match groups.get_mut(&gk) {
+                    Some(s) => s,
+                    None => {
+                        order.push(gk.clone());
+                        groups.entry(gk.clone()).or_insert_with(fresh)
+                    }
+                };
+                for ((spec, st), dedup) in aggs.iter().zip(states.iter_mut()).zip(seen) {
+                    let v = spec.arg.eval(ctx, row)?;
+                    if v.is_null() {
+                        continue; // SQL: aggregates skip NULLs
+                    }
+                    if let Some(seen_vals) = dedup {
+                        if !seen_vals.insert(GroupKey(vec![v.clone()])) {
+                            continue; // DISTINCT: already counted
+                        }
+                    }
+                    st.step(ctx, &v)?;
+                }
+            }
+            // Global aggregate over an empty input still yields one row.
+            if keys.is_empty() && order.is_empty() {
+                let gk = GroupKey(Vec::new());
+                order.push(gk.clone());
+                groups.insert(gk, fresh());
+            }
+            let mut out = Vec::with_capacity(order.len());
+            for gk in order {
+                let (states, _) = groups.remove(&gk).expect("group present");
+                let mut row = gk.0;
+                for st in states {
+                    row.push(st.finish(ctx)?);
+                }
+                out.push(row);
+            }
+            Box::new(Materialized {
+                rows: out.into_iter(),
+            })
+        }
+        Plan::Distinct { input, visible } => {
+            let rows = drain(child(input, 0)?)?;
+            let mut seen: HashSet<GroupKey> = HashSet::with_capacity(rows.len());
+            let mut out = Vec::new();
+            for row in rows {
+                if seen.insert(GroupKey(row[..*visible].to_vec())) {
+                    out.push(row);
+                }
+            }
+            Box::new(Materialized {
+                rows: out.into_iter(),
+            })
+        }
+        Plan::Sort { input, keys } => {
+            let mut rows = drain(child(input, 0)?)?;
+            rows.sort_by(|a, b| {
+                for (i, desc) in keys {
+                    let ord = a[*i].cmp_ordering(&b[*i]);
+                    let ord = if *desc { ord.reverse() } else { ord };
+                    if ord != std::cmp::Ordering::Equal {
+                        return ord;
+                    }
+                }
+                std::cmp::Ordering::Equal
+            });
+            Box::new(Materialized {
+                rows: rows.into_iter(),
+            })
+        }
+        Plan::Take { input, keep } => Box::new(Take {
+            input: child(input, 0)?,
+            keep: *keep,
+        }),
+        Plan::Limit { input, n } => Box::new(Limit {
+            input: child(input, 0)?,
+            remaining: *n,
+        }),
+        Plan::Offset { input, n } => Box::new(Offset {
+            input: child(input, 0)?,
+            to_skip: *n,
+        }),
+        Plan::Union { inputs } => {
+            let mut streams = Vec::with_capacity(inputs.len());
+            for (i, arm) in inputs.iter().enumerate() {
+                streams.push(child(arm, i)?);
+            }
+            Box::new(Chain {
+                streams,
+                current: 0,
+            })
+        }
+    })
+}
+
+struct Once {
+    done: bool,
 }
 impl RowStream for Once {
     fn next_row(&mut self) -> DbResult<Option<Row>> {
@@ -27,8 +254,8 @@ impl RowStream for Once {
     }
 }
 
-pub(super) struct Materialized {
-    pub rows: std::vec::IntoIter<Row>,
+struct Materialized {
+    rows: std::vec::IntoIter<Row>,
 }
 impl RowStream for Materialized {
     fn next_row(&mut self) -> DbResult<Option<Row>> {
@@ -36,10 +263,10 @@ impl RowStream for Materialized {
     }
 }
 
-pub(super) struct Scan<'a> {
-    pub rows: std::vec::IntoIter<Row>,
-    pub filter: &'a Option<BoundExpr>,
-    pub ctx: &'a ExecCtx,
+struct Scan<'a> {
+    rows: std::vec::IntoIter<Row>,
+    filter: &'a Option<BoundExpr>,
+    ctx: &'a ExecCtx,
 }
 impl RowStream for Scan<'_> {
     fn next_row(&mut self) -> DbResult<Option<Row>> {
@@ -57,10 +284,10 @@ impl RowStream for Scan<'_> {
     }
 }
 
-pub(super) struct Filter<'a> {
-    pub input: Box<dyn RowStream + 'a>,
-    pub pred: &'a BoundExpr,
-    pub ctx: &'a ExecCtx,
+struct Filter<'a> {
+    input: Box<dyn RowStream + 'a>,
+    pred: &'a BoundExpr,
+    ctx: &'a ExecCtx,
 }
 impl RowStream for Filter<'_> {
     fn next_row(&mut self) -> DbResult<Option<Row>> {
@@ -73,10 +300,10 @@ impl RowStream for Filter<'_> {
     }
 }
 
-pub(super) struct Project<'a> {
-    pub input: Box<dyn RowStream + 'a>,
-    pub exprs: &'a [BoundExpr],
-    pub ctx: &'a ExecCtx,
+struct Project<'a> {
+    input: Box<dyn RowStream + 'a>,
+    exprs: &'a [BoundExpr],
+    ctx: &'a ExecCtx,
 }
 impl RowStream for Project<'_> {
     fn next_row(&mut self) -> DbResult<Option<Row>> {
@@ -93,13 +320,13 @@ impl RowStream for Project<'_> {
     }
 }
 
-pub(super) struct NlJoin<'a> {
-    pub left: Box<dyn RowStream + 'a>,
-    pub right_rows: Vec<Row>,
-    pub filter: &'a Option<BoundExpr>,
-    pub ctx: &'a ExecCtx,
-    pub cur_left: Option<Row>,
-    pub right_pos: usize,
+struct NlJoin<'a> {
+    left: Box<dyn RowStream + 'a>,
+    right_rows: Vec<Row>,
+    filter: &'a Option<BoundExpr>,
+    ctx: &'a ExecCtx,
+    cur_left: Option<Row>,
+    right_pos: usize,
 }
 impl RowStream for NlJoin<'_> {
     fn next_row(&mut self) -> DbResult<Option<Row>> {
@@ -132,15 +359,15 @@ impl RowStream for NlJoin<'_> {
     }
 }
 
-pub(super) struct HashJoin<'a> {
-    pub left: Box<dyn RowStream + 'a>,
-    pub table: HashMap<GroupKey, Vec<Row>>,
-    pub left_keys: &'a [BoundExpr],
-    pub filter: &'a Option<BoundExpr>,
-    pub ctx: &'a ExecCtx,
-    pub cur_left: Option<Row>,
-    pub matches: Vec<Row>,
-    pub match_pos: usize,
+struct HashJoin<'a> {
+    left: Box<dyn RowStream + 'a>,
+    table: HashMap<GroupKey, Vec<Row>>,
+    left_keys: &'a [BoundExpr],
+    filter: &'a Option<BoundExpr>,
+    ctx: &'a ExecCtx,
+    cur_left: Option<Row>,
+    matches: Vec<Row>,
+    match_pos: usize,
 }
 impl RowStream for HashJoin<'_> {
     fn next_row(&mut self) -> DbResult<Option<Row>> {
@@ -185,9 +412,9 @@ impl RowStream for HashJoin<'_> {
     }
 }
 
-pub(super) struct Take<'a> {
-    pub input: Box<dyn RowStream + 'a>,
-    pub keep: usize,
+struct Take<'a> {
+    input: Box<dyn RowStream + 'a>,
+    keep: usize,
 }
 impl RowStream for Take<'_> {
     fn next_row(&mut self) -> DbResult<Option<Row>> {
@@ -201,9 +428,9 @@ impl RowStream for Take<'_> {
     }
 }
 
-pub(super) struct Limit<'a> {
-    pub input: Box<dyn RowStream + 'a>,
-    pub remaining: u64,
+struct Limit<'a> {
+    input: Box<dyn RowStream + 'a>,
+    remaining: u64,
 }
 impl RowStream for Limit<'_> {
     fn next_row(&mut self) -> DbResult<Option<Row>> {
@@ -220,9 +447,9 @@ impl RowStream for Limit<'_> {
     }
 }
 
-pub(super) struct Offset<'a> {
-    pub input: Box<dyn RowStream + 'a>,
-    pub to_skip: u64,
+struct Offset<'a> {
+    input: Box<dyn RowStream + 'a>,
+    to_skip: u64,
 }
 impl RowStream for Offset<'_> {
     fn next_row(&mut self) -> DbResult<Option<Row>> {
@@ -236,9 +463,9 @@ impl RowStream for Offset<'_> {
     }
 }
 
-pub(super) struct Chain<'a> {
-    pub streams: Vec<Box<dyn RowStream + 'a>>,
-    pub current: usize,
+struct Chain<'a> {
+    streams: Vec<Box<dyn RowStream + 'a>>,
+    current: usize,
 }
 impl RowStream for Chain<'_> {
     fn next_row(&mut self) -> DbResult<Option<Row>> {

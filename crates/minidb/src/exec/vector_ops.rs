@@ -122,9 +122,9 @@ impl Iterator for BitmapIter<'_> {
 }
 
 /// Wraps a row-at-a-time scalar into a batch kernel: strict NULL
-/// handling per lane, evaluation only on selected lanes. This is the
-/// total fallback that makes every scalar overload batch-capable even
-/// when no hand-written kernel exists.
+/// handling per lane, evaluation only on selected lanes. The binder
+/// attaches this to every overload that has no hand-written kernel, so
+/// every scalar application evaluates a column at a time.
 pub fn elementwise(f: ScalarFnImpl) -> BatchFnImpl {
     Arc::new(
         move |ctx: &ExecCtx, args: &[Vector], sel: &Bitmap, len: usize| {
@@ -184,9 +184,8 @@ fn int_cmp_kernel(op: BinaryOp) -> BatchFnImpl {
     )
 }
 
-/// Registers the hand-specialized built-in kernels. Called by
-/// [`crate::builtin::install`] after the elementwise sweep so these
-/// overwrite the generic wrappers.
+/// Registers the hand-specialized built-in kernels (called by
+/// [`crate::builtin::install`]).
 pub fn install_builtin_kernels(cat: &mut Catalog) {
     use crate::types::DataType::Int;
     for op in [

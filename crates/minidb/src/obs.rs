@@ -135,13 +135,13 @@ impl OpProfile {
         self.rows.get()
     }
 
-    /// `next_row` calls made against this operator.
+    /// Pulls made against this operator, the final exhausted one
+    /// included.
     pub fn calls(&self) -> u64 {
         self.calls.get()
     }
 
-    /// Column batches this operator produced (vectorized path only;
-    /// zero when the operator ran row at a time).
+    /// Column batches this operator produced.
     pub fn batches(&self) -> u64 {
         self.batches.get()
     }
@@ -161,18 +161,14 @@ impl OpProfile {
         self.access.get()
     }
 
-    pub(crate) fn record_call(&self, produced: bool, nanos: u64) {
+    pub(crate) fn record_call(&self, nanos: u64) {
         self.calls.set(self.calls.get() + 1);
         self.nanos.set(self.nanos.get() + nanos);
-        if produced {
-            self.rows.set(self.rows.get() + 1);
-        }
     }
 
-    pub(crate) fn record_batch(&self, rows: u64, nanos: u64) {
+    pub(crate) fn record_batch(&self, rows: u64) {
         self.batches.set(self.batches.get() + 1);
         self.rows.set(self.rows.get() + rows);
-        self.nanos.set(self.nanos.get() + nanos);
     }
 
     pub(crate) fn record_open_nanos(&self, nanos: u64) {
@@ -188,8 +184,8 @@ impl OpProfile {
     /// Renders the profile as an indented tree, one line per operator:
     ///
     /// ```text
-    /// project  rows=2 calls=3 time=41.2µs
-    ///   ivscan(p)[f]  rows=2 calls=3 time=35.0µs scanned=17 path=index-overlap
+    /// project  rows=2 calls=2 batches=1 rows/batch=2 time=41.2µs
+    ///   ivscan(p)[f]  rows=2 calls=2 batches=1 rows/batch=2 time=35.0µs scanned=17 path=index-overlap
     /// ```
     pub fn render(&self) -> Vec<String> {
         let mut out = Vec::new();
@@ -206,8 +202,8 @@ impl OpProfile {
             self.calls.get(),
             indent = depth * 2
         );
-        // A vectorized operator reports how many column batches it
-        // emitted and the average fill, alongside the row totals.
+        // How many column batches the operator emitted and their average
+        // fill; an operator that produced nothing has neither.
         let batches = self.batches.get();
         if batches > 0 {
             line.push_str(&format!(

@@ -219,66 +219,12 @@ impl Plan {
         }
     }
 
-    /// Whether this node alone (ignoring children) can run on the
-    /// vectorized batch path. An expression disqualifies its node when it
-    /// applies a routine with no registered batch kernel — typically a
-    /// blade/UDT routine — in which case the whole plan takes the row
-    /// fallback. Nested-loop join and `Nothing` stay row-only by design.
-    pub(crate) fn node_batchable(&self) -> bool {
-        fn ok(e: &Option<BoundExpr>) -> bool {
-            e.as_ref().is_none_or(BoundExpr::is_batchable)
-        }
-        match self {
-            Plan::Nothing | Plan::NlJoin { .. } => false,
-            Plan::Scan { filter, .. } => ok(filter),
-            Plan::Filter { pred, .. } => pred.is_batchable(),
-            Plan::Project { exprs, .. } => exprs.iter().all(BoundExpr::is_batchable),
-            Plan::Aggregate { keys, aggs, .. } => {
-                keys.iter().all(BoundExpr::is_batchable)
-                    && aggs.iter().all(|a| a.arg.is_batchable())
-            }
-            // The residual join filter is rechecked row-wise on the
-            // joined rows, so only the hash keys must be batchable.
-            Plan::HashJoin {
-                left_keys,
-                right_keys,
-                ..
-            } => {
-                left_keys.iter().all(BoundExpr::is_batchable)
-                    && right_keys.iter().all(BoundExpr::is_batchable)
-            }
-            Plan::Distinct { .. }
-            | Plan::Sort { .. }
-            | Plan::Take { .. }
-            | Plan::Limit { .. }
-            | Plan::Offset { .. }
-            | Plan::Union { .. } => true,
-        }
-    }
-
-    /// Whether the entire plan tree can run vectorized. The executor
-    /// checks this once per plan; a single non-batchable node anywhere
-    /// routes the whole query through the row fallback (no mid-plan
-    /// bridging for capability, only for operator shape).
+    /// Whether the plan runs on the batch engine. Every operator shape
+    /// opens as a batch stream and every scalar application carries a
+    /// kernel (see [`BoundKind::Apply`]), so this holds for every plan;
+    /// the method remains for callers that still ask before executing.
     pub fn batch_capable(&self) -> bool {
-        if !self.node_batchable() {
-            return false;
-        }
-        match self {
-            Plan::Nothing | Plan::Scan { .. } => true,
-            Plan::HashJoin { left, right, .. } | Plan::NlJoin { left, right, .. } => {
-                left.batch_capable() && right.batch_capable()
-            }
-            Plan::Filter { input, .. }
-            | Plan::Aggregate { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Distinct { input, .. }
-            | Plan::Sort { input, .. }
-            | Plan::Take { input, .. }
-            | Plan::Limit { input, .. }
-            | Plan::Offset { input, .. } => input.batch_capable(),
-            Plan::Union { inputs } => inputs.iter().all(Plan::batch_capable),
-        }
+        true
     }
 
     /// Projection pushdown: when a `Project` or `Aggregate` sits directly

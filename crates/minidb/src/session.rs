@@ -1019,7 +1019,6 @@ impl Database {
             metrics: QueryMetrics::new(),
             slow_query: None,
             repl_apply: false,
-            vectorized: true,
             txn: Mutex::new(None),
         }
     }
@@ -1126,10 +1125,6 @@ pub struct Session {
     /// records from the primary must apply (including DDL) even though
     /// the node rejects client writes.
     repl_apply: bool,
-    /// Whether batch-capable plans run on the vectorized executor
-    /// (default) or are forced through the row fallback — the switch the
-    /// parity tests and benchmarks flip to compare both paths.
-    vectorized: bool,
     /// The open multi-statement transaction, if any (`BEGIN` …
     /// `COMMIT`/`ROLLBACK`). Behind a mutex so `Session` stays `Sync`.
     txn: Mutex<Option<TxnState>>,
@@ -1189,45 +1184,6 @@ impl Session {
     /// Removes the slow-query log hook.
     pub fn clear_slow_query_log(&mut self) {
         self.slow_query = None;
-    }
-
-    /// Enables or disables the vectorized batch executor for this
-    /// session. Off forces every query through the row fallback; results
-    /// are identical either way (the parity tests depend on it).
-    pub fn set_vectorized(&mut self, on: bool) {
-        self.vectorized = on;
-    }
-
-    /// Whether the vectorized executor is enabled for this session.
-    pub fn vectorized(&self) -> bool {
-        self.vectorized
-    }
-
-    /// Routes one SELECT execution: the vectorized engine when the
-    /// session allows it and the plan qualifies (`batch` — resolved at
-    /// plan time, cached alongside the plan), the row engine otherwise.
-    fn run_plan(
-        &self,
-        plan: &crate::plan::Plan,
-        batch: bool,
-        src: &dyn crate::pin::TableSource,
-        ctx: &crate::catalog::ExecCtx,
-        prof: Option<&crate::obs::OpProfile>,
-    ) -> DbResult<Vec<Row>> {
-        if self.vectorized && batch {
-            exec::execute_with(plan, src, ctx, prof)
-        } else {
-            exec::execute_rows(plan, src, ctx, prof)
-        }
-    }
-
-    /// The `[exec: …]` trailer tag for a plan routed with `batch`.
-    fn exec_label(&self, batch: bool) -> &'static str {
-        if self.vectorized && batch {
-            "batch"
-        } else {
-            "row"
-        }
     }
 
     /// Slow-query hook shared by every statement kind; `plan` renders
@@ -1447,8 +1403,7 @@ impl Session {
                 let planned = planner.plan_select(&sel)?;
                 // Access-path accounting only — no per-row timing cost.
                 let prof = OpProfile::paths_only(&planned.plan);
-                let batch = planned.plan.batch_capable();
-                let rows = self.run_plan(&planned.plan, batch, &pinned, &ctx, Some(&prof))?;
+                let rows = exec::execute_with(&planned.plan, &pinned, &ctx, Some(&prof))?;
                 prof.charge_scans(&self.metrics);
                 // Release locks before the slow-query hook: it is user
                 // code and may open its own statements.
@@ -1465,7 +1420,6 @@ impl Session {
                             param_sig,
                             tables,
                             generation,
-                            batch,
                         },
                     );
                     self.metrics
@@ -1738,24 +1692,21 @@ impl Session {
                 let catalog = self.db.catalog.read();
                 let planner = Planner::new_deferred(&catalog, &pinned, params_map, ctx.clone());
                 let planned = planner.plan_select(&sel)?;
-                let batch = planned.plan.batch_capable();
                 let rows = if analyze {
                     // Execute under full instrumentation and report the
                     // plan tree annotated with per-operator stats.
                     let prof = OpProfile::timed(&planned.plan);
-                    let produced =
-                        self.run_plan(&planned.plan, batch, &pinned, &ctx, Some(&prof))?;
+                    let produced = exec::execute_with(&planned.plan, &pinned, &ctx, Some(&prof))?;
                     prof.charge_scans(&self.metrics);
                     self.metrics
                         .record_select(produced.len() as u64, started.elapsed());
                     let mut lines = prof.render();
                     lines.push(format!(
-                        "returned {} row(s) in {:.1?} [pinned {} table(s), lock-wait {:.1?}] [exec: {}] [plan: fresh]",
+                        "returned {} row(s) in {:.1?} [pinned {} table(s), lock-wait {:.1?}] [plan: fresh]",
                         produced.len(),
                         started.elapsed(),
                         pinned.tables_pinned(),
-                        pinned.lock_wait(),
-                        self.exec_label(batch)
+                        pinned.lock_wait()
                     ));
                     lines
                 } else {
@@ -1775,7 +1726,6 @@ impl Session {
                             param_sig,
                             tables,
                             generation,
-                            batch,
                         },
                     );
                     self.metrics
@@ -1868,18 +1818,17 @@ impl Session {
             // EXPLAIN ANALYZE from cache: same instrumentation as the
             // fresh path, with the provenance trailer flipped.
             let prof = OpProfile::timed(&entry.plan);
-            let produced = self.run_plan(&entry.plan, entry.batch, &pinned, &ctx, Some(&prof))?;
+            let produced = exec::execute_with(&entry.plan, &pinned, &ctx, Some(&prof))?;
             prof.charge_scans(&self.metrics);
             self.metrics
                 .record_select(produced.len() as u64, started.elapsed());
             let mut lines = prof.render();
             lines.push(format!(
-                "returned {} row(s) in {:.1?} [pinned {} table(s), lock-wait {:.1?}] [exec: {}] [plan: cached]",
+                "returned {} row(s) in {:.1?} [pinned {} table(s), lock-wait {:.1?}] [plan: cached]",
                 produced.len(),
                 started.elapsed(),
                 pinned.tables_pinned(),
-                pinned.lock_wait(),
-                self.exec_label(entry.batch)
+                pinned.lock_wait()
             ));
             self.metrics.record_statement(StatementKind::Explain);
             return Ok(Some(StatementOutcome::Rows(QueryResult {
@@ -1888,7 +1837,7 @@ impl Session {
             })));
         }
         let prof = OpProfile::paths_only(&entry.plan);
-        let rows = self.run_plan(&entry.plan, entry.batch, &pinned, &ctx, Some(&prof))?;
+        let rows = exec::execute_with(&entry.plan, &pinned, &ctx, Some(&prof))?;
         prof.charge_scans(&self.metrics);
         drop(pinned);
         self.observe_select(sql, &entry.plan, rows.len() as u64, started.elapsed());
@@ -2002,6 +1951,7 @@ impl Session {
             select,
             params,
             &ctx,
+            &self.metrics,
         )?;
         let t = pinned.table_mut(table)?;
         // Same log-before-apply protocol as plain INSERT.
@@ -2267,8 +2217,7 @@ impl Session {
         let planner = Planner::new(&catalog, &frozen, params, ctx.clone());
         let planned = planner.plan_select(sel)?;
         let prof = OpProfile::paths_only(&planned.plan);
-        let batch = planned.plan.batch_capable();
-        let rows = self.run_plan(&planned.plan, batch, &frozen, &ctx, Some(&prof))?;
+        let rows = exec::execute_with(&planned.plan, &frozen, &ctx, Some(&prof))?;
         prof.charge_scans(&self.metrics);
         drop(catalog);
         self.observe_select(sql, &planned.plan, rows.len() as u64, started.elapsed());
@@ -2353,6 +2302,7 @@ impl Session {
                 &select,
                 params,
                 &ctx,
+                &self.metrics,
             )?,
         };
         let n = to_insert.len();
@@ -2471,8 +2421,7 @@ impl Session {
         let planner = Planner::new(&catalog, &frozen, params, ctx.clone());
         let planned = planner.plan_select(sel)?;
         let prof = OpProfile::paths_only(&planned.plan);
-        let batch = planned.plan.batch_capable();
-        let rows = self.run_plan(&planned.plan, batch, &frozen, &ctx, Some(&prof))?;
+        let rows = exec::execute_with(&planned.plan, &frozen, &ctx, Some(&prof))?;
         prof.charge_scans(&self.metrics);
         drop(catalog);
         self.observe_select(sql, &planned.plan, rows.len() as u64, started.elapsed());
@@ -2650,7 +2599,9 @@ fn eval_insert_values(
 }
 
 /// Plans and runs the SELECT side of `INSERT … SELECT` against
-/// `source`, coercing each produced row to the target column types.
+/// `source`, coercing each produced row to the target column types. Its
+/// scans are charged to `metrics` like any other SELECT's.
+#[allow(clippy::too_many_arguments)]
 fn eval_insert_select(
     catalog: &Catalog,
     source: &dyn TableSource,
@@ -2659,6 +2610,7 @@ fn eval_insert_select(
     select: &SelectStmt,
     params: &HashMap<String, Value>,
     ctx: &ExecCtx,
+    metrics: &QueryMetrics,
 ) -> DbResult<Vec<Row>> {
     let planner = Planner::new(catalog, source, params, ctx.clone());
     let planned = planner.plan_select(select)?;
@@ -2692,7 +2644,9 @@ fn eval_insert_select(
             coercions.push(Some(cast.f.clone()));
         }
     }
-    let produced = crate::exec::execute(&planned.plan, source, ctx)?;
+    let prof = OpProfile::paths_only(&planned.plan);
+    let produced = exec::execute_with(&planned.plan, source, ctx, Some(&prof))?;
+    prof.charge_scans(metrics);
     // Two-phase: coerce the whole change set before anything is
     // applied, so a coercion error mid-stream cannot leave a partial
     // insert.

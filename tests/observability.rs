@@ -178,6 +178,37 @@ fn show_stats_counts_rows_scanned_vs_returned() {
 }
 
 #[test]
+fn show_stats_counts_the_select_half_of_insert_select() {
+    let conn = conn();
+    make_prescriptions(&conn, 12);
+    conn.execute("CREATE INDEX ix_drug ON Prescription(drug)", &[])
+        .unwrap();
+    conn.execute(
+        "CREATE TABLE Archive (patient CHAR(20), drug CHAR(20), valid Period)",
+        &[],
+    )
+    .unwrap();
+    conn.execute(
+        "INSERT INTO Archive SELECT patient, drug, valid FROM Prescription WHERE drug = 'd1'",
+        &[],
+    )
+    .unwrap();
+    // The statement's scan is an index probe touching every third row.
+    assert_eq!(stat(&conn, "scans.index_eq"), 1);
+    assert_eq!(stat(&conn, "rows.scanned"), 4);
+    // The same holds inside a transaction's workspace.
+    conn.execute("BEGIN", &[]).unwrap();
+    conn.execute(
+        "INSERT INTO Archive SELECT patient, drug, valid FROM Prescription WHERE drug = 'd2'",
+        &[],
+    )
+    .unwrap();
+    conn.execute("COMMIT", &[]).unwrap();
+    assert_eq!(stat(&conn, "scans.index_eq"), 2);
+    assert_eq!(stat(&conn, "rows.scanned"), 8);
+}
+
+#[test]
 fn slow_query_log_fires_over_threshold_only() {
     let conn = conn();
     make_prescriptions(&conn, 6);

@@ -1,8 +1,7 @@
-//! Vectorized-executor integration: EXPLAIN ANALYZE reports which
-//! executor ran and its batch counters, kernel-less UDT routines fall
-//! back to the row path (and the plan cache remembers that), and catalog
-//! generation bumps (blade installs, DDL) re-resolve batch capability
-//! instead of reusing a stale fast path.
+//! Batch-engine integration: EXPLAIN ANALYZE reports per-operator batch
+//! counters, routines with and without a hand-written kernel run
+//! vectorised both fresh and from the plan cache, and catalog generation
+//! bumps (blade installs, DDL) replan instead of reusing a stale entry.
 
 use tip::blade::TipBlade;
 use tip::db::{Database, Session};
@@ -13,6 +12,14 @@ fn lines(s: &Session, sql: &str) -> Vec<String> {
         .iter()
         .map(|row| row[0].as_str().unwrap().to_owned())
         .collect()
+}
+
+/// The per-operator line of an EXPLAIN ANALYZE output whose label
+/// contains `label`.
+fn op_line<'a>(out: &'a [String], label: &str) -> &'a str {
+    out.iter()
+        .find(|l| l.contains(label))
+        .unwrap_or_else(|| panic!("no {label} node in {out:?}"))
 }
 
 fn plain_db_with_rows(n: usize) -> std::sync::Arc<Database> {
@@ -41,25 +48,18 @@ fn tip_db() -> std::sync::Arc<Database> {
 }
 
 #[test]
-fn explain_analyze_reports_batch_path_and_counters() {
+fn explain_analyze_reports_batch_counters() {
     let db = plain_db_with_rows(300);
     let s = db.session();
     let out = lines(&s, "EXPLAIN ANALYZE SELECT COUNT(*) FROM t WHERE k < 50");
     let trailer = out.last().unwrap();
-    assert!(trailer.contains("[exec: batch]"), "trailer: {trailer:?}");
     assert!(trailer.ends_with("[plan: fresh]"), "trailer: {trailer:?}");
-    // Adapter wrappers are not plan nodes: exactly the one scanned table
-    // is pinned, not one per bridge.
     assert!(
         trailer.contains("pinned 1 table(s)"),
         "trailer: {trailer:?}"
     );
-    // Batch operators report batches and rows/batch next to the row
-    // counters the row executor has always shown.
-    let scan = out
-        .iter()
-        .find(|l| l.contains("scan(t)"))
-        .expect("scan node in plan");
+    // Operators report batches and rows/batch next to the row counters.
+    let scan = op_line(&out, "scan(t)");
     assert!(scan.contains("batches="), "scan: {scan:?}");
     assert!(scan.contains("rows/batch="), "scan: {scan:?}");
     assert!(scan.contains("calls="), "scan: {scan:?}");
@@ -67,65 +67,45 @@ fn explain_analyze_reports_batch_path_and_counters() {
 }
 
 #[test]
-fn kernel_less_routine_falls_back_to_rows_and_cache_remembers() {
+fn kernel_less_routine_runs_vectorised_fresh_and_cached() {
     let db = tip_db();
     let s = db.session();
-    // `is_empty` has no batch kernel, so the whole plan runs on the row
-    // executor — correctness over speed, proven by the answer.
+    // `is_empty` has no hand-written kernel: the binder wraps its scalar
+    // elementwise and the scan evaluates it a column at a time.
     let q = "SELECT COUNT(*) FROM rx WHERE is_empty(valid) = FALSE";
     let sql = format!("EXPLAIN ANALYZE {q}");
     let first = lines(&s, &sql);
+    let scan = op_line(&first, "scan(rx)");
+    assert!(scan.contains("batches="), "scan: {scan:?}");
     let trailer = first.last().unwrap();
-    assert!(trailer.contains("[exec: row]"), "trailer: {trailer:?}");
     assert!(trailer.ends_with("[plan: fresh]"), "trailer: {trailer:?}");
-    // The row path still computes the right answer.
     assert_eq!(s.query(q).unwrap().rows[0][0].as_int(), Some(3));
-    // The cached plan recorded that it compiled for the row path: the
-    // replay stays on rows rather than resurrecting a stale fast path.
     let second = lines(&s, &sql);
+    let scan = op_line(&second, "scan(rx)");
+    assert!(scan.contains("batches="), "scan: {scan:?}");
     let trailer = second.last().unwrap();
-    assert!(trailer.contains("[exec: row]"), "trailer: {trailer:?}");
     assert!(trailer.ends_with("[plan: cached]"), "trailer: {trailer:?}");
 }
 
 #[test]
-fn batch_capable_plan_stays_batch_when_cached() {
+fn hand_written_kernel_runs_vectorised_fresh_and_cached() {
     let db = tip_db();
     let s = db.session();
     // `overlaps(Element, Element)` has a hand-written kernel.
     let sql = "EXPLAIN ANALYZE SELECT COUNT(*) FROM rx \
                WHERE overlaps(valid, '{[1995-04-01, 1995-05-15]}'::Element)";
     let first = lines(&s, sql);
-    assert!(
-        first.last().unwrap().contains("[exec: batch]"),
-        "trailer: {:?}",
-        first.last()
-    );
+    let scan = op_line(&first, "scan(rx)");
+    assert!(scan.contains("batches="), "scan: {scan:?}");
     let second = lines(&s, sql);
+    let scan = op_line(&second, "scan(rx)");
+    assert!(scan.contains("batches="), "scan: {scan:?}");
     let trailer = second.last().unwrap();
-    assert!(trailer.contains("[exec: batch]"), "trailer: {trailer:?}");
     assert!(trailer.ends_with("[plan: cached]"), "trailer: {trailer:?}");
 }
 
 #[test]
-fn set_vectorized_off_forces_row_path_with_identical_answers() {
-    let db = plain_db_with_rows(200);
-    let mut s = db.session();
-    let q = "SELECT k, COUNT(*) FROM t WHERE v >= 40 GROUP BY k ORDER BY k";
-    let batch = s.query(q).unwrap();
-    s.set_vectorized(false);
-    let row = s.query(q).unwrap();
-    assert_eq!(s.format_result(&batch), s.format_result(&row));
-    let out = lines(&s, &format!("EXPLAIN ANALYZE {q}"));
-    assert!(
-        out.last().unwrap().contains("[exec: row]"),
-        "trailer: {:?}",
-        out.last()
-    );
-}
-
-#[test]
-fn generation_bump_reresolves_batch_capability() {
+fn generation_bump_replans() {
     let db = plain_db_with_rows(50);
     let s = db.session();
     let sql = "EXPLAIN ANALYZE SELECT COUNT(*) FROM t WHERE k = 7";
@@ -137,12 +117,13 @@ fn generation_bump_reresolves_batch_capability() {
         cached.last()
     );
     // A blade install bumps the catalog generation: the stale entry is
-    // dropped and capability is re-resolved against the new catalog.
+    // dropped and the statement is bound against the new catalog.
     db.install_blade(&TipBlade).unwrap();
     let replanned = lines(&s, sql);
     let trailer = replanned.last().unwrap();
     assert!(trailer.ends_with("[plan: fresh]"), "trailer: {trailer:?}");
-    assert!(trailer.contains("[exec: batch]"), "trailer: {trailer:?}");
+    let scan = op_line(&replanned, "scan(t)");
+    assert!(scan.contains("batches="), "scan: {scan:?}");
 }
 
 #[test]
