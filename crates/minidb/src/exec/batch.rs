@@ -690,40 +690,89 @@ pub(super) fn aggregate_rows(
 /// order. The residual filter runs row-wise over each joined row. With
 /// no keys every left row probes the one bucket, which is how a
 /// nested-loop join runs.
+///
+/// A pull emits at most [`BATCH_ROWS`] joined rows and the probe cursor
+/// resumes where it stopped, so a large bucket (always, for a
+/// nested-loop join) costs memory for one batch and a LIMIT above the
+/// join stops it early.
 pub(super) struct BatchHashJoin<'a> {
-    pub left: Box<dyn BatchStream + 'a>,
-    pub table: HashMap<GroupKey, Vec<Row>>,
-    pub left_keys: &'a [BoundExpr],
-    pub filter: &'a Option<BoundExpr>,
-    pub ctx: &'a ExecCtx,
-    pub arity: usize,
+    left: Box<dyn BatchStream + 'a>,
+    table: HashMap<GroupKey, Vec<Row>>,
+    left_keys: &'a [BoundExpr],
+    filter: &'a Option<BoundExpr>,
+    ctx: &'a ExecCtx,
+    arity: usize,
+    probe: Option<Probe>,
+}
+
+/// Where the probe stands in the current left batch.
+struct Probe {
+    batch: Batch,
+    key_vecs: Vec<Vector>,
+    /// Selected lanes of `batch`, and the index of the current one.
+    lanes: Vec<usize>,
+    lane: usize,
+    /// Next row of the current lane's bucket.
+    pos: usize,
+}
+
+impl<'a> BatchHashJoin<'a> {
+    pub fn new(
+        left: Box<dyn BatchStream + 'a>,
+        table: HashMap<GroupKey, Vec<Row>>,
+        left_keys: &'a [BoundExpr],
+        filter: &'a Option<BoundExpr>,
+        ctx: &'a ExecCtx,
+        arity: usize,
+    ) -> BatchHashJoin<'a> {
+        BatchHashJoin {
+            left,
+            table,
+            left_keys,
+            filter,
+            ctx,
+            arity,
+            probe: None,
+        }
+    }
 }
 
 impl BatchStream for BatchHashJoin<'_> {
     fn next_batch(&mut self) -> DbResult<Option<Batch>> {
-        while let Some(batch) = self.left.next_batch()? {
-            let mut key_vecs = Vec::with_capacity(self.left_keys.len());
-            for k in self.left_keys {
-                key_vecs.push(eval_vec(k, self.ctx, &batch, &batch.sel)?);
-            }
-            let mut out: Vec<Row> = Vec::new();
-            for i in batch.sel.iter() {
-                let mut key = Vec::with_capacity(key_vecs.len());
-                let mut has_null = false;
-                for kv in &key_vecs {
-                    let v = kv.get(i);
-                    has_null |= v.is_null();
-                    key.push(v.clone());
-                }
-                if has_null {
-                    continue; // NULL never matches an equi-join key
-                }
-                let Some(matches) = self.table.get(&GroupKey(key)) else {
-                    continue;
+        let mut out: Vec<Row> = Vec::new();
+        'fill: loop {
+            if self.probe.is_none() {
+                let Some(batch) = self.left.next_batch()? else {
+                    break;
                 };
-                for r in matches {
+                let mut key_vecs = Vec::with_capacity(self.left_keys.len());
+                for k in self.left_keys {
+                    key_vecs.push(eval_vec(k, self.ctx, &batch, &batch.sel)?);
+                }
+                self.probe = Some(Probe {
+                    lanes: batch.sel.iter().collect(),
+                    batch,
+                    key_vecs,
+                    lane: 0,
+                    pos: 0,
+                });
+            }
+            let p = self.probe.as_mut().expect("probe set above");
+            while let Some(&i) = p.lanes.get(p.lane) {
+                let key: Vec<Value> = p.key_vecs.iter().map(|kv| kv.get(i).clone()).collect();
+                // NULL never matches an equi-join key.
+                let bucket = if key.iter().any(Value::is_null) {
+                    None
+                } else {
+                    self.table.get(&GroupKey(key))
+                };
+                for r in bucket.map_or(&[][..], |b| &b[p.pos..]) {
+                    if out.len() == BATCH_ROWS {
+                        break 'fill;
+                    }
+                    p.pos += 1;
                     let mut joined = Vec::with_capacity(self.arity);
-                    joined.extend(batch.cols.iter().map(|c| c.get(i).clone()));
+                    joined.extend(p.batch.cols.iter().map(|c| c.get(i).clone()));
                     joined.extend_from_slice(r);
                     match self.filter {
                         Some(pred) => {
@@ -734,13 +783,15 @@ impl BatchStream for BatchHashJoin<'_> {
                         None => out.push(joined),
                     }
                 }
+                p.lane += 1;
+                p.pos = 0;
             }
-            if !out.is_empty() {
-                let arity = self.arity;
-                return Ok(Some(Batch::from_rows(&mut out, arity)));
-            }
+            self.probe = None;
         }
-        Ok(None)
+        if out.is_empty() {
+            return Ok(None);
+        }
+        Ok(Some(Batch::from_rows(&mut out, self.arity)))
     }
 }
 

@@ -169,14 +169,14 @@ fn open_batch<'a>(
             // the one bucket every left row probes, and the join
             // predicate is the residual filter.
             let right_rows = drain_rows(child(right, 1)?.as_mut())?;
-            Box::new(BatchHashJoin {
-                left: child(left, 0)?,
-                table: HashMap::from([(GroupKey(Vec::new()), right_rows)]),
-                left_keys: &[],
+            Box::new(BatchHashJoin::new(
+                child(left, 0)?,
+                HashMap::from([(GroupKey(Vec::new()), right_rows)]),
+                &[],
                 filter,
                 ctx,
-                arity: plan.arity(),
-            })
+                plan.arity(),
+            ))
         }
         Plan::HashJoin {
             left,
@@ -200,14 +200,14 @@ fn open_batch<'a>(
                 }
                 table.entry(GroupKey(key)).or_default().push(row);
             }
-            Box::new(BatchHashJoin {
-                left: child(left, 0)?,
+            Box::new(BatchHashJoin::new(
+                child(left, 0)?,
                 table,
                 left_keys,
                 filter,
                 ctx,
-                arity: plan.arity(),
-            })
+                plan.arity(),
+            ))
         }
         Plan::Aggregate { input, keys, aggs } => {
             let rows = aggregate_rows(child(input, 0)?.as_mut(), ctx, keys, aggs)?;

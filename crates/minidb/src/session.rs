@@ -1943,7 +1943,7 @@ impl Session {
         let catalog = self.db.catalog.read();
         let schema = pinned.table(table)?.schema.clone();
         let target_cols = resolve_target_cols(&schema, table, &columns)?;
-        let to_insert = eval_insert_select(
+        let (to_insert, prof) = eval_insert_select(
             &catalog,
             &pinned,
             &schema,
@@ -1951,8 +1951,8 @@ impl Session {
             select,
             params,
             &ctx,
-            &self.metrics,
         )?;
+        prof.charge_scans(&self.metrics);
         let t = pinned.table_mut(table)?;
         // Same log-before-apply protocol as plain INSERT.
         let rowids = t.planned_rowids(to_insert.len());
@@ -2294,16 +2294,19 @@ impl Session {
                 params,
                 &ctx,
             )?,
-            InsertSource::Query(select) => eval_insert_select(
-                &catalog,
-                &frozen,
-                &schema,
-                &target_cols,
-                &select,
-                params,
-                &ctx,
-                &self.metrics,
-            )?,
+            InsertSource::Query(select) => {
+                let (rows, prof) = eval_insert_select(
+                    &catalog,
+                    &frozen,
+                    &schema,
+                    &target_cols,
+                    &select,
+                    params,
+                    &ctx,
+                )?;
+                prof.charge_scans(&self.metrics);
+                rows
+            }
         };
         let n = to_insert.len();
         let tt = txn.tables.get_mut(&key).expect("touched above");
@@ -2599,9 +2602,9 @@ fn eval_insert_values(
 }
 
 /// Plans and runs the SELECT side of `INSERT … SELECT` against
-/// `source`, coercing each produced row to the target column types. Its
-/// scans are charged to `metrics` like any other SELECT's.
-#[allow(clippy::too_many_arguments)]
+/// `source`, coercing each produced row to the target column types.
+/// Returns the rows with the SELECT's scan profile, which the caller
+/// charges to the session metrics like any other SELECT's.
 fn eval_insert_select(
     catalog: &Catalog,
     source: &dyn TableSource,
@@ -2610,8 +2613,7 @@ fn eval_insert_select(
     select: &SelectStmt,
     params: &HashMap<String, Value>,
     ctx: &ExecCtx,
-    metrics: &QueryMetrics,
-) -> DbResult<Vec<Row>> {
+) -> DbResult<(Vec<Row>, OpProfile)> {
     let planner = Planner::new(catalog, source, params, ctx.clone());
     let planned = planner.plan_select(select)?;
     if planned.columns.len() != target_cols.len() {
@@ -2646,7 +2648,6 @@ fn eval_insert_select(
     }
     let prof = OpProfile::paths_only(&planned.plan);
     let produced = exec::execute_with(&planned.plan, source, ctx, Some(&prof))?;
-    prof.charge_scans(metrics);
     // Two-phase: coerce the whole change set before anything is
     // applied, so a coercion error mid-stream cannot leave a partial
     // insert.
@@ -2661,7 +2662,7 @@ fn eval_insert_select(
         }
         out.push(row);
     }
-    Ok(out)
+    Ok((out, prof))
 }
 
 /// Evaluates an UPDATE's full change set against `rows` without

@@ -135,3 +135,61 @@ fn plain_selects_feed_the_batch_metric() {
     let after = s.metrics().snapshot().vectorized_batches;
     assert!(after > before, "exec.batches stayed at {after}");
 }
+
+/// The number after `key` on an EXPLAIN ANALYZE operator line.
+fn counter(line: &str, key: &str) -> u64 {
+    let at = line
+        .find(key)
+        .unwrap_or_else(|| panic!("no {key} in {line:?}"));
+    let digits: String = line[at + key.len()..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().unwrap()
+}
+
+fn two_tables_of(n: usize) -> std::sync::Arc<Database> {
+    let db = Database::new();
+    let s = db.session();
+    let tuples: Vec<String> = (0..n).map(|i| format!("({i})")).collect();
+    for t in ["a", "b"] {
+        s.execute(&format!("CREATE TABLE {t} (k INT)")).unwrap();
+        for chunk in tuples.chunks(500) {
+            s.execute(&format!("INSERT INTO {t} VALUES {}", chunk.join(", ")))
+                .unwrap();
+        }
+    }
+    db
+}
+
+#[test]
+fn limit_stops_a_nested_loop_join_after_one_bounded_batch() {
+    // 3000 x 3000 with a permissive predicate: ~4.5M pairs match, and
+    // the first left batch alone matches ~2.5M.
+    let db = two_tables_of(3000);
+    let s = db.session();
+    let q = "SELECT a.k, b.k FROM a, b WHERE a.k < b.k LIMIT 1";
+    let out = lines(&s, &format!("EXPLAIN ANALYZE {q}"));
+    let join = op_line(&out, "nljoin");
+    assert_eq!(counter(join, "batches="), 1, "join: {join:?}");
+    assert_eq!(counter(join, " rows="), 1024, "join: {join:?}");
+    let r = s.query(q).unwrap();
+    assert_eq!(r.rows.len(), 1);
+    assert_eq!(
+        (r.rows[0][0].as_int(), r.rows[0][1].as_int()),
+        (Some(0), Some(1))
+    );
+}
+
+#[test]
+fn nested_loop_join_resumes_across_bounded_batches() {
+    // 100 x 100, a.k < b.k: 4950 pairs in five batches, none over 1024.
+    let db = two_tables_of(100);
+    let s = db.session();
+    let q = "SELECT COUNT(*) FROM a, b WHERE a.k < b.k";
+    let out = lines(&s, &format!("EXPLAIN ANALYZE {q}"));
+    let join = op_line(&out, "nljoin");
+    assert_eq!(counter(join, " rows="), 4950, "join: {join:?}");
+    assert_eq!(counter(join, "batches="), 5, "join: {join:?}");
+    assert_eq!(s.query(q).unwrap().rows[0][0].as_int(), Some(4950));
+}
