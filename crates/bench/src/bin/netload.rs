@@ -27,7 +27,7 @@
 //! point-SELECT workload is run twice, first as ad-hoc SQL with a
 //! unique statement text per execution (every statement pays the full
 //! front end), then as one prepared statement executed with fresh
-//! parameters over protocol v3. The tool prints both latency profiles,
+//! parameters by server-side id. The tool prints both latency profiles,
 //! the p50 prepared/unprepared ratio, and the server's plan-cache hit
 //! ratio during the prepared phase.
 //!
@@ -160,7 +160,7 @@ fn run_prepared(target: &str, threads: usize, statements: usize, rows: usize) {
                         let mut stmt = conn.prepare("SELECT x FROM prep_bench WHERE id = :id");
                         assert!(
                             stmt.is_server_prepared(),
-                            "--prepared needs a protocol v3 server"
+                            "--prepared needs server-side prepared statements"
                         );
                         for i in 0..statements {
                             let id = ((i * threads + t) % keys) as i64;
@@ -794,7 +794,10 @@ fn run_connections(
                     Ok(None) => break,
                     Err(e) => return fail(cs, errors, poller, samples, &format!("frame: {e}")),
                     Ok(Some((tag, body))) => match tag {
-                        resp::HELLO_OK => cs.ready = true,
+                        resp::HELLO_OK => match proto::hello_reply(tag, &body) {
+                            Ok(()) => cs.ready = true,
+                            Err(e) => return fail(cs, errors, poller, samples, &e.to_string()),
+                        },
                         resp::BUSY => {
                             *busy += 1;
                             cs.finished = true;
@@ -1161,7 +1164,7 @@ fn run_pipeline(
                     let mut stmt = conn.prepare("SELECT x FROM pipe_bench WHERE id = :id");
                     assert!(
                         stmt.is_server_prepared(),
-                        "--pipeline needs a protocol v3 server"
+                        "--pipeline needs server-side prepared statements"
                     );
                     // Warm the connection before the clock starts.
                     stmt = stmt.bind("id", HostValue::Int(0));

@@ -283,12 +283,12 @@ impl Connection {
         }
     }
 
-    /// Prepares a statement for repeated execution. Over a protocol-v3
-    /// remote connection the statement is also registered server-side,
-    /// so later executions ship only an id and the parameter values; on
-    /// older servers and in-process connections this transparently
-    /// falls back to resending the text (the engine's plan cache still
-    /// removes the re-parse/re-plan cost either way).
+    /// Prepares a statement for repeated execution. Over a remote
+    /// connection the statement is also registered server-side, so
+    /// later executions ship only an id and the parameter values;
+    /// in-process connections (and statements the server rejected at
+    /// prepare time) resend the text — the engine's plan cache removes
+    /// the re-parse/re-plan cost either way.
     pub fn prepare(&self, sql: &str) -> PreparedStatement<'_> {
         // Best-effort: a statement the server rejects here surfaces the
         // same typed error at execute time via the text path.
@@ -372,8 +372,8 @@ pub struct PreparedStatement<'a> {
     conn: &'a Connection,
     sql: String,
     params: Vec<(String, HostValue)>,
-    /// Server-side statement id when the transport negotiated protocol
-    /// v3; `None` means executions resend the statement text.
+    /// Server-side statement id when the transport registered one;
+    /// `None` means executions resend the statement text.
     remote_id: Option<u64>,
 }
 
@@ -385,8 +385,8 @@ impl PreparedStatement<'_> {
         self
     }
 
-    /// `true` when the statement is registered server-side (remote
-    /// protocol v3); `false` on the text-resend fallback path.
+    /// `true` when the statement is registered server-side; `false` on
+    /// the text-resend path.
     pub fn is_server_prepared(&self) -> bool {
         self.remote_id.is_some()
     }

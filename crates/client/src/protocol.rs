@@ -31,19 +31,11 @@ use tip_core::binary;
 
 /// First four bytes of the HELLO body: `"TIP1"`.
 pub const MAGIC: u32 = 0x5449_5031;
-/// Protocol version spoken by this build. v2 widened the METRICS frame
-/// with DML and lock-wait counters; v3 added prepared statements
-/// (PREPARE / EXECUTE_PREPARED / CLOSE_PREPARED) and the plan-cache
-/// counters in METRICS; v4 appended the six WAL/durability counters to
-/// METRICS; v5 appended the MVCC gauges and transaction counters; v6
-/// added replication (SUBSCRIBE / SNAPSHOT_CHUNK / WAL_CHUNK /
-/// REPL_ACK / PROMOTE), the `ReadOnly` error code, and the five `repl.*`
-/// METRICS fields; v7 appended the five `bufpool.*` buffer-pool fields
-/// to METRICS. Servers negotiate down to a client's older version;
-/// this constant is the highest version this build speaks.
-pub const VERSION: u16 = 7;
-/// Oldest protocol version this build still accepts from a peer.
-pub const MIN_VERSION: u16 = 2;
+/// The protocol version this build speaks. The handshake is an
+/// equality check ([`check_version`]): both ends must carry this exact
+/// number. Adding a METRICS counter does not change it — that frame is
+/// self-describing.
+pub const VERSION: u16 = 8;
 /// Upper bound on one frame (tag + body); anything larger is treated as
 /// a malformed stream and kills the connection.
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
@@ -62,27 +54,27 @@ pub mod req {
     pub const SERVER_METRICS: u8 = 0x05;
     /// Orderly goodbye; the server closes after reading it.
     pub const BYE: u8 = 0x06;
-    /// v3: validate a statement and register it under a server-side id.
+    /// Validate a statement and register it under a server-side id.
     pub const PREPARE: u8 = 0x07;
-    /// v3: execute a previously prepared statement id with parameters.
+    /// Execute a previously prepared statement id with parameters.
     pub const EXECUTE_PREPARED: u8 = 0x08;
-    /// v3: forget a prepared statement id.
+    /// Forget a prepared statement id.
     pub const CLOSE_PREPARED: u8 = 0x09;
-    /// v6: become a replication subscriber, resuming at `(generation,
+    /// Become a replication subscriber, resuming at `(generation,
     /// offset)`; the connection switches to the SNAPSHOT_CHUNK /
     /// WAL_CHUNK streaming dialect.
     pub const SUBSCRIBE: u8 = 0x0A;
-    /// v6: a subscriber's progress report — the newest primary commit
+    /// A subscriber's progress report — the newest primary commit
     /// sequence fully applied on the replica.
     pub const REPL_ACK: u8 = 0x0B;
-    /// v6: admin order to a replica — stop following the primary and
+    /// Admin order to a replica — stop following the primary and
     /// start accepting writes (failover).
     pub const PROMOTE: u8 = 0x0C;
 }
 
 /// Server → client frame tags.
 pub mod resp {
-    /// Handshake accepted: negotiated version + banner.
+    /// Handshake accepted: the server's version + banner.
     pub const HELLO_OK: u8 = 0x81;
     /// Typed error (see [`super::encode_error`]); terminates the exchange.
     pub const ERROR: u8 = 0x82;
@@ -100,12 +92,12 @@ pub mod resp {
     pub const METRICS: u8 = 0x88;
     /// The server is at its connection limit; sent instead of HELLO_OK.
     pub const BUSY: u8 = 0x89;
-    /// v3: a PREPARE succeeded; body carries the statement id.
+    /// A PREPARE succeeded; body carries the statement id.
     pub const PREPARED_OK: u8 = 0x8A;
-    /// v6: one piece of a checkpoint snapshot, re-seeding a subscriber
+    /// One piece of a checkpoint snapshot, re-seeding a subscriber
     /// whose log position was checkpointed away.
     pub const SNAPSHOT_CHUNK: u8 = 0x8B;
-    /// v6: raw framed WAL bytes from `(generation, offset)`, cut at a
+    /// Raw framed WAL bytes from `(generation, offset)`, cut at a
     /// record-frame boundary, plus the durable-commit watermark reached.
     pub const WAL_CHUNK: u8 = 0x8C;
 }
@@ -352,6 +344,47 @@ pub fn decode_hello_ok(mut buf: &[u8]) -> DbResult<(u16, String)> {
     Ok((version, banner))
 }
 
+/// The handshake's version rule, applied by the server to HELLO and by
+/// every client to HELLO_OK: the peer speaks exactly [`VERSION`] or the
+/// connection is refused.
+pub fn check_version(peer: u16) -> DbResult<()> {
+    if peer == VERSION {
+        return Ok(());
+    }
+    Err(DbError::unavailable(format!(
+        "peer offers protocol version {peer}, this build speaks {VERSION}"
+    )))
+}
+
+/// Reads the server's answer to HELLO: `Ok` only for a HELLO_OK at
+/// [`VERSION`]; BUSY, a typed ERROR and anything else are errors.
+pub fn hello_reply(tag: u8, body: &[u8]) -> DbResult<()> {
+    match tag {
+        resp::HELLO_OK => check_version(decode_hello_ok(body)?.0),
+        resp::BUSY => Err(DbError::unavailable(decode_busy(body)?)),
+        resp::ERROR => Err(decode_error(body)?),
+        other => Err(malformed(format!(
+            "unexpected handshake frame {other:#04x}"
+        ))),
+    }
+}
+
+/// The client half of the handshake on a blocking stream: HELLO out (as
+/// one write), the server's reply in and checked by [`hello_reply`].
+pub fn client_handshake(stream: &mut (impl Read + Write), now_unix: Option<i64>) -> DbResult<()> {
+    let hello = Hello {
+        version: VERSION,
+        now_unix,
+    };
+    let mut frame = Vec::with_capacity(24);
+    write_frame(&mut frame, req::HELLO, &encode_hello(&hello))
+        .and_then(|()| stream.write_all(&frame))
+        .map_err(|e| DbError::unavailable(format!("handshake send failed: {e}")))?;
+    let (tag, body) = read_frame(stream)
+        .map_err(|e| DbError::unavailable(format!("handshake receive failed: {e}")))?;
+    hello_reply(tag, &body)
+}
+
 // ---------------------------------------------------------------------
 // SET_NOW
 // ---------------------------------------------------------------------
@@ -530,7 +563,7 @@ pub fn decode_stmt(mut buf: &[u8], types: &TipTypes) -> DbResult<Stmt> {
 }
 
 // ---------------------------------------------------------------------
-// Prepared statements (v3)
+// Prepared statements
 // ---------------------------------------------------------------------
 
 /// Body of a PREPARE request: the statement text to validate and pin.
@@ -760,7 +793,7 @@ pub fn decode_affected(mut buf: &[u8]) -> DbResult<u64> {
 }
 
 // ---------------------------------------------------------------------
-// Replication (v6)
+// Replication
 // ---------------------------------------------------------------------
 
 /// Body of a SUBSCRIBE request: the log position the replica wants to
@@ -922,19 +955,6 @@ pub fn encode_error(e: &DbError) -> Vec<u8> {
     out
 }
 
-/// Encodes an error for a peer at `version`. Code 13 (`ReadOnly`) is a
-/// v6 addition: older peers would reject the frame outright, so for
-/// them it degrades to `Unavailable` with the same routing hint in the
-/// message text.
-pub fn encode_error_for(e: &DbError, version: u16) -> Vec<u8> {
-    if version < 6 {
-        if let DbError::ReadOnly { .. } = e {
-            return encode_error(&DbError::unavailable(e.to_string()));
-        }
-    }
-    encode_error(e)
-}
-
 /// Decodes an error frame back into the same [`DbError`] variant.
 pub fn decode_error(mut buf: &[u8]) -> DbResult<DbError> {
     need(&buf, 9, "ERROR")?;
@@ -974,84 +994,16 @@ pub fn decode_error(mut buf: &[u8]) -> DbResult<DbError> {
 // Metrics
 // ---------------------------------------------------------------------
 
-/// Counter fields carried by a METRICS frame at `version`: v2 stopped
-/// after `tables_pinned`; v3 appended the four plan-cache counters; v4
-/// appended the six WAL counters; v5 appended the two MVCC gauges and
-/// three transaction counters; v6 appended the five replication fields;
-/// v7 appended the five buffer-pool fields.
-fn metric_field_count(version: u16) -> usize {
-    if version >= 7 {
-        44
-    } else if version >= 6 {
-        39
-    } else if version >= 5 {
-        34
-    } else if version >= 4 {
-        29
-    } else if version >= 3 {
-        23
-    } else {
-        19
-    }
-}
-
+/// Encodes a METRICS body: `u32 n`, then `n × (field name, u64)`, then
+/// the latency histogram (`u32` bucket count + that many `u64`s). The
+/// names come from the one metric table in `minidb::obs`.
 pub fn encode_metrics(m: &MetricsSnapshot) -> Vec<u8> {
-    encode_metrics_for(m, VERSION)
-}
-
-/// Encodes a METRICS body in the layout `version` peers expect (a v2
-/// peer rejects trailing bytes, so the frame must shrink with it).
-pub fn encode_metrics_for(m: &MetricsSnapshot, version: u16) -> Vec<u8> {
-    let fields = [
-        m.selects,
-        m.inserts,
-        m.updates,
-        m.deletes,
-        m.ddl,
-        m.explains,
-        m.errors,
-        m.full_scans,
-        m.index_eq_scans,
-        m.index_range_scans,
-        m.index_overlap_scans,
-        m.rows_scanned,
-        m.rows_returned,
-        m.rows_affected,
-        m.select_nanos,
-        m.dml_nanos,
-        m.slow_queries,
-        m.lock_wait_nanos,
-        m.tables_pinned,
-        m.plan_cache_hits,
-        m.plan_cache_misses,
-        m.plan_cache_invalidations,
-        m.plan_cache_entries,
-        m.wal_appends,
-        m.wal_bytes,
-        m.wal_fsyncs,
-        m.wal_group_commit_batch,
-        m.wal_replayed,
-        m.wal_checkpoints,
-        m.mvcc_versions,
-        m.mvcc_snapshots_pinned,
-        m.txn_begun,
-        m.txn_committed,
-        m.txn_rolled_back,
-        m.repl_chunks_shipped,
-        m.repl_bytes_shipped,
-        m.repl_apply_lag_seq,
-        m.repl_reconnects,
-        m.repl_last_seq,
-        m.bufpool_hits,
-        m.bufpool_misses,
-        m.bufpool_evictions,
-        m.bufpool_writebacks,
-        m.bufpool_pages,
-    ];
-    let n = metric_field_count(version);
-    let mut out = Vec::with_capacity((n + 1) * 8 + LATENCY_BUCKETS * 8);
-    for v in &fields[..n] {
-        out.put_u64_le(*v);
+    let fields = m.fields();
+    let mut out = Vec::with_capacity(fields.len() * 32 + 4 + LATENCY_BUCKETS * 8);
+    out.put_u32_le(fields.len() as u32);
+    for (name, value) in fields {
+        put_str(&mut out, name);
+        out.put_u64_le(value);
     }
     out.put_u32_le(LATENCY_BUCKETS as u32);
     for b in &m.latency_buckets {
@@ -1060,65 +1012,19 @@ pub fn encode_metrics_for(m: &MetricsSnapshot, version: u16) -> Vec<u8> {
     out
 }
 
-pub fn decode_metrics(buf: &[u8]) -> DbResult<MetricsSnapshot> {
-    decode_metrics_for(buf, VERSION)
-}
-
-/// Decodes a METRICS body in the layout `version` peers send; missing
-/// (pre-v3) plan-cache counters stay zero.
-pub fn decode_metrics_for(mut buf: &[u8], version: u16) -> DbResult<MetricsSnapshot> {
-    let n = metric_field_count(version);
-    need(&buf, n * 8 + 4, "METRICS")?;
+/// Decodes a METRICS body. The frame describes itself, so peers whose
+/// metric tables differ still interoperate: a name this build does not
+/// know is skipped, and one the peer did not send stays zero.
+pub fn decode_metrics(mut buf: &[u8]) -> DbResult<MetricsSnapshot> {
+    need(&buf, 4, "METRICS")?;
+    let n = buf.get_u32_le();
     let mut m = MetricsSnapshot::default();
-    let mut fields = [
-        &mut m.selects,
-        &mut m.inserts,
-        &mut m.updates,
-        &mut m.deletes,
-        &mut m.ddl,
-        &mut m.explains,
-        &mut m.errors,
-        &mut m.full_scans,
-        &mut m.index_eq_scans,
-        &mut m.index_range_scans,
-        &mut m.index_overlap_scans,
-        &mut m.rows_scanned,
-        &mut m.rows_returned,
-        &mut m.rows_affected,
-        &mut m.select_nanos,
-        &mut m.dml_nanos,
-        &mut m.slow_queries,
-        &mut m.lock_wait_nanos,
-        &mut m.tables_pinned,
-        &mut m.plan_cache_hits,
-        &mut m.plan_cache_misses,
-        &mut m.plan_cache_invalidations,
-        &mut m.plan_cache_entries,
-        &mut m.wal_appends,
-        &mut m.wal_bytes,
-        &mut m.wal_fsyncs,
-        &mut m.wal_group_commit_batch,
-        &mut m.wal_replayed,
-        &mut m.wal_checkpoints,
-        &mut m.mvcc_versions,
-        &mut m.mvcc_snapshots_pinned,
-        &mut m.txn_begun,
-        &mut m.txn_committed,
-        &mut m.txn_rolled_back,
-        &mut m.repl_chunks_shipped,
-        &mut m.repl_bytes_shipped,
-        &mut m.repl_apply_lag_seq,
-        &mut m.repl_reconnects,
-        &mut m.repl_last_seq,
-        &mut m.bufpool_hits,
-        &mut m.bufpool_misses,
-        &mut m.bufpool_evictions,
-        &mut m.bufpool_writebacks,
-        &mut m.bufpool_pages,
-    ];
-    for field in &mut fields[..n] {
-        **field = buf.get_u64_le();
+    for _ in 0..n {
+        let name = get_str(&mut buf, "METRICS field name")?;
+        need(&buf, 8, "METRICS field value")?;
+        m.set_field(&name, buf.get_u64_le());
     }
+    need(&buf, 4, "METRICS bucket count")?;
     let nbuckets = buf.get_u32_le() as usize;
     if nbuckets != LATENCY_BUCKETS {
         return Err(malformed(format!(
@@ -1396,6 +1302,11 @@ mod tests {
             plan_cache_misses: 5,
             plan_cache_invalidations: 2,
             plan_cache_entries: 3,
+            vectorized_batches: 8,
+            wal_commits: 2,
+            wal_recovery_micros: 150,
+            mvcc_retention: 64,
+            bufpool_pages: 5,
             ..Default::default()
         };
         m.latency_buckets[0] = 1;
@@ -1409,160 +1320,39 @@ mod tests {
     }
 
     #[test]
-    fn v2_metrics_layout_omits_plan_cache_fields() {
-        let m = MetricsSnapshot {
+    fn metrics_frame_tolerates_unknown_and_missing_names() {
+        let sent = MetricsSnapshot {
             selects: 9,
-            tables_pinned: 4,
-            plan_cache_hits: 100,
-            plan_cache_entries: 7,
+            inserts: 5,
             ..Default::default()
         };
-        let v2 = encode_metrics_for(&m, 2);
-        let v3 = encode_metrics_for(&m, 3);
-        assert_eq!(v3.len() - v2.len(), 4 * 8, "v3 appends four u64s");
-        // A v2 peer's decode accepts the narrow frame and leaves the
-        // plan-cache counters zero...
-        let back = decode_metrics_for(&v2, 2).unwrap();
-        assert_eq!(back.selects, 9);
-        assert_eq!(back.tables_pinned, 4);
-        assert_eq!(back.plan_cache_hits, 0);
-        // ...and rejects the wide one (trailing bytes), which is why the
-        // server must shrink the frame to the negotiated version.
-        assert!(decode_metrics_for(&v3, 2).is_err());
-        assert!(decode_metrics_for(&v2, 3).is_err());
-    }
-
-    #[test]
-    fn v3_metrics_layout_omits_wal_fields() {
-        let m = MetricsSnapshot {
+        let mut body = encode_metrics(&sent);
+        // The peer's table calls one row "insertz": a name this build
+        // has never heard of arrives, and "inserts" does not.
+        let at = body.windows(7).position(|w| w == b"inserts").unwrap();
+        body[at + 6] = b'z';
+        let want = MetricsSnapshot {
             selects: 9,
-            plan_cache_hits: 100,
-            wal_appends: 12,
-            wal_fsyncs: 3,
-            wal_checkpoints: 1,
             ..Default::default()
         };
-        let v3 = encode_metrics_for(&m, 3);
-        let v4 = encode_metrics_for(&m, 4);
-        assert_eq!(v4.len() - v3.len(), 6 * 8, "v4 appends six u64s");
-        // A v3 peer's decode accepts the narrow frame and leaves the WAL
-        // counters zero...
-        let back = decode_metrics_for(&v3, 3).unwrap();
-        assert_eq!(back.plan_cache_hits, 100);
-        assert_eq!(back.wal_appends, 0);
-        // ...while a v4 round trip carries them whole.
-        let back = decode_metrics_for(&v4, 4).unwrap();
-        assert_eq!(back, m);
-        // Cross-version frames are rejected in both directions.
-        assert!(decode_metrics_for(&v4, 3).is_err());
-        assert!(decode_metrics_for(&v3, 4).is_err());
+        assert_eq!(decode_metrics(&body).unwrap(), want);
+        body.push(0);
+        assert!(decode_metrics(&body).is_err(), "trailing bytes");
     }
 
     #[test]
-    fn v4_metrics_layout_omits_mvcc_and_txn_fields() {
-        let m = MetricsSnapshot {
-            selects: 9,
-            wal_appends: 12,
-            mvcc_versions: 5,
-            mvcc_snapshots_pinned: 2,
-            txn_begun: 7,
-            txn_committed: 6,
-            txn_rolled_back: 1,
-            ..Default::default()
-        };
-        let v4 = encode_metrics_for(&m, 4);
-        let v5 = encode_metrics_for(&m, 5);
-        assert_eq!(v5.len() - v4.len(), 5 * 8, "v5 appends five u64s");
-        // A v4 peer's decode accepts the narrow frame and leaves the
-        // MVCC gauges and transaction counters zero...
-        let back = decode_metrics_for(&v4, 4).unwrap();
-        assert_eq!(back.wal_appends, 12);
-        assert_eq!(back.mvcc_versions, 0);
-        assert_eq!(back.txn_begun, 0);
-        // ...while a v5 round trip carries them whole.
-        let back = decode_metrics_for(&v5, 5).unwrap();
-        assert_eq!(back, m);
-        // Cross-version frames are rejected in both directions.
-        assert!(decode_metrics_for(&v5, 4).is_err());
-        assert!(decode_metrics_for(&v4, 5).is_err());
-    }
-
-    #[test]
-    fn v5_metrics_layout_omits_repl_fields() {
-        let m = MetricsSnapshot {
-            selects: 9,
-            txn_begun: 7,
-            repl_chunks_shipped: 4,
-            repl_bytes_shipped: 4096,
-            repl_apply_lag_seq: 2,
-            repl_reconnects: 1,
-            repl_last_seq: 55,
-            ..Default::default()
-        };
-        let v5 = encode_metrics_for(&m, 5);
-        let v6 = encode_metrics_for(&m, 6);
-        assert_eq!(v6.len() - v5.len(), 5 * 8, "v6 appends five u64s");
-        // A v5 peer's decode accepts the narrow frame and leaves the
-        // replication fields zero...
-        let back = decode_metrics_for(&v5, 5).unwrap();
-        assert_eq!(back.txn_begun, 7);
-        assert_eq!(back.repl_chunks_shipped, 0);
-        assert_eq!(back.repl_last_seq, 0);
-        // ...while a v6 round trip carries them whole.
-        let back = decode_metrics_for(&v6, 6).unwrap();
-        assert_eq!(back, m);
-        // Cross-version frames are rejected in both directions.
-        assert!(decode_metrics_for(&v6, 5).is_err());
-        assert!(decode_metrics_for(&v5, 6).is_err());
-    }
-
-    #[test]
-    fn v6_metrics_layout_omits_bufpool_fields() {
-        let m = MetricsSnapshot {
-            selects: 3,
-            repl_last_seq: 12,
-            bufpool_hits: 100,
-            bufpool_misses: 20,
-            bufpool_evictions: 8,
-            bufpool_writebacks: 5,
-            bufpool_pages: 64,
-            ..Default::default()
-        };
-        let v6 = encode_metrics_for(&m, 6);
-        let v7 = encode_metrics_for(&m, 7);
-        assert_eq!(v7.len() - v6.len(), 5 * 8, "v7 appends five u64s");
-        // A v6 peer's decode accepts the narrow frame and leaves the
-        // buffer-pool fields zero...
-        let back = decode_metrics_for(&v6, 6).unwrap();
-        assert_eq!(back.repl_last_seq, 12);
-        assert_eq!(back.bufpool_hits, 0);
-        assert_eq!(back.bufpool_pages, 0);
-        // ...while a v7 round trip carries them whole.
-        let back = decode_metrics_for(&v7, 7).unwrap();
-        assert_eq!(back, m);
-        // Cross-version frames are rejected in both directions.
-        assert!(decode_metrics_for(&v7, 6).is_err());
-        assert!(decode_metrics_for(&v6, 7).is_err());
-    }
-
-    #[test]
-    fn read_only_error_degrades_for_old_peers() {
-        let e = DbError::read_only("10.0.0.1:4000");
-        // A v6 peer gets the typed variant back.
-        match decode_error(&encode_error_for(&e, 6)).unwrap() {
-            DbError::ReadOnly { primary } => assert_eq!(primary, "10.0.0.1:4000"),
-            other => panic!("unexpected {other:?}"),
+    fn hello_reply_accepts_only_hello_ok_at_this_version() {
+        assert!(hello_reply(resp::HELLO_OK, &encode_hello_ok(VERSION, "x")).is_ok());
+        for other in [0, VERSION - 1, VERSION + 1, u16::MAX] {
+            let reply = hello_reply(resp::HELLO_OK, &encode_hello_ok(other, "x"));
+            assert!(matches!(reply, Err(DbError::Unavailable { .. })), "{other}");
         }
-        // A v5 peer gets Unavailable with the routing hint in the text.
-        match decode_error(&encode_error_for(&e, 5)).unwrap() {
-            DbError::Unavailable { message } => {
-                assert!(message.contains("10.0.0.1:4000"), "{message}");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // Non-ReadOnly errors pass through unchanged at any version.
-        let plain = DbError::exec("boom");
-        assert_eq!(decode_error(&encode_error_for(&plain, 2)).unwrap(), plain);
+        let busy = hello_reply(resp::BUSY, &encode_busy("full"));
+        assert_eq!(busy, Err(DbError::unavailable("full")));
+        let refused = DbError::read_only("10.0.0.1:4000");
+        let reply = hello_reply(resp::ERROR, &encode_error(&refused));
+        assert_eq!(reply, Err(refused));
+        assert!(hello_reply(resp::DONE, &[]).is_err());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! higher layers — `PreparedStatement`, `Rows`, `TypeMap` — are
 //! transport-agnostic; they only ever see `StatementOutcome`s.
 
-use crate::protocol::{self, req, resp, Hello};
+use crate::protocol::{self, req, resp};
 use minidb::{
     Database, DbError, DbResult, MetricsSnapshot, QueryMetrics, QueryResult, Session, SlowQuery,
     StatementOutcome, Value,
@@ -57,11 +57,10 @@ pub trait Transport: Send + Sync {
     fn clear_slow_query_log(&self) -> DbResult<()>;
 
     /// Registers `sql` server-side and returns its statement id, when
-    /// the transport supports remote preparation. The default —
-    /// in-process sessions, or remote peers negotiated below protocol
-    /// v3 — returns `Ok(None)`: callers fall back to resending the
-    /// statement text, and the engine's plan cache still removes the
-    /// re-parse/re-plan cost.
+    /// the transport supports remote preparation. The default (the
+    /// in-process session) returns `Ok(None)`: callers fall back to
+    /// resending the statement text, and the engine's plan cache still
+    /// removes the re-parse/re-plan cost.
     fn prepare(&self, _sql: &str) -> DbResult<Option<u64>> {
         Ok(None)
     }
@@ -117,7 +116,7 @@ pub trait Transport: Send + Sync {
 #[derive(Debug, Clone)]
 pub struct BatchStatement {
     /// Statement text; always carried so transports without remote
-    /// preparation (or pre-v3 peers) can fall back to plain execution.
+    /// preparation can fall back to plain execution.
     pub sql: String,
     /// Named parameters, pre-lowered to engine values.
     pub params: Vec<(String, Value)>,
@@ -164,7 +163,7 @@ impl Transport for InProcessTransport {
     }
 
     fn metrics_snapshot(&self) -> DbResult<MetricsSnapshot> {
-        Ok(self.with_session(|s| s.metrics().snapshot()))
+        Ok(self.with_session(|s| s.metrics_snapshot()))
     }
 
     fn server_metrics(&self) -> DbResult<MetricsSnapshot> {
@@ -232,9 +231,6 @@ pub struct RemoteTransport {
     /// Set after any I/O or protocol fault: the stream position is
     /// unknown, so every later call fails fast instead of desyncing.
     broken: AtomicBool,
-    /// Protocol version negotiated in the handshake. Below 3 the
-    /// prepared-statement calls quietly fall back to plain STMT.
-    version: u16,
     endpoint: String,
 }
 
@@ -248,7 +244,7 @@ impl RemoteTransport {
         types: tip_blade::TipTypes,
         opts: &ConnectOptions,
     ) -> DbResult<RemoteTransport> {
-        let stream = TcpStream::connect(addr)
+        let mut stream = TcpStream::connect(addr)
             .map_err(|e| DbError::unavailable(format!("connect failed: {e}")))?;
         let endpoint = stream
             .peer_addr()
@@ -257,8 +253,8 @@ impl RemoteTransport {
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(opts.read_timeout));
         let _ = stream.set_write_timeout(Some(opts.write_timeout));
-
-        let mut t = RemoteTransport {
+        protocol::client_handshake(&mut stream, opts.now_unix)?;
+        Ok(RemoteTransport {
             stream: Mutex::new(stream),
             registry,
             types,
@@ -267,49 +263,8 @@ impl RemoteTransport {
                 dirty: false,
             }),
             broken: AtomicBool::new(false),
-            version: protocol::VERSION,
             endpoint,
-        };
-        let negotiated;
-        {
-            let mut stream = t.stream.lock().expect("stream poisoned");
-            t.send(
-                &mut stream,
-                req::HELLO,
-                &protocol::encode_hello(&Hello {
-                    version: protocol::VERSION,
-                    now_unix: opts.now_unix,
-                }),
-            )?;
-            let (tag, body) = t.recv(&mut stream)?;
-            match tag {
-                resp::HELLO_OK => {
-                    let (version, _banner) = protocol::decode_hello_ok(&body)?;
-                    // The server answers with the version it settled on;
-                    // anything in our supported window is fine (an older
-                    // server just means no remote prepared statements).
-                    if !(protocol::MIN_VERSION..=protocol::VERSION).contains(&version) {
-                        return Err(DbError::unavailable(format!(
-                            "server speaks protocol version {version}, client speaks {}..={}",
-                            protocol::MIN_VERSION,
-                            protocol::VERSION
-                        )));
-                    }
-                    negotiated = version;
-                }
-                resp::BUSY => {
-                    return Err(DbError::unavailable(protocol::decode_busy(&body)?));
-                }
-                resp::ERROR => return Err(protocol::decode_error(&body)?),
-                other => {
-                    return Err(DbError::unavailable(format!(
-                        "unexpected handshake frame {other:#04x}"
-                    )))
-                }
-            }
-        }
-        t.version = negotiated;
-        Ok(t)
+        })
     }
 
     fn fail(&self, ctx: &str, e: impl std::fmt::Display) -> DbError {
@@ -368,9 +323,10 @@ impl RemoteTransport {
         self.registry.with_catalog(|c| c.display_value(v))
     }
 
-    /// The protocol version settled on in the handshake.
+    /// The protocol version the handshake agreed on — always
+    /// [`protocol::VERSION`], or `connect` would have failed.
     pub fn protocol_version(&self) -> u16 {
-        self.version
+        protocol::VERSION
     }
 
     /// `true` once a transport fault has poisoned the stream; the
@@ -427,7 +383,7 @@ impl RemoteTransport {
         self.send(&mut stream, request, &[])?;
         let (tag, body) = self.recv(&mut stream)?;
         match tag {
-            resp::METRICS => protocol::decode_metrics_for(&body, self.version),
+            resp::METRICS => protocol::decode_metrics(&body),
             resp::ERROR => Err(protocol::decode_error(&body)?),
             other => Err(self.fail("metrics", format!("unexpected frame {other:#04x}"))),
         }
@@ -445,9 +401,6 @@ impl Transport for RemoteTransport {
     }
 
     fn prepare(&self, sql: &str) -> DbResult<Option<u64>> {
-        if self.version < 3 {
-            return Ok(None);
-        }
         self.check_live()?;
         let mut stream = self.stream.lock().expect("stream poisoned");
         self.send(&mut stream, req::PREPARE, &protocol::encode_prepare(sql))?;
@@ -462,12 +415,9 @@ impl Transport for RemoteTransport {
     fn execute_prepared(
         &self,
         id: u64,
-        sql: &str,
+        _sql: &str,
         params: &[(&str, Value)],
     ) -> DbResult<StatementOutcome> {
-        if self.version < 3 {
-            return self.execute(sql, params);
-        }
         self.check_live()?;
         let mut stream = self.stream.lock().expect("stream poisoned");
         self.sync_now(&mut stream)?;
@@ -497,11 +447,11 @@ impl Transport for RemoteTransport {
                 .map(|(n, v)| (n.as_str(), v.clone()))
                 .collect();
             let (tag, body) = match stmt.prepared_id {
-                Some(id) if self.version >= 3 => (
+                Some(id) => (
                     req::EXECUTE_PREPARED,
                     protocol::encode_execute_prepared(id, &params, &|v| self.display(v)),
                 ),
-                _ => (
+                None => (
                     req::STMT,
                     protocol::encode_stmt(&stmt.sql, &params, &|v| self.display(v)),
                 ),
@@ -522,7 +472,7 @@ impl Transport for RemoteTransport {
     }
 
     fn close_prepared(&self, id: u64) -> DbResult<()> {
-        if self.version < 3 || self.broken.load(Ordering::SeqCst) {
+        if self.broken.load(Ordering::SeqCst) {
             return Ok(());
         }
         let mut stream = self.stream.lock().expect("stream poisoned");
@@ -951,42 +901,12 @@ pub fn promote_replica(addr: impl ToSocketAddrs) -> DbResult<()> {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-    let send = |stream: &mut TcpStream, tag: u8, body: &[u8]| -> DbResult<()> {
-        let mut frame = Vec::with_capacity(5 + body.len());
-        protocol::write_frame(&mut frame, tag, body)
-            .and_then(|()| io::Write::write_all(stream, &frame))
-            .map_err(|e| DbError::unavailable(format!("send failed: {e}")))
-    };
-    let recv = |stream: &mut TcpStream| -> DbResult<(u8, Vec<u8>)> {
-        protocol::read_frame(stream)
-            .map_err(|e| DbError::unavailable(format!("receive failed: {e}")))
-    };
-    send(
-        &mut stream,
-        req::HELLO,
-        &protocol::encode_hello(&Hello {
-            version: protocol::VERSION,
-            now_unix: None,
-        }),
-    )?;
-    match recv(&mut stream)? {
-        (resp::HELLO_OK, body) => {
-            let (version, _banner) = protocol::decode_hello_ok(&body)?;
-            if version < 6 {
-                return Err(DbError::unavailable(format!(
-                    "server speaks protocol v{version}; PROMOTE needs v6"
-                )));
-            }
-        }
-        (resp::ERROR, body) => return Err(protocol::decode_error(&body)?),
-        (other, _) => {
-            return Err(DbError::unavailable(format!(
-                "unexpected handshake frame {other:#04x}"
-            )))
-        }
-    }
-    send(&mut stream, req::PROMOTE, &[])?;
-    match recv(&mut stream)? {
+    protocol::client_handshake(&mut stream, None)?;
+    protocol::write_frame(&mut stream, req::PROMOTE, &[])
+        .map_err(|e| DbError::unavailable(format!("send failed: {e}")))?;
+    let reply = protocol::read_frame(&mut stream)
+        .map_err(|e| DbError::unavailable(format!("receive failed: {e}")))?;
+    match reply {
         (resp::DONE, _) => Ok(()),
         (resp::ERROR, body) => Err(protocol::decode_error(&body)?),
         (other, _) => Err(DbError::unavailable(format!(

@@ -16,6 +16,7 @@
 //! least as expensive as each child.
 
 use crate::plan::Plan;
+use crate::session::Database;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -236,7 +237,7 @@ impl OpProfile {
         }
         let batches = self.batches.get();
         if batches > 0 {
-            metrics.record_batches(batches);
+            metrics.add(Metric::vectorized_batches, batches);
         }
         for c in &self.children {
             c.charge_scans(metrics);
@@ -277,56 +278,231 @@ pub enum StatementKind {
 /// open-ended.
 pub const LATENCY_BUCKETS: usize = 22;
 
-/// Session-level query statistics. All counters are atomics, so a
-/// `SHOW STATS` from one thread can observe a session driven elsewhere
-/// through an `Arc` handle without locks.
-#[derive(Debug, Default)]
-pub struct QueryMetrics {
-    selects: AtomicU64,
-    inserts: AtomicU64,
-    updates: AtomicU64,
-    deletes: AtomicU64,
-    ddl: AtomicU64,
-    explains: AtomicU64,
-    errors: AtomicU64,
-
-    full_scans: AtomicU64,
-    index_eq_scans: AtomicU64,
-    index_range_scans: AtomicU64,
-    index_overlap_scans: AtomicU64,
-
-    rows_scanned: AtomicU64,
-    rows_returned: AtomicU64,
-    rows_affected: AtomicU64,
-    /// Column batches emitted by vectorized operators. Session-local
-    /// observability only — deliberately NOT part of the METRICS wire
-    /// frame (adding it would bump the protocol metrics version).
-    vectorized_batches: AtomicU64,
-
-    select_nanos: AtomicU64,
-    dml_nanos: AtomicU64,
-    slow_queries: AtomicU64,
-    lock_wait_nanos: AtomicU64,
-    tables_pinned: AtomicU64,
-
-    plan_cache_hits: AtomicU64,
-    plan_cache_misses: AtomicU64,
-    plan_cache_invalidations: AtomicU64,
-    /// Gauge (not a counter): the shared cache's current entry count as
-    /// of the last statement that touched it.
-    plan_cache_entries: AtomicU64,
-
-    txn_begun: AtomicU64,
-    txn_committed: AtomicU64,
-    txn_rolled_back: AtomicU64,
-    latency_buckets: [AtomicU64; LATENCY_BUCKETS],
-}
-
 /// Log2 bucket index for a latency: bucket `i` holds `[2^i, 2^(i+1))`
 /// microseconds, sub-µs goes in 0, and the last bucket is open-ended.
 fn latency_bucket(elapsed: Duration) -> usize {
     let micros = elapsed.as_micros() as u64;
     (63 - micros.max(1).leading_zeros() as usize).min(LATENCY_BUCKETS - 1)
+}
+
+/// Merge rule `sum`: per-session counters add up across sessions.
+/// Saturating, so a hostile peer cannot make aggregation overflow.
+fn sum(a: u64, b: u64) -> u64 {
+    a.saturating_add(b)
+}
+
+/// Merge rule `max`: every snapshot of one node reads the same
+/// node-wide value, so aggregating must not multiply it.
+fn max(a: u64, b: u64) -> u64 {
+    a.max(b)
+}
+
+/// The node-wide state the table's `= n => …` sources read, gathered
+/// once per snapshot.
+struct Node<'a> {
+    db: &'a Database,
+    wal: crate::wal::WalStatsSnapshot,
+    repl: crate::repl::ReplSnapshot,
+    pool: crate::storage::pages::PoolStatsSnapshot,
+}
+
+/// Generates everything that enumerates the metrics from the one table
+/// below: the counter index, [`MetricsSnapshot`], and its snapshot /
+/// merge / `SHOW STATS` / wire renderings.
+macro_rules! metric_table {
+    ($(
+        $(@$hist:ident;)?
+        $(#[$doc:meta])*
+        $field:ident $name:literal $merge:ident $div:literal $(= $n:ident => $node:expr)?;
+    )*) => {
+        /// One variant per table row, named as its snapshot field: what
+        /// [`QueryMetrics::add`] bumps.
+        #[allow(non_camel_case_types)]
+        #[derive(Clone, Copy)]
+        pub(crate) enum Metric {
+            $($field,)*
+        }
+
+        const METRIC_COUNT: usize = [$(Metric::$field),*].len();
+
+        /// A point-in-time copy of a session's [`QueryMetrics`], with
+        /// the node-wide rows filled in by
+        /// [`MetricsSnapshot::with_node_gauges`].
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct MetricsSnapshot {
+            $($(#[$doc])* pub $field: u64,)*
+            pub latency_buckets: [u64; LATENCY_BUCKETS],
+        }
+
+        impl QueryMetrics {
+            /// Point-in-time copy of this session's counters; the
+            /// node-wide rows stay zero.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
+                MetricsSnapshot {
+                    $($field: g(&self.counters[Metric::$field as usize]),)*
+                    latency_buckets: std::array::from_fn(|i| g(&self.latency_buckets[i])),
+                }
+            }
+        }
+
+        impl MetricsSnapshot {
+            /// Folds another snapshot into this one by each row's merge
+            /// rule — the server aggregates its sessions this way.
+            pub fn absorb(&mut self, other: &MetricsSnapshot) {
+                $(self.$field = $merge(self.$field, other.$field);)*
+                for (a, b) in self.latency_buckets.iter_mut().zip(&other.latency_buckets) {
+                    *a = sum(*a, *b);
+                }
+            }
+
+            /// Fills the node-wide rows from `db` as of now. Session
+            /// counters plus these are the one snapshot `SHOW STATS`
+            /// and the METRICS frame both render.
+            pub fn with_node_gauges(mut self, db: &Database) -> MetricsSnapshot {
+                let node = Node {
+                    db,
+                    wal: db.wal_stats(),
+                    repl: db.repl_stats().snapshot(),
+                    pool: db.bufpool_stats(),
+                };
+                $($({
+                    let $n = &node;
+                    self.$field = $node;
+                })?)*
+                self
+            }
+
+            /// The snapshot as `(metric, value)` rows — the body of
+            /// `SHOW STATS`. Latency buckets are collapsed to non-empty
+            /// ones.
+            pub fn rows(&self) -> Vec<(String, u64)> {
+                let mut out = Vec::with_capacity(METRIC_COUNT + LATENCY_BUCKETS);
+                $(
+                    $(for (i, &n) in self.$hist.iter().enumerate() {
+                        if n > 0 {
+                            let lo = 1u64 << i;
+                            out.push((format!("latency.us[{lo}..{})", lo * 2), n));
+                        }
+                    })?
+                    out.push(($name.to_owned(), self.$field / $div));
+                )*
+                out
+            }
+
+            /// Every row as `(field name, raw value)` — what a METRICS
+            /// frame carries.
+            pub fn fields(&self) -> [(&'static str, u64); METRIC_COUNT] {
+                [$((stringify!($field), self.$field)),*]
+            }
+
+            /// Sets the row called `field`; a name this build has no row
+            /// for (a newer peer's metric) is ignored.
+            pub fn set_field(&mut self, field: &str, value: u64) {
+                match field {
+                    $(stringify!($field) => self.$field = value,)*
+                    _ => {}
+                }
+            }
+        }
+    };
+}
+
+// The one place a metric is declared. Columns: snapshot field, `SHOW
+// STATS` name, merge rule across snapshots (`sum` | `max`), divisor
+// applied for `SHOW STATS` only, and — for node-wide rows — where the
+// value is read from at snapshot time. A row without a source is a
+// session counter: it owns an atomic in `QueryMetrics`, bumped through
+// `QueryMetrics::add`. Rows appear in `SHOW STATS` order. To add a
+// metric, add its row here and the line that bumps it (or the `Node`
+// expression that reads it); nothing else lists metrics.
+metric_table! {
+    selects                  "statements.select"        sum 1;
+    inserts                  "statements.insert"        sum 1;
+    updates                  "statements.update"        sum 1;
+    deletes                  "statements.delete"        sum 1;
+    ddl                      "statements.ddl"           sum 1;
+    explains                 "statements.explain"       sum 1;
+    errors                   "statements.error"         sum 1;
+    full_scans               "scans.full"               sum 1;
+    index_eq_scans           "scans.index_eq"           sum 1;
+    index_range_scans        "scans.index_range"        sum 1;
+    index_overlap_scans      "scans.index_overlap"      sum 1;
+    rows_scanned             "rows.scanned"             sum 1;
+    rows_returned            "rows.returned"            sum 1;
+    rows_affected            "rows.affected"            sum 1;
+    /// Column batches emitted by batch operators.
+    vectorized_batches       "exec.batches"             sum 1;
+    select_nanos             "select.total_micros"      sum 1_000;
+    dml_nanos                "dml.total_micros"         sum 1_000;
+    slow_queries             "select.slow"              sum 1;
+    lock_wait_nanos          "lock.wait_micros"         sum 1_000;
+    tables_pinned            "lock.tables_pinned"       sum 1;
+    plan_cache_hits          "plan_cache.hits"          sum 1;
+    plan_cache_misses        "plan_cache.misses"        sum 1;
+    plan_cache_invalidations "plan_cache.invalidations" sum 1;
+    /// Gauge: plans in the database-wide cache right now.
+    plan_cache_entries       "plan_cache.entries"       max 1 = n => n.db.plan_cache_len() as u64;
+    txn_begun                "txn.begun"                sum 1;
+    txn_committed            "txn.committed"            sum 1;
+    txn_rolled_back          "txn.rolled_back"          sum 1;
+
+    // The latency histogram's `SHOW STATS` rows sit here, between the
+    // session counters and the node-wide sections.
+    @latency_buckets;
+    /// WAL counters; all zero on an in-memory database.
+    wal_appends              "wal.appends"              max 1 = n => n.wal.appends;
+    wal_bytes                "wal.bytes"                max 1 = n => n.wal.bytes;
+    wal_commits              "wal.commits"              max 1 = n => n.wal.commits;
+    wal_fsyncs               "wal.fsyncs"               max 1 = n => n.wal.fsyncs;
+    wal_group_commit_batch   "wal.group_commit_batch"   max 1 = n => n.wal.group_commit_batch;
+    wal_replayed             "wal.replayed"             max 1 = n => n.wal.replayed;
+    wal_checkpoints          "wal.checkpoints"          max 1 = n => n.wal.checkpoints;
+    wal_recovery_micros      "wal.recovery_micros"      max 1 = n => n.wal.recovery_micros;
+    /// Gauge: table versions retained across all version chains.
+    mvcc_versions            "mvcc.versions"            max 1 = n => n.db.mvcc_versions();
+    /// Gauge: snapshot pins currently registered.
+    mvcc_snapshots_pinned    "mvcc.snapshots_pinned"    max 1 = n => n.db.snapshots_pinned();
+    /// The configured retention window, in commits.
+    mvcc_retention           "mvcc.retention"           max 1 = n => n.db.mvcc_retention();
+    /// Replication counters; all zero on a node that neither ships nor
+    /// applies WAL chunks.
+    repl_chunks_shipped      "repl.chunks_shipped"      max 1 = n => n.repl.chunks_shipped;
+    repl_bytes_shipped       "repl.bytes_shipped"       max 1 = n => n.repl.bytes_shipped;
+    /// Gauge: worst per-replica apply lag in commit sequences (primary).
+    repl_apply_lag_seq       "repl.apply_lag_seq"       max 1 = n => n.repl.apply_lag_seq;
+    repl_reconnects          "repl.reconnects"          max 1 = n => n.repl.reconnects;
+    /// Gauge: newest commit sequence known applied on this node. On a
+    /// primary that is its own durable frontier — clients use it as the
+    /// read-your-writes floor when fanning reads across replicas.
+    repl_last_seq            "repl.last_seq"            max 1
+        = n => n.repl.last_seq.max(n.db.wal_progress().map_or(0, |p| p.seq));
+    /// Buffer-pool counters; all zero on an in-memory database.
+    bufpool_hits             "bufpool.hits"             max 1 = n => n.pool.hits;
+    bufpool_misses           "bufpool.misses"           max 1 = n => n.pool.misses;
+    bufpool_evictions        "bufpool.evictions"        max 1 = n => n.pool.evictions;
+    bufpool_writebacks       "bufpool.writebacks"       max 1 = n => n.pool.writebacks;
+    /// Gauge: pages currently resident in the buffer pool.
+    bufpool_pages            "bufpool.pages"            max 1 = n => n.pool.pages;
+}
+
+/// Session-level query statistics. All counters are atomics, so a
+/// `SHOW STATS` from one thread can observe a session driven elsewhere
+/// through an `Arc` handle without locks. One slot per table row keeps
+/// indexing trivial; the node-wide rows' slots are never written.
+#[derive(Debug)]
+pub struct QueryMetrics {
+    counters: [AtomicU64; METRIC_COUNT],
+    latency_buckets: [AtomicU64; LATENCY_BUCKETS],
+}
+
+impl Default for QueryMetrics {
+    fn default() -> QueryMetrics {
+        QueryMetrics {
+            counters: [const { AtomicU64::new(0) }; METRIC_COUNT],
+            latency_buckets: [const { AtomicU64::new(0) }; LATENCY_BUCKETS],
+        }
+    }
 }
 
 impl QueryMetrics {
@@ -335,341 +511,64 @@ impl QueryMetrics {
         Arc::new(QueryMetrics::default())
     }
 
+    /// Adds `n` to one session counter.
+    pub(crate) fn add(&self, m: Metric, n: u64) {
+        self.counters[m as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// One tick in the shared latency histogram.
+    fn observe_latency(&self, elapsed: Duration) {
+        self.latency_buckets[latency_bucket(elapsed)].fetch_add(1, Ordering::Relaxed);
+    }
+
     pub(crate) fn record_statement(&self, kind: StatementKind) {
-        let c = match kind {
-            StatementKind::Select => &self.selects,
-            StatementKind::Insert => &self.inserts,
-            StatementKind::Update => &self.updates,
-            StatementKind::Delete => &self.deletes,
-            StatementKind::Ddl => &self.ddl,
-            StatementKind::Explain => &self.explains,
+        let m = match kind {
+            StatementKind::Select => Metric::selects,
+            StatementKind::Insert => Metric::inserts,
+            StatementKind::Update => Metric::updates,
+            StatementKind::Delete => Metric::deletes,
+            StatementKind::Ddl => Metric::ddl,
+            StatementKind::Explain => Metric::explains,
             StatementKind::ShowStats => return, // reading stats is free
             StatementKind::Txn => return,       // tallied via the txn.* counters
         };
-        c.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_error(&self) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
+        self.add(m, 1);
     }
 
     pub(crate) fn record_scan(&self, path: AccessPath, rows_scanned: u64) {
-        let c = match path {
-            AccessPath::FullScan => &self.full_scans,
-            AccessPath::IndexEq => &self.index_eq_scans,
-            AccessPath::IndexRange => &self.index_range_scans,
-            AccessPath::IndexOverlap => &self.index_overlap_scans,
+        let m = match path {
+            AccessPath::FullScan => Metric::full_scans,
+            AccessPath::IndexEq => Metric::index_eq_scans,
+            AccessPath::IndexRange => Metric::index_range_scans,
+            AccessPath::IndexOverlap => Metric::index_overlap_scans,
         };
-        c.fetch_add(1, Ordering::Relaxed);
-        self.rows_scanned.fetch_add(rows_scanned, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_batches(&self, batches: u64) {
-        self.vectorized_batches
-            .fetch_add(batches, Ordering::Relaxed);
+        self.add(m, 1);
+        self.add(Metric::rows_scanned, rows_scanned);
     }
 
     pub(crate) fn record_select(&self, rows_returned: u64, elapsed: Duration) {
-        self.rows_returned
-            .fetch_add(rows_returned, Ordering::Relaxed);
-        self.select_nanos
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        self.latency_buckets[latency_bucket(elapsed)].fetch_add(1, Ordering::Relaxed);
+        self.add(Metric::rows_returned, rows_returned);
+        self.add(Metric::select_nanos, elapsed.as_nanos() as u64);
+        self.observe_latency(elapsed);
     }
 
     /// One INSERT/UPDATE/DELETE: affected rows, execution time, and a
     /// tick in the shared latency histogram.
     pub(crate) fn record_dml(&self, rows_affected: u64, elapsed: Duration) {
-        self.rows_affected
-            .fetch_add(rows_affected, Ordering::Relaxed);
-        self.dml_nanos
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        self.latency_buckets[latency_bucket(elapsed)].fetch_add(1, Ordering::Relaxed);
+        self.add(Metric::rows_affected, rows_affected);
+        self.add(Metric::dml_nanos, elapsed.as_nanos() as u64);
+        self.observe_latency(elapsed);
     }
 
     /// One statement's table-pin accounting: how many tables it pinned
     /// and how long it was blocked acquiring their locks.
     pub(crate) fn record_lock_wait(&self, tables: u64, wait: Duration) {
-        self.tables_pinned.fetch_add(tables, Ordering::Relaxed);
-        self.lock_wait_nanos
-            .fetch_add(wait.as_nanos() as u64, Ordering::Relaxed);
+        self.add(Metric::tables_pinned, tables);
+        self.add(Metric::lock_wait_nanos, wait.as_nanos() as u64);
     }
-
-    pub(crate) fn record_slow_query(&self) {
-        self.slow_queries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One SELECT served straight from the shared plan cache.
-    pub(crate) fn record_plan_cache_hit(&self) {
-        self.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One SELECT that had to run the full front end (parse/bind/plan).
-    pub(crate) fn record_plan_cache_miss(&self) {
-        self.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One cached plan evicted because the DDL generation moved on.
-    pub(crate) fn record_plan_cache_invalidation(&self) {
-        self.plan_cache_invalidations
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Updates the cache-size gauge.
-    pub(crate) fn set_plan_cache_entries(&self, entries: u64) {
-        self.plan_cache_entries.store(entries, Ordering::Relaxed);
-    }
-
-    /// One `BEGIN` that opened a transaction.
-    pub(crate) fn record_txn_begun(&self) {
-        self.txn_begun.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One `COMMIT` that made a transaction's writes visible.
-    pub(crate) fn record_txn_committed(&self) {
-        self.txn_committed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One transaction discarded by `ROLLBACK` (or aborted).
-    pub(crate) fn record_txn_rolled_back(&self) {
-        self.txn_rolled_back.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Point-in-time copy of every counter.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        MetricsSnapshot {
-            selects: g(&self.selects),
-            inserts: g(&self.inserts),
-            updates: g(&self.updates),
-            deletes: g(&self.deletes),
-            ddl: g(&self.ddl),
-            explains: g(&self.explains),
-            errors: g(&self.errors),
-            full_scans: g(&self.full_scans),
-            index_eq_scans: g(&self.index_eq_scans),
-            index_range_scans: g(&self.index_range_scans),
-            index_overlap_scans: g(&self.index_overlap_scans),
-            rows_scanned: g(&self.rows_scanned),
-            rows_returned: g(&self.rows_returned),
-            rows_affected: g(&self.rows_affected),
-            vectorized_batches: g(&self.vectorized_batches),
-            select_nanos: g(&self.select_nanos),
-            dml_nanos: g(&self.dml_nanos),
-            slow_queries: g(&self.slow_queries),
-            lock_wait_nanos: g(&self.lock_wait_nanos),
-            tables_pinned: g(&self.tables_pinned),
-            plan_cache_hits: g(&self.plan_cache_hits),
-            plan_cache_misses: g(&self.plan_cache_misses),
-            plan_cache_invalidations: g(&self.plan_cache_invalidations),
-            plan_cache_entries: g(&self.plan_cache_entries),
-            txn_begun: g(&self.txn_begun),
-            txn_committed: g(&self.txn_committed),
-            txn_rolled_back: g(&self.txn_rolled_back),
-            // WAL counters live on the database, not the session; the
-            // server overlays them via `overlay_wal` when encoding. The
-            // MVCC gauges likewise come from `overlay_mvcc`.
-            wal_appends: 0,
-            wal_bytes: 0,
-            wal_fsyncs: 0,
-            wal_group_commit_batch: 0,
-            wal_replayed: 0,
-            wal_checkpoints: 0,
-            mvcc_versions: 0,
-            mvcc_snapshots_pinned: 0,
-            repl_chunks_shipped: 0,
-            repl_bytes_shipped: 0,
-            repl_apply_lag_seq: 0,
-            repl_reconnects: 0,
-            repl_last_seq: 0,
-            bufpool_hits: 0,
-            bufpool_misses: 0,
-            bufpool_evictions: 0,
-            bufpool_writebacks: 0,
-            bufpool_pages: 0,
-            latency_buckets: std::array::from_fn(|i| g(&self.latency_buckets[i])),
-        }
-    }
-}
-
-/// A point-in-time copy of a session's [`QueryMetrics`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    pub selects: u64,
-    pub inserts: u64,
-    pub updates: u64,
-    pub deletes: u64,
-    pub ddl: u64,
-    pub explains: u64,
-    pub errors: u64,
-    pub full_scans: u64,
-    pub index_eq_scans: u64,
-    pub index_range_scans: u64,
-    pub index_overlap_scans: u64,
-    pub rows_scanned: u64,
-    pub rows_returned: u64,
-    pub rows_affected: u64,
-    /// Column batches emitted by vectorized operators (session-local;
-    /// not carried on the METRICS wire frame).
-    pub vectorized_batches: u64,
-    pub select_nanos: u64,
-    pub dml_nanos: u64,
-    pub slow_queries: u64,
-    pub lock_wait_nanos: u64,
-    pub tables_pinned: u64,
-    pub plan_cache_hits: u64,
-    pub plan_cache_misses: u64,
-    pub plan_cache_invalidations: u64,
-    /// Gauge: current size of the (database-wide) plan cache.
-    pub plan_cache_entries: u64,
-    pub txn_begun: u64,
-    pub txn_committed: u64,
-    pub txn_rolled_back: u64,
-    /// WAL counters, overlaid from the database's durability layer (see
-    /// [`MetricsSnapshot::overlay_wal`]); all zero on in-memory
-    /// databases and on sessions that never overlaid them.
-    pub wal_appends: u64,
-    pub wal_bytes: u64,
-    pub wal_fsyncs: u64,
-    pub wal_group_commit_batch: u64,
-    pub wal_replayed: u64,
-    pub wal_checkpoints: u64,
-    /// Gauge: table versions currently retained across all version
-    /// chains (database-wide; overlaid via
-    /// [`MetricsSnapshot::overlay_mvcc`]).
-    pub mvcc_versions: u64,
-    /// Gauge: snapshot pins currently registered (database-wide).
-    pub mvcc_snapshots_pinned: u64,
-    /// Replication counters/gauges, overlaid from the database's
-    /// [`crate::repl::ReplStats`] (see [`MetricsSnapshot::overlay_repl`]);
-    /// all zero on nodes that neither ship nor apply WAL chunks.
-    pub repl_chunks_shipped: u64,
-    pub repl_bytes_shipped: u64,
-    /// Gauge: worst per-replica apply lag in commit sequences (primary).
-    pub repl_apply_lag_seq: u64,
-    pub repl_reconnects: u64,
-    /// Gauge: newest commit sequence known applied on this node.
-    pub repl_last_seq: u64,
-    /// Buffer-pool counters, overlaid from the database's paged store
-    /// (see [`MetricsSnapshot::overlay_bufpool`]); all zero on
-    /// in-memory databases.
-    pub bufpool_hits: u64,
-    pub bufpool_misses: u64,
-    pub bufpool_evictions: u64,
-    pub bufpool_writebacks: u64,
-    /// Gauge: pages currently resident in the buffer pool.
-    pub bufpool_pages: u64,
-    pub latency_buckets: [u64; LATENCY_BUCKETS],
 }
 
 impl MetricsSnapshot {
-    /// Folds another session's counters into this snapshot — the server
-    /// uses this to aggregate per-session observability counters across
-    /// all live connections. Saturating, so a hostile peer cannot make
-    /// aggregation itself overflow.
-    pub fn absorb(&mut self, other: &MetricsSnapshot) {
-        let add = |a: &mut u64, b: u64| *a = a.saturating_add(b);
-        add(&mut self.selects, other.selects);
-        add(&mut self.inserts, other.inserts);
-        add(&mut self.updates, other.updates);
-        add(&mut self.deletes, other.deletes);
-        add(&mut self.ddl, other.ddl);
-        add(&mut self.explains, other.explains);
-        add(&mut self.errors, other.errors);
-        add(&mut self.full_scans, other.full_scans);
-        add(&mut self.index_eq_scans, other.index_eq_scans);
-        add(&mut self.index_range_scans, other.index_range_scans);
-        add(&mut self.index_overlap_scans, other.index_overlap_scans);
-        add(&mut self.rows_scanned, other.rows_scanned);
-        add(&mut self.rows_returned, other.rows_returned);
-        add(&mut self.rows_affected, other.rows_affected);
-        add(&mut self.vectorized_batches, other.vectorized_batches);
-        add(&mut self.select_nanos, other.select_nanos);
-        add(&mut self.dml_nanos, other.dml_nanos);
-        add(&mut self.slow_queries, other.slow_queries);
-        add(&mut self.lock_wait_nanos, other.lock_wait_nanos);
-        add(&mut self.tables_pinned, other.tables_pinned);
-        add(&mut self.plan_cache_hits, other.plan_cache_hits);
-        add(&mut self.plan_cache_misses, other.plan_cache_misses);
-        add(
-            &mut self.plan_cache_invalidations,
-            other.plan_cache_invalidations,
-        );
-        add(&mut self.txn_begun, other.txn_begun);
-        add(&mut self.txn_committed, other.txn_committed);
-        add(&mut self.txn_rolled_back, other.txn_rolled_back);
-        // Every session gauges the same shared cache: max, not sum.
-        self.plan_cache_entries = self.plan_cache_entries.max(other.plan_cache_entries);
-        // WAL counters are database-wide (one WAL per database), so
-        // aggregating across sessions must not multiply them: max.
-        self.wal_appends = self.wal_appends.max(other.wal_appends);
-        self.wal_bytes = self.wal_bytes.max(other.wal_bytes);
-        self.wal_fsyncs = self.wal_fsyncs.max(other.wal_fsyncs);
-        self.wal_group_commit_batch = self
-            .wal_group_commit_batch
-            .max(other.wal_group_commit_batch);
-        self.wal_replayed = self.wal_replayed.max(other.wal_replayed);
-        self.wal_checkpoints = self.wal_checkpoints.max(other.wal_checkpoints);
-        // The MVCC gauges are database-wide too: max, not sum.
-        self.mvcc_versions = self.mvcc_versions.max(other.mvcc_versions);
-        self.mvcc_snapshots_pinned = self.mvcc_snapshots_pinned.max(other.mvcc_snapshots_pinned);
-        // Replication state is node-wide (one stream set per database):
-        // max, not sum, for the same reason as the WAL counters.
-        self.repl_chunks_shipped = self.repl_chunks_shipped.max(other.repl_chunks_shipped);
-        self.repl_bytes_shipped = self.repl_bytes_shipped.max(other.repl_bytes_shipped);
-        self.repl_apply_lag_seq = self.repl_apply_lag_seq.max(other.repl_apply_lag_seq);
-        self.repl_reconnects = self.repl_reconnects.max(other.repl_reconnects);
-        self.repl_last_seq = self.repl_last_seq.max(other.repl_last_seq);
-        // One buffer pool per database: max, not sum.
-        self.bufpool_hits = self.bufpool_hits.max(other.bufpool_hits);
-        self.bufpool_misses = self.bufpool_misses.max(other.bufpool_misses);
-        self.bufpool_evictions = self.bufpool_evictions.max(other.bufpool_evictions);
-        self.bufpool_writebacks = self.bufpool_writebacks.max(other.bufpool_writebacks);
-        self.bufpool_pages = self.bufpool_pages.max(other.bufpool_pages);
-        for (a, b) in self.latency_buckets.iter_mut().zip(&other.latency_buckets) {
-            *a = a.saturating_add(*b);
-        }
-    }
-
-    /// Copies the database's WAL counters into this snapshot — the
-    /// server does this before encoding a METRICS frame so the wire
-    /// carries `wal.*` alongside the session counters.
-    pub fn overlay_wal(&mut self, w: &crate::wal::WalStatsSnapshot) {
-        self.wal_appends = w.appends;
-        self.wal_bytes = w.bytes;
-        self.wal_fsyncs = w.fsyncs;
-        self.wal_group_commit_batch = w.group_commit_batch;
-        self.wal_replayed = w.replayed;
-        self.wal_checkpoints = w.checkpoints;
-    }
-
-    /// Copies the database's MVCC gauges into this snapshot (same idea
-    /// as [`MetricsSnapshot::overlay_wal`]).
-    pub fn overlay_mvcc(&mut self, versions: u64, snapshots_pinned: u64) {
-        self.mvcc_versions = versions;
-        self.mvcc_snapshots_pinned = snapshots_pinned;
-    }
-
-    /// Copies the database's replication counters into this snapshot
-    /// (same idea as [`MetricsSnapshot::overlay_wal`]).
-    pub fn overlay_repl(&mut self, r: &crate::repl::ReplSnapshot) {
-        self.repl_chunks_shipped = r.chunks_shipped;
-        self.repl_bytes_shipped = r.bytes_shipped;
-        self.repl_apply_lag_seq = r.apply_lag_seq;
-        self.repl_reconnects = r.reconnects;
-        self.repl_last_seq = r.last_seq;
-    }
-
-    /// Copies the database's buffer-pool counters into this snapshot
-    /// (same idea as [`MetricsSnapshot::overlay_wal`]).
-    pub fn overlay_bufpool(&mut self, s: &crate::storage::pages::PoolStatsSnapshot) {
-        self.bufpool_hits = s.hits;
-        self.bufpool_misses = s.misses;
-        self.bufpool_evictions = s.evictions;
-        self.bufpool_writebacks = s.writebacks;
-        self.bufpool_pages = s.pages;
-    }
-
     /// Total statements of any kind (errors not included).
     pub fn statements(&self) -> u64 {
         self.selects + self.inserts + self.updates + self.deletes + self.ddl + self.explains
@@ -684,50 +583,6 @@ impl MetricsSnapshot {
     pub fn index_hit_rate(&self) -> Option<f64> {
         let total = self.index_scans() + self.full_scans;
         (total > 0).then(|| self.index_scans() as f64 / total as f64)
-    }
-
-    /// The snapshot as `(metric, value)` rows — the body of `SHOW STATS`.
-    /// Latency buckets are collapsed to non-empty ones.
-    pub fn rows(&self) -> Vec<(String, u64)> {
-        let mut out = vec![
-            ("statements.select".to_owned(), self.selects),
-            ("statements.insert".to_owned(), self.inserts),
-            ("statements.update".to_owned(), self.updates),
-            ("statements.delete".to_owned(), self.deletes),
-            ("statements.ddl".to_owned(), self.ddl),
-            ("statements.explain".to_owned(), self.explains),
-            ("statements.error".to_owned(), self.errors),
-            ("scans.full".to_owned(), self.full_scans),
-            ("scans.index_eq".to_owned(), self.index_eq_scans),
-            ("scans.index_range".to_owned(), self.index_range_scans),
-            ("scans.index_overlap".to_owned(), self.index_overlap_scans),
-            ("rows.scanned".to_owned(), self.rows_scanned),
-            ("rows.returned".to_owned(), self.rows_returned),
-            ("rows.affected".to_owned(), self.rows_affected),
-            ("exec.batches".to_owned(), self.vectorized_batches),
-            ("select.total_micros".to_owned(), self.select_nanos / 1_000),
-            ("dml.total_micros".to_owned(), self.dml_nanos / 1_000),
-            ("select.slow".to_owned(), self.slow_queries),
-            ("lock.wait_micros".to_owned(), self.lock_wait_nanos / 1_000),
-            ("lock.tables_pinned".to_owned(), self.tables_pinned),
-            ("plan_cache.hits".to_owned(), self.plan_cache_hits),
-            ("plan_cache.misses".to_owned(), self.plan_cache_misses),
-            (
-                "plan_cache.invalidations".to_owned(),
-                self.plan_cache_invalidations,
-            ),
-            ("plan_cache.entries".to_owned(), self.plan_cache_entries),
-            ("txn.begun".to_owned(), self.txn_begun),
-            ("txn.committed".to_owned(), self.txn_committed),
-            ("txn.rolled_back".to_owned(), self.txn_rolled_back),
-        ];
-        for (i, &n) in self.latency_buckets.iter().enumerate() {
-            if n > 0 {
-                let lo = 1u64 << i;
-                out.push((format!("latency.us[{lo}..{})", lo * 2), n));
-            }
-        }
-        out
     }
 }
 
@@ -807,7 +662,7 @@ mod tests {
         b.record_statement(StatementKind::Select);
         b.record_scan(AccessPath::FullScan, 10);
         b.record_select(7, Duration::from_micros(40));
-        b.record_error();
+        b.add(Metric::errors, 1);
 
         let mut total = MetricsSnapshot::default();
         total.absorb(&a.snapshot());
@@ -853,54 +708,48 @@ mod tests {
     }
 
     #[test]
-    fn wal_counters_overlay_and_absorb_as_gauges() {
-        let mut a = MetricsSnapshot::default();
-        a.overlay_wal(&crate::wal::WalStatsSnapshot {
-            appends: 10,
-            bytes: 1000,
-            fsyncs: 3,
-            group_commit_batch: 4,
-            replayed: 2,
-            checkpoints: 1,
-            ..crate::wal::WalStatsSnapshot::default()
-        });
-        assert_eq!(a.wal_appends, 10);
-        assert_eq!(a.wal_group_commit_batch, 4);
-        // Two sessions observing the same database-wide WAL must not
-        // double its counters when aggregated.
-        let b = a.clone();
+    fn node_rows_absorb_as_gauges() {
+        // Two snapshots of the same node must not double its node-wide
+        // rows when aggregated.
+        let a = MetricsSnapshot {
+            wal_appends: 10,
+            repl_last_seq: 37,
+            plan_cache_entries: 3,
+            ..MetricsSnapshot::default()
+        };
         let mut total = MetricsSnapshot::default();
         total.absorb(&a);
-        total.absorb(&b);
-        assert_eq!(total.wal_appends, 10);
-        assert_eq!(total.wal_bytes, 1000);
-        assert_eq!(total.wal_fsyncs, 3);
-        assert_eq!(total.wal_checkpoints, 1);
+        total.absorb(&a);
+        assert_eq!(total, a);
     }
 
     #[test]
-    fn repl_counters_overlay_and_absorb_as_gauges() {
-        let mut a = MetricsSnapshot::default();
-        a.overlay_repl(&crate::repl::ReplSnapshot {
-            chunks_shipped: 6,
-            bytes_shipped: 640,
-            apply_lag_seq: 2,
-            reconnects: 1,
-            last_seq: 37,
-        });
-        assert_eq!(a.repl_chunks_shipped, 6);
-        assert_eq!(a.repl_last_seq, 37);
-        // Two sessions observing the same node-wide replication state
-        // must not double it when aggregated.
-        let b = a.clone();
-        let mut total = MetricsSnapshot::default();
-        total.absorb(&a);
-        total.absorb(&b);
-        assert_eq!(total.repl_chunks_shipped, 6);
-        assert_eq!(total.repl_bytes_shipped, 640);
-        assert_eq!(total.repl_apply_lag_seq, 2);
-        assert_eq!(total.repl_reconnects, 1);
-        assert_eq!(total.repl_last_seq, 37);
+    fn node_gauges_are_read_from_the_database() {
+        let db = Database::new();
+        db.set_mvcc_retention(5);
+        let s = db.session();
+        s.execute("CREATE TABLE t (a INT)").unwrap();
+        s.execute("SELECT a FROM t").unwrap();
+        let bare = s.metrics().snapshot();
+        assert_eq!((bare.plan_cache_entries, bare.mvcc_retention), (0, 0));
+        let full = bare.clone().with_node_gauges(&db);
+        assert_eq!(full.plan_cache_entries, db.plan_cache_len() as u64);
+        assert_eq!(full.plan_cache_entries, 1);
+        assert_eq!(full.mvcc_retention, 5);
+        assert_eq!(full.selects, bare.selects);
+    }
+
+    #[test]
+    fn every_row_round_trips_through_its_field_name() {
+        let mut m = MetricsSnapshot::default();
+        let names: Vec<&str> = m.fields().iter().map(|(n, _)| *n).collect();
+        for (i, name) in names.iter().enumerate() {
+            m.set_field(name, i as u64 + 1);
+        }
+        m.set_field("no_such_metric", 9);
+        let values: Vec<u64> = m.fields().iter().map(|(_, v)| *v).collect();
+        assert_eq!(values, (1..=names.len() as u64).collect::<Vec<_>>());
+        assert_eq!(m.rows().len(), names.len(), "one SHOW STATS row per field");
     }
 
     #[test]

@@ -110,18 +110,6 @@ impl ReplStats {
             last_seq: self.last_seq.load(Ordering::Relaxed),
         }
     }
-
-    /// The replication gauges as `SHOW STATS` rows.
-    pub(crate) fn rows(&self) -> Vec<(String, u64)> {
-        let s = self.snapshot();
-        vec![
-            ("repl.chunks_shipped".to_owned(), s.chunks_shipped),
-            ("repl.bytes_shipped".to_owned(), s.bytes_shipped),
-            ("repl.apply_lag_seq".to_owned(), s.apply_lag_seq),
-            ("repl.reconnects".to_owned(), s.reconnects),
-            ("repl.last_seq".to_owned(), s.last_seq),
-        ]
-    }
 }
 
 /// Continuous replay cursor for a replica: feeds shipped WAL bytes into
@@ -318,7 +306,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_rows_and_snapshot() {
+    fn stats_snapshot() {
         let s = ReplStats::default();
         s.record_chunk(100);
         s.record_chunk(28);
@@ -331,10 +319,6 @@ mod tests {
         assert_eq!(snap.apply_lag_seq, 3);
         assert_eq!(snap.reconnects, 1);
         assert_eq!(snap.last_seq, 41);
-        let rows = s.rows();
-        assert_eq!(rows.len(), 5);
-        assert!(rows.iter().all(|(k, _)| k.starts_with("repl.")));
-        assert_eq!(rows[0], ("repl.chunks_shipped".to_owned(), 2));
     }
 
     #[test]

@@ -11,7 +11,9 @@ use crate::cache::{self, CacheLookup, CachedPlan, PlanCache};
 use crate::catalog::{Blade, Catalog, ExecCtx};
 use crate::error::{DbError, DbResult};
 use crate::exec;
-use crate::obs::{OpProfile, QueryMetrics, SlowQuery, SlowQueryLogger, StatementKind};
+use crate::obs::{
+    Metric, MetricsSnapshot, OpProfile, QueryMetrics, SlowQuery, SlowQueryLogger, StatementKind,
+};
 use crate::pin::{FrozenTables, PinnedTables, TableSet, TableSource};
 use crate::plan::Planner;
 use crate::sql::ast::{AsOf, Expr, InsertSource, SelectItem, SelectStmt, Statement};
@@ -741,15 +743,6 @@ impl Database {
         self.mvcc_retention.store(commits, Ordering::Relaxed);
     }
 
-    /// The MVCC gauges as `SHOW STATS` rows.
-    pub(crate) fn mvcc_rows(&self) -> Vec<(String, u64)> {
-        vec![
-            ("mvcc.versions".to_owned(), self.mvcc_versions()),
-            ("mvcc.snapshots_pinned".to_owned(), self.snapshots_pinned()),
-            ("mvcc.retention".to_owned(), self.mvcc_retention()),
-        ]
-    }
-
     // ----- Buffer pool ------------------------------------------------
 
     /// The paged cold-row store, when this database has one (durable
@@ -761,18 +754,6 @@ impl Database {
     /// Buffer-pool counters (all zero on an in-memory database).
     pub fn bufpool_stats(&self) -> storage::pages::PoolStatsSnapshot {
         self.paged.get().map(|s| s.stats()).unwrap_or_default()
-    }
-
-    /// The buffer-pool counters as `SHOW STATS` rows.
-    pub(crate) fn bufpool_rows(&self) -> Vec<(String, u64)> {
-        let s = self.bufpool_stats();
-        vec![
-            ("bufpool.hits".to_owned(), s.hits),
-            ("bufpool.misses".to_owned(), s.misses),
-            ("bufpool.evictions".to_owned(), s.evictions),
-            ("bufpool.writebacks".to_owned(), s.writebacks),
-            ("bufpool.pages".to_owned(), s.pages),
-        ]
     }
 
     // ----- Replication ------------------------------------------------
@@ -1170,6 +1151,12 @@ impl Session {
         Arc::clone(&self.metrics)
     }
 
+    /// This session's counters plus the node-wide gauges, as of now —
+    /// what `SHOW STATS` lists and a METRICS frame carries.
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        self.metrics.snapshot().with_node_gauges(&self.db)
+    }
+
     /// Installs a slow-query log hook: `logger` runs for every statement
     /// whose plan-and-execute time reaches `threshold`. Replaces any
     /// previous hook.
@@ -1191,7 +1178,7 @@ impl Session {
     fn observe_slow(&self, sql: &str, rows: u64, elapsed: Duration, plan: impl FnOnce() -> String) {
         if let Some((threshold, logger)) = &self.slow_query {
             if elapsed >= *threshold {
-                self.metrics.record_slow_query();
+                self.metrics.add(Metric::slow_queries, 1);
                 logger(&SlowQuery {
                     sql: sql.to_owned(),
                     elapsed,
@@ -1285,7 +1272,7 @@ impl Session {
     ) -> DbResult<StatementOutcome> {
         let result = self.execute_inner(sql, params);
         if result.is_err() {
-            self.metrics.record_error();
+            self.metrics.add(Metric::errors, 1);
         }
         result
     }
@@ -1385,7 +1372,7 @@ impl Session {
             }
             Statement::Select(sel) => {
                 let started = Instant::now();
-                self.metrics.record_plan_cache_miss();
+                self.metrics.add(Metric::plan_cache_misses, 1);
                 let cache_tables = self
                     .cacheable(&sel, &table_set)
                     .then(|| table_set.table_keys());
@@ -1422,8 +1409,6 @@ impl Session {
                             generation,
                         },
                     );
-                    self.metrics
-                        .set_plan_cache_entries(self.db.plan_cache_len() as u64);
                 }
                 Ok(StatementOutcome::Rows(QueryResult { columns, rows }))
             }
@@ -1683,7 +1668,7 @@ impl Session {
                     return Err(DbError::exec("EXPLAIN supports SELECT statements"));
                 };
                 let started = Instant::now();
-                self.metrics.record_plan_cache_miss();
+                self.metrics.add(Metric::plan_cache_misses, 1);
                 let cache_tables = self
                     .cacheable(&sel, &table_set)
                     .then(|| table_set.table_keys());
@@ -1728,8 +1713,6 @@ impl Session {
                             generation,
                         },
                     );
-                    self.metrics
-                        .set_plan_cache_entries(self.db.plan_cache_len() as u64);
                 }
                 Ok(StatementOutcome::Rows(QueryResult {
                     columns: vec![("plan".to_owned(), DataType::Str)],
@@ -1737,18 +1720,10 @@ impl Session {
                 }))
             }
             Statement::ShowStats => {
-                // Session counters, then the database-wide WAL counters
-                // (all zero on an in-memory database), MVCC gauges,
-                // replication counters, and buffer-pool gauges.
                 let rows = self
-                    .metrics
-                    .snapshot()
+                    .metrics_snapshot()
                     .rows()
                     .into_iter()
-                    .chain(self.db.wal_stats().rows())
-                    .chain(self.db.mvcc_rows())
-                    .chain(self.db.repl_stats().rows())
-                    .chain(self.db.bufpool_rows())
                     .map(|(metric, value)| {
                         vec![
                             Value::Str(metric),
@@ -1785,16 +1760,12 @@ impl Session {
         let entry = match self.db.plan_cache_lookup(key, generation, param_sig) {
             CacheLookup::Hit(e) => e,
             CacheLookup::Stale => {
-                self.metrics.record_plan_cache_invalidation();
-                self.metrics
-                    .set_plan_cache_entries(self.db.plan_cache_len() as u64);
+                self.metrics.add(Metric::plan_cache_invalidations, 1);
                 return Ok(None);
             }
             CacheLookup::Absent => return Ok(None),
         };
-        self.metrics.record_plan_cache_hit();
-        self.metrics
-            .set_plan_cache_entries(self.db.plan_cache_len() as u64);
+        self.metrics.add(Metric::plan_cache_hits, 1);
         if is_explain && !analyze {
             // Plain EXPLAIN of a cached plan: describe, don't execute.
             self.metrics.record_statement(StatementKind::Explain);
@@ -2089,7 +2060,7 @@ impl Session {
             tables: HashMap::new(),
             ops: Vec::new(),
         });
-        self.metrics.record_txn_begun();
+        self.metrics.add(Metric::txn_begun, 1);
         Ok(StatementOutcome::Done)
     }
 
@@ -2099,7 +2070,7 @@ impl Session {
         if self.txn.lock().take().is_none() {
             return Err(DbError::exec("no transaction is open"));
         }
-        self.metrics.record_txn_rolled_back();
+        self.metrics.add(Metric::txn_rolled_back, 1);
         Ok(StatementOutcome::Done)
     }
 
@@ -2114,7 +2085,7 @@ impl Session {
         if ops.is_empty() {
             // Read-only transaction: nothing to log or publish.
             drop(pin);
-            self.metrics.record_txn_committed();
+            self.metrics.add(Metric::txn_committed, 1);
             return Ok(StatementOutcome::Done);
         }
         // Lock every touched table in sorted order (the same order
@@ -2128,7 +2099,7 @@ impl Session {
         // change before we publish.
         for (_, tt) in &entries {
             if tt.cell.latest_seq() != tt.base_seq {
-                self.metrics.record_txn_rolled_back();
+                self.metrics.add(Metric::txn_rolled_back, 1);
                 return Err(DbError::exec(format!(
                     "write-write conflict on table {}: a concurrent commit got there first",
                     tt.name
@@ -2152,7 +2123,7 @@ impl Session {
         }) {
             Ok(seq) => seq,
             Err(e) => {
-                self.metrics.record_txn_rolled_back();
+                self.metrics.add(Metric::txn_rolled_back, 1);
                 return Err(e);
             }
         };
@@ -2167,7 +2138,7 @@ impl Session {
         drop(pin);
         drop(catalog);
         self.db.wal_wait(seq)?;
-        self.metrics.record_txn_committed();
+        self.metrics.add(Metric::txn_committed, 1);
         Ok(StatementOutcome::Done)
     }
 

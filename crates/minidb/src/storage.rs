@@ -1232,9 +1232,7 @@ impl Storage {
 
 // ----- snapshot persistence ------------------------------------------------
 
-/// Legacy snapshot format: live rows only, slot layout discarded.
-const SNAPSHOT_MAGIC_V1: &[u8; 8] = b"MINIDB01";
-/// Current snapshot format: exact slot layout (presence byte per slot)
+/// Resident snapshot format: exact slot layout (presence byte per slot)
 /// plus the free list in stack order, so WAL replay on top of a restored
 /// snapshot allocates the same rowids the original execution did and the
 /// result is byte-identical to a snapshot of the live database.
@@ -1498,10 +1496,9 @@ pub fn load_snapshot_with(
             message: "bad snapshot magic".into(),
         });
     }
-    let (v2, v3) = match &buf[..8] {
-        m if m == SNAPSHOT_MAGIC_V3 => (true, true),
-        m if m == SNAPSHOT_MAGIC => (true, false),
-        m if m == SNAPSHOT_MAGIC_V1 => (false, false),
+    let v3 = match &buf[..8] {
+        m if m == SNAPSHOT_MAGIC_V3 => true,
+        m if m == SNAPSHOT_MAGIC => false,
         _ => {
             return Err(DbError::Persist {
                 message: "bad snapshot magic".into(),
@@ -1549,93 +1546,77 @@ pub fn load_snapshot_with(
         if let Some(store) = store {
             table.attach_cold(cold_attach_for(cat, &table.schema, store)?);
         }
-        if v2 {
-            // Exact slot layout: presence byte per slot, then the free
-            // list in stack order.
-            if buf.remaining() < 4 {
+        // Exact slot layout: presence byte per slot, then the free
+        // list in stack order.
+        if buf.remaining() < 4 {
+            return Err(DbError::Persist {
+                message: "truncated slot count".into(),
+            });
+        }
+        let nslots = buf.get_u32_le() as usize;
+        let mut slots: Vec<Slot> = Vec::with_capacity(nslots);
+        let mut live = 0usize;
+        let mut cold_count = 0usize;
+        for _ in 0..nslots {
+            if buf.remaining() < 1 {
                 return Err(DbError::Persist {
-                    message: "truncated slot count".into(),
+                    message: "truncated slot presence".into(),
                 });
             }
-            let nslots = buf.get_u32_le() as usize;
-            let mut slots: Vec<Slot> = Vec::with_capacity(nslots);
-            let mut live = 0usize;
-            let mut cold_count = 0usize;
-            for _ in 0..nslots {
-                if buf.remaining() < 1 {
-                    return Err(DbError::Persist {
-                        message: "truncated slot presence".into(),
-                    });
+            match buf.get_u8() {
+                0 => slots.push(Slot::Empty),
+                1 => {
+                    let mut row = Vec::with_capacity(columns.len());
+                    for _ in 0..columns.len() {
+                        row.push(decode_value(cat, &mut buf)?);
+                    }
+                    slots.push(Slot::Mem(Arc::new(row)));
+                    live += 1;
                 }
-                match buf.get_u8() {
-                    0 => slots.push(Slot::Empty),
-                    1 => {
-                        let mut row = Vec::with_capacity(columns.len());
-                        for _ in 0..columns.len() {
-                            row.push(decode_value(cat, &mut buf)?);
-                        }
-                        slots.push(Slot::Mem(Arc::new(row)));
-                        live += 1;
-                    }
-                    2 if v3 => {
-                        if buf.remaining() < 6 {
-                            return Err(DbError::Persist {
-                                message: "truncated cold slot reference".into(),
-                            });
-                        }
-                        let page = buf.get_u32_le();
-                        let slot = buf.get_u16_le();
-                        slots.push(Slot::Cold(ColdRef { page, slot }));
-                        live += 1;
-                        cold_count += 1;
-                    }
-                    p => {
+                2 if v3 => {
+                    if buf.remaining() < 6 {
                         return Err(DbError::Persist {
-                            message: format!("bad slot presence byte {p}"),
-                        })
+                            message: "truncated cold slot reference".into(),
+                        });
                     }
+                    let page = buf.get_u32_le();
+                    let slot = buf.get_u16_le();
+                    slots.push(Slot::Cold(ColdRef { page, slot }));
+                    live += 1;
+                    cold_count += 1;
                 }
-            }
-            if buf.remaining() < 4 {
-                return Err(DbError::Persist {
-                    message: "truncated free-list count".into(),
-                });
-            }
-            let nfree = buf.get_u32_le() as usize;
-            let mut free = Vec::with_capacity(nfree);
-            for _ in 0..nfree {
-                if buf.remaining() < 4 {
+                p => {
                     return Err(DbError::Persist {
-                        message: "truncated free-list entry".into(),
-                    });
+                        message: format!("bad slot presence byte {p}"),
+                    })
                 }
-                let slot = buf.get_u32_le() as usize;
-                if !matches!(slots.get(slot), Some(Slot::Empty)) {
-                    return Err(DbError::Persist {
-                        message: format!("free-list entry {slot} is not an empty slot"),
-                    });
-                }
-                free.push(slot);
-            }
-            table.slots = slots;
-            table.free = free;
-            table.live = live;
-            table.cold_count = cold_count;
-        } else {
-            if buf.remaining() < 4 {
-                return Err(DbError::Persist {
-                    message: "truncated row count".into(),
-                });
-            }
-            let nrows = buf.get_u32_le();
-            for _ in 0..nrows {
-                let mut row = Vec::with_capacity(columns.len());
-                for _ in 0..columns.len() {
-                    row.push(decode_value(cat, &mut buf)?);
-                }
-                table.insert(row);
             }
         }
+        if buf.remaining() < 4 {
+            return Err(DbError::Persist {
+                message: "truncated free-list count".into(),
+            });
+        }
+        let nfree = buf.get_u32_le() as usize;
+        let mut free = Vec::with_capacity(nfree);
+        for _ in 0..nfree {
+            if buf.remaining() < 4 {
+                return Err(DbError::Persist {
+                    message: "truncated free-list entry".into(),
+                });
+            }
+            let slot = buf.get_u32_le() as usize;
+            if !matches!(slots.get(slot), Some(Slot::Empty)) {
+                return Err(DbError::Persist {
+                    message: format!("free-list entry {slot} is not an empty slot"),
+                });
+            }
+            free.push(slot);
+        }
+        table.slots = slots;
+        table.free = free;
+        table.live = live;
+        table.cold_count = cold_count;
         if buf.remaining() < 4 {
             return Err(DbError::Persist {
                 message: "truncated index count".into(),
@@ -1689,27 +1670,34 @@ pub fn load_snapshot_with(
         }
         storage.install_table(table)?;
     }
-    // Views (absent in pre-view snapshots, so tolerate EOF here).
-    if buf.remaining() >= 4 {
-        let nviews = buf.get_u32_le();
-        for _ in 0..nviews {
-            let name = get_str(&mut buf)?;
-            let body_sql = get_str(&mut buf)?;
-            storage.create_view(ViewDef { name, body_sql })?;
-        }
+    if buf.remaining() < 4 {
+        return Err(DbError::Persist {
+            message: "truncated view count".into(),
+        });
+    }
+    let nviews = buf.get_u32_le();
+    for _ in 0..nviews {
+        let name = get_str(&mut buf)?;
+        let body_sql = get_str(&mut buf)?;
+        storage.create_view(ViewDef { name, body_sql })?;
+    }
+    if buf.has_remaining() {
+        return Err(DbError::Persist {
+            message: format!("{} trailing bytes after the snapshot", buf.remaining()),
+        });
     }
     Ok(storage)
 }
 
-/// The cold pages a storage references, with per-page record counts —
-/// what recovery feeds to `PagedStore::adopt_refs`, and what checkpoint
-/// publishes as the new epoch's reference set.
 /// `true` when `bytes` is a paged (v3) snapshot — one whose cold rows
 /// are references into `pages.db` rather than inline bytes.
 pub fn snapshot_is_paged(bytes: &[u8]) -> bool {
     bytes.len() >= 8 && &bytes[..8] == SNAPSHOT_MAGIC_V3
 }
 
+/// The cold pages a storage references, with per-page record counts —
+/// what recovery feeds to `PagedStore::adopt_refs`, and what checkpoint
+/// publishes as the new epoch's reference set.
 pub fn cold_page_refs(storage: &Storage) -> HashMap<u32, u32> {
     let mut refs: HashMap<u32, u32> = HashMap::new();
     for (_, arc) in storage.shared_tables_sorted() {
@@ -1870,29 +1858,26 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_v1_still_loads() {
+    fn snapshot_rejects_old_magic_missing_views_and_trailing_bytes() {
         let cat = Catalog::new();
-        // Hand-built MINIDB01 image: one table, two columns, one row,
-        // no indexes, no views.
-        let mut bytes = Vec::new();
-        bytes.put_slice(SNAPSHOT_MAGIC_V1);
-        bytes.put_u32_le(1);
-        put_str(&mut bytes, "T");
-        bytes.put_u32_le(2);
-        put_str(&mut bytes, "id");
-        put_str(&mut bytes, "int");
-        put_str(&mut bytes, "name");
-        put_str(&mut bytes, "varchar");
-        bytes.put_u32_le(1); // one row
-        encode_value(&cat, &Value::Int(7), &mut bytes).unwrap();
-        encode_value(&cat, &Value::Str("legacy".into()), &mut bytes).unwrap();
-        bytes.put_u32_le(0); // indexes
-        bytes.put_u32_le(0); // views
-        let restored = load_snapshot(&cat, &bytes).unwrap();
-        let shared = restored.shared_table("t").unwrap();
-        let t = shared.read();
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.get(0).unwrap().unwrap()[1].as_str(), Some("legacy"));
+        let mut s = Storage::new();
+        s.create_table(schema()).unwrap();
+        let good = save_snapshot(&cat, &s).unwrap();
+        assert!(load_snapshot(&cat, &good).is_ok());
+        let persist_err = |bytes: &[u8]| match load_snapshot(&cat, bytes) {
+            Err(DbError::Persist { message }) => message,
+            other => panic!("expected DbError::Persist, got {:?}", other.map(|_| ())),
+        };
+        // The retired MINIDB01 format is no longer read.
+        let mut old = good.clone();
+        old[..8].copy_from_slice(b"MINIDB01");
+        assert!(persist_err(&old).contains("magic"));
+        // Torn exactly before the view count (the last four bytes): the
+        // load must fail, not succeed with every view dropped.
+        assert!(persist_err(&good[..good.len() - 4]).contains("view count"));
+        let mut long = good.clone();
+        long.push(0);
+        assert!(persist_err(&long).contains("trailing"));
     }
 
     #[test]

@@ -188,22 +188,6 @@ impl WalStats {
     }
 }
 
-impl WalStatsSnapshot {
-    /// The snapshot as `(metric, value)` rows — appended to `SHOW STATS`.
-    pub fn rows(&self) -> Vec<(String, u64)> {
-        vec![
-            ("wal.appends".to_owned(), self.appends),
-            ("wal.bytes".to_owned(), self.bytes),
-            ("wal.commits".to_owned(), self.commits),
-            ("wal.fsyncs".to_owned(), self.fsyncs),
-            ("wal.group_commit_batch".to_owned(), self.group_commit_batch),
-            ("wal.replayed".to_owned(), self.replayed),
-            ("wal.checkpoints".to_owned(), self.checkpoints),
-            ("wal.recovery_micros".to_owned(), self.recovery_micros),
-        ]
-    }
-}
-
 /// State shared between appenders, the writer thread, and rotation.
 struct WalShared {
     /// Framed chunks not yet handed to the file.

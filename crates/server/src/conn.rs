@@ -127,8 +127,6 @@ pub(crate) struct ExecState {
 /// The reactor/worker-shared half of a connection.
 pub(crate) struct ConnShared {
     pub id: u64,
-    /// Negotiated protocol version.
-    pub version: u16,
     /// Write side of the connection socket: the same fd the reactor
     /// owns for reads (nonblocking), not a dup — one fd per connection.
     pub(crate) wstream: WriteHalf,
@@ -138,10 +136,9 @@ pub(crate) struct ConnShared {
 }
 
 impl ConnShared {
-    pub(crate) fn new(id: u64, version: u16, stream: &TcpStream, session: Session) -> ConnShared {
+    pub(crate) fn new(id: u64, stream: &TcpStream, session: Session) -> ConnShared {
         ConnShared {
             id,
-            version,
             wstream: WriteHalf::new(stream),
             out: Mutex::new(OutBuf {
                 buf: Vec::new(),

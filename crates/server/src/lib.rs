@@ -72,10 +72,6 @@ pub struct ServerConfig {
     pub rows_per_batch: usize,
     /// Free-form banner returned in HELLO_OK.
     pub banner: String,
-    /// Highest protocol version this server will negotiate down to.
-    /// Defaults to [`protocol::VERSION`]; set it to 2 to exercise the
-    /// client's graceful fallback for pre-prepared-statement peers.
-    pub max_protocol_version: u16,
     /// Worker threads executing statements; 0 means auto (at least 2,
     /// otherwise the machine's available parallelism).
     pub workers: usize,
@@ -101,7 +97,6 @@ impl Default for ServerConfig {
             write_timeout: Duration::from_secs(30),
             rows_per_batch: 256,
             banner: "tip-server".to_string(),
-            max_protocol_version: protocol::VERSION,
             workers: 0,
             max_pipeline: 128,
             write_budget: 256 * 1024,
@@ -259,13 +254,14 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Server-wide counters: every closed session plus every live one.
+    /// Server-wide counters — every closed session plus every live
+    /// one — with the node's gauges as of now.
     pub(crate) fn server_metrics(&self) -> MetricsSnapshot {
         let mut total = self.retired.lock().clone();
         for metrics in self.live.lock().values() {
             total.absorb(&metrics.snapshot());
         }
-        total
+        total.with_node_gauges(&self.db)
     }
 }
 
@@ -452,27 +448,6 @@ fn send(stream: &mut TcpStream, tag: u8, body: &[u8]) -> io::Result<()> {
     stream.write_all(&frame)
 }
 
-/// Version-aware error frame: codes newer than the negotiated protocol
-/// (e.g. `ReadOnly`, v6) degrade to ones the peer can decode.
-fn send_error_v(stream: &mut TcpStream, version: u16, e: &DbError) -> io::Result<()> {
-    send(stream, resp::ERROR, &protocol::encode_error_for(e, version))
-}
-
-/// Folds node-wide gauge state (WAL, MVCC, replication) into a metrics
-/// snapshot before it goes on the wire. On the primary the newest known
-/// applied sequence is its own durable frontier — clients use it as the
-/// read-your-writes floor when fanning reads across replicas.
-pub(crate) fn overlay_node_state(snap: &mut MetricsSnapshot, shared: &Shared) {
-    snap.overlay_wal(&shared.db.wal_stats());
-    snap.overlay_mvcc(shared.db.mvcc_versions(), shared.db.snapshots_pinned());
-    let mut r = shared.db.repl_stats().snapshot();
-    if let Some(p) = shared.db.wal_progress() {
-        r.last_seq = r.last_seq.max(p.seq);
-    }
-    snap.overlay_repl(&r);
-    snap.overlay_bufpool(&shared.db.bufpool_stats());
-}
-
 /// How long a committing statement waits for every acking replica to
 /// cover the durable watermark before acknowledging the client anyway.
 const REPL_ACK_TIMEOUT: Duration = Duration::from_secs(2);
@@ -537,7 +512,6 @@ fn try_subscriber_frame(stream: &mut TcpStream, shared: &Shared) -> SubFrame {
 pub(crate) fn serve_subscriber(
     stream: &mut TcpStream,
     conn_id: u64,
-    version: u16,
     shared: &Shared,
     mut generation: u64,
     mut offset: u64,
@@ -565,7 +539,7 @@ pub(crate) fn serve_subscriber(
         }
         match db.repl_log_read(generation, offset, REPL_CHUNK_MAX) {
             Err(e) => {
-                let _ = send_error_v(stream, version, &e);
+                let _ = send(stream, resp::ERROR, &protocol::encode_error(&e));
                 break;
             }
             Ok(minidb::LogRead::Restart) => {
@@ -574,7 +548,7 @@ pub(crate) fn serve_subscriber(
                 let (snap_gen, bytes) = match db.repl_snapshot() {
                     Ok(x) => x,
                     Err(e) => {
-                        let _ = send_error_v(stream, version, &e);
+                        let _ = send(stream, resp::ERROR, &protocol::encode_error(&e));
                         break;
                     }
                 };

@@ -453,7 +453,7 @@ fn parse_input(
                         return false;
                     }
                     Ok(Some((tag, body))) => {
-                        let detach = tag == req::SUBSCRIBE && conn.version >= 6;
+                        let detach = tag == req::SUBSCRIBE;
                         enqueue_frame(&conn, tag, body, detach, shared, runq);
                         if detach {
                             // The socket now belongs to the replication
@@ -485,22 +485,8 @@ fn finish_handshake(
         Ok(h) => h,
         Err(e) => return Some(pre_error(io, poller, &e)),
     };
-    // Version negotiation: speak the highest version both sides (and
-    // the configured cap) understand, refusing peers older than we can
-    // serve.
-    let ceiling = protocol::VERSION.min(shared.cfg.max_protocol_version);
-    let negotiated = hello.version.min(ceiling);
-    if negotiated < protocol::MIN_VERSION {
-        return Some(pre_error(
-            io,
-            poller,
-            &DbError::unavailable(format!(
-                "unsupported protocol version {} (server speaks {}..={})",
-                hello.version,
-                protocol::MIN_VERSION,
-                ceiling
-            )),
-        ));
+    if let Err(e) = protocol::check_version(hello.version) {
+        return Some(pre_error(io, poller, &e));
     }
     let mut session = shared.db.session();
     session.set_now_unix(hello.now_unix);
@@ -508,14 +494,14 @@ fn finish_handshake(
     // The write half shares the reactor's fd (no dup): one fd per
     // connection is what lets a 20k rlimit carry 10k clients with both
     // ends of the loopback in one fd table.
-    let conn = Arc::new(ConnShared::new(id, negotiated, &io.stream, session));
+    let conn = Arc::new(ConnShared::new(id, &io.stream, session));
 
     // HELLO_OK is the first frame on the shared outbox.
     let mut frame = Vec::new();
     let _ = protocol::write_frame(
         &mut frame,
         resp::HELLO_OK,
-        &protocol::encode_hello_ok(negotiated, &shared.cfg.banner),
+        &protocol::encode_hello_ok(protocol::VERSION, &shared.cfg.banner),
     );
     conn.spill(&frame, ctrl);
     if conn.out.lock().dead {
@@ -529,8 +515,6 @@ fn finish_handshake(
 /// Queues a pre-handshake error frame and schedules close-after-flush.
 /// Returns true when the connection can close right now.
 fn pre_error(io: &mut ConnIo, poller: &mut Poller, e: &DbError) -> bool {
-    // Pre-negotiation the peer's version is unknown, so the error
-    // encodes at the current layout.
     queue_pre_frame(io, resp::ERROR, &protocol::encode_error(e));
     io.close_after_flush = true;
     io.reading = false;
@@ -743,7 +727,7 @@ fn parse_input_resume(
                 return false;
             }
             Ok(Some((tag, body))) => {
-                let detach = tag == req::SUBSCRIBE && conn.version >= 6;
+                let detach = tag == req::SUBSCRIBE;
                 enqueue_frame(&conn, tag, body, detach, shared, runq);
                 if detach {
                     io.reading = false;
@@ -865,14 +849,7 @@ fn subscriber_main(
             Ok(Some(_)) | Err(_) => return,
         }
     }
-    serve_subscriber(
-        &mut stream,
-        conn.id,
-        conn.version,
-        shared,
-        generation,
-        offset,
-    );
+    serve_subscriber(&mut stream, conn.id, shared, generation, offset);
 }
 
 /// Shutdown entry: stop reading everywhere, close pre-handshake

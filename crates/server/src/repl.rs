@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant, SystemTime};
-use tip_client::protocol::{self, req, resp, Hello};
+use tip_client::protocol::{self, req, resp};
 
 /// Reconnect backoff: `BASE * 2^attempt` capped at `MAX`, plus jitter.
 const BACKOFF_BASE: Duration = Duration::from_millis(100);
@@ -124,24 +124,8 @@ fn stream_once(
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
 
-    let hello = Hello {
-        version: protocol::VERSION,
-        now_unix: None,
-    };
-    if send(&mut stream, req::HELLO, &protocol::encode_hello(&hello)).is_err() {
-        return lost(false);
-    }
-    let negotiated = match protocol::read_frame(&mut stream) {
-        Ok((resp::HELLO_OK, body)) => match protocol::decode_hello_ok(&body) {
-            Ok((version, _banner)) => version,
-            Err(_) => return lost(false),
-        },
-        Ok(_) | Err(_) => return lost(false),
-    };
-    if negotiated < 6 {
-        eprintln!(
-            "tip-server: primary {primary} speaks protocol v{negotiated}, replication needs v6"
-        );
+    if let Err(e) = protocol::client_handshake(&mut stream, None) {
+        eprintln!("tip-server: primary {primary} refused the handshake: {e}");
         return lost(false);
     }
 

@@ -104,8 +104,8 @@ impl<'a> Emitter<'a> {
             .expect("response frames stay under MAX_FRAME by construction");
     }
 
-    fn error(&mut self, version: u16, e: &DbError) {
-        self.frame(resp::ERROR, &protocol::encode_error_for(e, version));
+    fn error(&mut self, e: &DbError) {
+        self.frame(resp::ERROR, &protocol::encode_error(e));
     }
 
     /// Mid-stream spill for large result sets.
@@ -162,7 +162,7 @@ fn service(shared: &Arc<Shared>, ctrl: &ControlQueue, conn: &Arc<ConnShared>) {
                 Request::Frame(tag, body) => dispatch(shared, conn, &mut em, tag, &body),
                 Request::Shut(err) => {
                     if let Some(e) = err {
-                        em.error(conn.version, &e);
+                        em.error(&e);
                     }
                     Action::Close
                 }
@@ -254,24 +254,23 @@ fn dispatch(
     tag: u8,
     body: &[u8],
 ) -> Action {
-    let version = conn.version;
     match tag {
         req::STMT => {
             let stmt = match protocol::decode_stmt(body, &shared.types) {
                 Ok(s) => s,
                 Err(e) => {
                     // Undecodable statement: the stream itself is suspect.
-                    em.error(version, &e);
+                    em.error(&e);
                     return Action::Close;
                 }
             };
             run_statement(shared, conn, em, &stmt.sql, &stmt.params)
         }
-        req::PREPARE if version >= 3 => {
+        req::PREPARE => {
             let sql = match protocol::decode_prepare(body) {
                 Ok(s) => s,
                 Err(e) => {
-                    em.error(version, &e);
+                    em.error(&e);
                     return Action::Close;
                 }
             };
@@ -280,7 +279,7 @@ fn dispatch(
                 let e = DbError::unavailable(format!(
                     "too many prepared statements (limit {MAX_PREPARED_PER_CONN}); close some first"
                 ));
-                em.error(version, &e);
+                em.error(&e);
                 return Action::Continue;
             }
             // Validate the text now so EXECUTE_PREPARED never trips a
@@ -288,7 +287,7 @@ fn dispatch(
             match exec.session.prepare(&sql) {
                 // A bad statement is a statement-level error, not a
                 // protocol fault: the connection stays up.
-                Err(e) => em.error(version, &e),
+                Err(e) => em.error(&e),
                 Ok(_) => {
                     let id = exec.next_prepared_id;
                     exec.next_prepared_id += 1;
@@ -298,11 +297,11 @@ fn dispatch(
             }
             Action::Continue
         }
-        req::EXECUTE_PREPARED if version >= 3 => {
+        req::EXECUTE_PREPARED => {
             let (id, params) = match protocol::decode_execute_prepared(body, &shared.types) {
                 Ok(x) => x,
                 Err(e) => {
-                    em.error(version, &e);
+                    em.error(&e);
                     return Action::Close;
                 }
             };
@@ -312,12 +311,12 @@ fn dispatch(
                     kind: "prepared statement",
                     name: id.to_string(),
                 };
-                em.error(version, &e);
+                em.error(&e);
                 return Action::Continue;
             };
             run_statement(shared, conn, em, &sql, &params)
         }
-        req::CLOSE_PREPARED if version >= 3 => match protocol::decode_close_prepared(body) {
+        req::CLOSE_PREPARED => match protocol::decode_close_prepared(body) {
             Ok(id) => {
                 // Idempotent: closing an unknown id is a no-op.
                 conn.exec.lock().prepared.remove(&id);
@@ -325,7 +324,7 @@ fn dispatch(
                 Action::Continue
             }
             Err(e) => {
-                em.error(version, &e);
+                em.error(&e);
                 Action::Close
             }
         },
@@ -336,23 +335,21 @@ fn dispatch(
                 Action::Continue
             }
             Err(e) => {
-                em.error(version, &e);
+                em.error(&e);
                 Action::Close
             }
         },
         req::SESSION_STATS => {
-            let mut snap = conn.exec.lock().session.metrics().snapshot();
-            crate::overlay_node_state(&mut snap, shared);
-            em.frame(resp::METRICS, &protocol::encode_metrics_for(&snap, version));
+            let snap = conn.exec.lock().session.metrics_snapshot();
+            em.frame(resp::METRICS, &protocol::encode_metrics(&snap));
             Action::Continue
         }
         req::SERVER_METRICS => {
-            let mut snap = shared.server_metrics();
-            crate::overlay_node_state(&mut snap, shared);
-            em.frame(resp::METRICS, &protocol::encode_metrics_for(&snap, version));
+            let snap = shared.server_metrics();
+            em.frame(resp::METRICS, &protocol::encode_metrics(&snap));
             Action::Continue
         }
-        req::SUBSCRIBE if version >= 6 => match protocol::decode_subscribe(body) {
+        req::SUBSCRIBE => match protocol::decode_subscribe(body) {
             Ok((generation, offset)) => {
                 // Reserve a subscriber slot atomically; subscribers have
                 // their own cap and do not count against client
@@ -364,36 +361,35 @@ fn dispatch(
                         "too many replication subscribers (limit {})",
                         shared.cfg.max_subscribers
                     ));
-                    em.error(version, &e);
+                    em.error(&e);
                     return Action::Close;
                 }
                 Action::Detach { generation, offset }
             }
             Err(e) => {
-                em.error(version, &e);
+                em.error(&e);
                 Action::Close
             }
         },
-        req::PROMOTE if version >= 6 => {
+        req::PROMOTE => {
             let handler = shared.promote.lock().unwrap();
             match handler.as_ref() {
                 None => {
                     let e = DbError::unavailable("this node is not a replica: nothing to promote");
-                    em.error(version, &e);
+                    em.error(&e);
                 }
                 Some(f) => match f() {
                     Ok(_applied_seq) => em.frame(resp::DONE, &[]),
-                    Err(e) => em.error(version, &e),
+                    Err(e) => em.error(&e),
                 },
             }
             Action::Continue
         }
         req::BYE => Action::Close,
         other => {
-            em.error(
-                version,
-                &DbError::unavailable(format!("unexpected request tag {other:#04x}")),
-            );
+            em.error(&DbError::unavailable(format!(
+                "unexpected request tag {other:#04x}"
+            )));
             Action::Close
         }
     }
@@ -414,7 +410,7 @@ fn run_statement(
         .collect();
     let outcome = conn.exec.lock().session.execute_with_params(sql, &params);
     match outcome {
-        Err(e) => em.error(conn.version, &e),
+        Err(e) => em.error(&e),
         Ok(StatementOutcome::Done) => {
             wait_replicas_acked(shared);
             em.frame(resp::DONE, &[]);
@@ -480,12 +476,10 @@ fn stream_rows(shared: &Arc<Shared>, em: &mut Emitter<'_>, result: &minidb::Quer
 }
 
 /// Mid-stream refusal of a row no frame can carry: a typed ERROR ends
-/// the result set, and the connection stays usable. Encoded at the
-/// current layout (not version-narrowed) exactly as before.
+/// the result set, and the connection stays usable.
 fn row_too_big(em: &mut Emitter<'_>, bytes: usize) {
-    let e = DbError::exec(format!(
+    em.error(&DbError::exec(format!(
         "row of {bytes} bytes exceeds the {} byte frame limit",
         protocol::MAX_FRAME
-    ));
-    em.frame(resp::ERROR, &protocol::encode_error(&e));
+    )));
 }

@@ -375,7 +375,7 @@ fn session_stats_and_slow_log_policy() {
 }
 
 #[test]
-fn prepared_statements_execute_server_side_over_v3() {
+fn prepared_statements_execute_server_side() {
     let db = demo_db();
     let server = serve(&db, ServerConfig::default());
     let conn = Connection::connect(server.local_addr()).unwrap();
@@ -383,7 +383,7 @@ fn prepared_statements_execute_server_side_over_v3() {
     let stmt = conn.prepare("SELECT patient FROM Prescription WHERE frequency >= :f");
     assert!(
         stmt.is_server_prepared(),
-        "default handshake should negotiate protocol v3"
+        "a remote connection registers statements server-side"
     );
     let stmt = stmt.bind("f", HostValue::Span(Span::from_hours(1)));
     let first = stmt.query().unwrap().len();
@@ -409,33 +409,138 @@ fn prepared_statements_execute_server_side_over_v3() {
     assert!(matches!(bad.query(), Err(DbError::Syntax { .. })));
 }
 
+/// Sends one HELLO at `version` on a raw socket and returns every byte
+/// the server answers with before it closes the connection.
+fn hello_at(addr: std::net::SocketAddr, version: u16) -> Vec<u8> {
+    use tip_client::protocol::{self, req, Hello};
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let hello = Hello {
+        version,
+        now_unix: None,
+    };
+    protocol::write_frame(&mut stream, req::HELLO, &protocol::encode_hello(&hello)).unwrap();
+    let mut answer = Vec::new();
+    stream.read_to_end(&mut answer).expect("server closes");
+    answer
+}
+
 #[test]
-fn v3_client_falls_back_on_a_v2_server() {
+fn handshake_refuses_every_version_but_its_own() {
+    use tip_client::protocol::{self, resp, VERSION};
     let db = demo_db();
-    let server = serve(
-        &db,
-        ServerConfig {
-            max_protocol_version: 2,
-            ..Default::default()
-        },
-    );
+    let server = serve(&db, ServerConfig::default());
+    let addr = server.local_addr();
+
+    for offered in [VERSION - 1, VERSION + 1, 0, u16::MAX] {
+        // Exactly one frame, a typed ERROR, then close.
+        let answer = hello_at(addr, offered);
+        let mut rest = answer.as_slice();
+        let (tag, body) = protocol::read_frame(&mut rest).unwrap();
+        assert_eq!(tag, resp::ERROR, "version {offered}");
+        assert!(rest.is_empty(), "version {offered}: one frame, then close");
+        match protocol::decode_error(&body).unwrap() {
+            DbError::Unavailable { message } => {
+                assert!(message.contains(&offered.to_string()), "{message}");
+                assert!(message.contains(&VERSION.to_string()), "{message}");
+            }
+            other => panic!("version {offered}: expected Unavailable, got {other:?}"),
+        }
+    }
+    // Every refused peer gave its slot back...
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while server.connection_count() != 0 {
+        assert!(std::time::Instant::now() < deadline, "slots never freed");
+        thread::sleep(Duration::from_millis(10));
+    }
+    // ...and a peer at the right version is served as usual.
+    let conn = Connection::connect(addr).unwrap();
+    assert!(!conn
+        .query("SELECT patient FROM Prescription", &[])
+        .unwrap()
+        .is_empty());
+}
+
+#[test]
+fn plan_cache_entries_is_the_live_cache_length() {
+    let db = demo_db();
+    let server = serve(&db, ServerConfig::default());
+    let addr = server.local_addr();
+    let show_entries = |conn: &Connection| {
+        let mut rows = conn.query("SHOW STATS", &[]).unwrap();
+        while rows.next() {
+            if rows.get_string(0).unwrap() == "plan_cache.entries" {
+                return rows.get_int(1).unwrap() as u64;
+            }
+        }
+        panic!("SHOW STATS lists no plan_cache.entries row");
+    };
+
+    // A caches three plans and leaves; then the cache is cleared
+    // wholesale (a snapshot load swaps the world).
+    let a = Connection::connect(addr).unwrap();
+    for col in ["patient", "drug", "dosage"] {
+        a.query(&format!("SELECT {col} FROM Prescription"), &[])
+            .unwrap();
+    }
+    assert_eq!(a.server_metrics().unwrap().plan_cache_entries, 3);
+    drop(a);
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while server.connection_count() != 0 {
+        assert!(std::time::Instant::now() < deadline, "A never retired");
+        thread::sleep(Duration::from_millis(10));
+    }
+    db.load_snapshot(&db.save_snapshot().unwrap()).unwrap();
+    assert_eq!(db.plan_cache_len(), 0);
+
+    // B sees the live length, not A's retired high-water mark...
+    let b = Connection::connect(addr).unwrap();
+    assert_eq!(b.server_metrics().unwrap().plan_cache_entries, 0);
+    b.query("SELECT doctor FROM Prescription", &[]).unwrap();
+    assert_eq!(db.plan_cache_len(), 1);
+    assert_eq!(b.server_metrics().unwrap().plan_cache_entries, 1);
+    assert_eq!(show_entries(&b), 1);
+    // ...and so does a session that has not touched the cache itself.
+    let c = Connection::connect(addr).unwrap();
+    assert_eq!(show_entries(&c), 1);
+    assert_eq!(c.metrics_snapshot().unwrap().plan_cache_entries, 1);
+}
+
+#[test]
+fn show_stats_and_the_metrics_frame_render_the_same_snapshot() {
+    let dir = std::env::temp_dir().join(format!("tip-loopback-stats-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = minidb::DurabilityConfig::default();
+    let (db, _) = Database::open_with(&dir, cfg, |db| db.install_blade(&TipBlade)).unwrap();
+    let server = serve(&db, ServerConfig::default());
     let conn = Connection::connect(server.local_addr()).unwrap();
+    conn.execute("CREATE TABLE t (id INT, note CHAR(8))", &[])
+        .unwrap();
+    for i in 0..5 {
+        conn.execute(&format!("INSERT INTO t VALUES ({i}, 'n{i}')"), &[])
+            .unwrap();
+    }
+    conn.query("SELECT id FROM t WHERE id > 1", &[]).unwrap();
 
-    // No server-side registration — but the same API works end to end
-    // by resending the statement text.
-    let stmt = conn
-        .prepare("SELECT patient FROM Prescription WHERE frequency >= :f")
-        .bind("f", HostValue::Span(Span::from_hours(1)));
-    assert!(!stmt.is_server_prepared());
-    let n = stmt.query().unwrap().len();
-    assert!(n > 0);
-    assert_eq!(stmt.query().unwrap().len(), n);
-
-    // The narrow v2 METRICS frame decodes cleanly; plan-cache counters
-    // simply are not carried.
+    // Nothing else is running: SHOW STATS (which counts nothing) and
+    // the SESSION_STATS reply must agree row for row, in order.
+    let mut shown = Vec::new();
+    let mut rows = conn.query("SHOW STATS", &[]).unwrap();
+    while rows.next() {
+        shown.push((rows.get_string(0).unwrap(), rows.get_int(1).unwrap() as u64));
+    }
     let snap = conn.metrics_snapshot().unwrap();
-    assert_eq!(snap.selects, 2);
-    assert_eq!(snap.plan_cache_hits, 0);
+    assert_eq!(shown, snap.rows());
+    // Including the rows earlier frames never carried.
+    assert!(snap.wal_commits >= 6, "{snap:?}");
+    assert!(snap.vectorized_batches >= 1, "{snap:?}");
+    assert_eq!(snap.mvcc_retention, db.mvcc_retention());
+    assert!(shown.iter().any(|(name, _)| name == "wal.recovery_micros"));
+
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -455,7 +560,7 @@ fn unknown_prepared_id_is_a_typed_error_and_closing_frees_the_id() {
         &ConnectOptions::default(),
     )
     .unwrap();
-    assert_eq!(t.protocol_version(), 7);
+    assert_eq!(t.protocol_version(), tip_client::protocol::VERSION);
 
     match t.execute_prepared(999, "SELECT 1", &[]) {
         Err(DbError::NotFound { kind, name }) => {
@@ -468,7 +573,7 @@ fn unknown_prepared_id_is_a_typed_error_and_closing_frees_the_id() {
     let id = t
         .prepare("SELECT patient FROM Prescription")
         .unwrap()
-        .expect("v3 server must register");
+        .expect("the server must register");
     assert!(t
         .execute_prepared(id, "SELECT patient FROM Prescription", &[])
         .is_ok());

@@ -293,3 +293,39 @@ fn torn_stream_resumes_byte_identical() {
     drop(bclient);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn replica_backs_off_from_a_peer_at_another_version() {
+    use tip_client::protocol::{self, req, resp, VERSION};
+
+    // A fake primary that answers every HELLO with HELLO_OK at the next
+    // version up, then reports whatever the replica sends afterwards.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let (seen_tx, seen_rx) = std::sync::mpsc::channel::<Option<u8>>();
+    let fake = std::thread::spawn(move || {
+        for stream in listener.incoming().take(2) {
+            let mut stream = stream.unwrap();
+            let (tag, _) = protocol::read_frame(&mut stream).unwrap();
+            assert_eq!(tag, req::HELLO);
+            let body = protocol::encode_hello_ok(VERSION + 1, "from the future");
+            protocol::write_frame(&mut stream, resp::HELLO_OK, &body).unwrap();
+            let next = protocol::read_frame(&mut stream).ok().map(|(tag, _)| tag);
+            seen_tx.send(next).unwrap();
+        }
+    });
+
+    let db = Database::new();
+    db.install_blade(&TipBlade).unwrap();
+    db.set_read_only(&addr);
+    let client = ReplicationClient::start(&db, &addr);
+    // Two dials: each hangs up after HELLO_OK without a SUBSCRIBE, and
+    // the second only happens after a backoff.
+    for dial in 0..2 {
+        let next = seen_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(next, None, "dial {dial}: the replica sent a frame");
+    }
+    assert!(db.repl_stats().snapshot().reconnects >= 1);
+    fake.join().unwrap();
+    drop(client);
+}
