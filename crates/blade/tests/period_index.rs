@@ -97,6 +97,12 @@ fn indexed_and_unindexed_answers_are_identical() {
             "window {window}"
         );
     }
+    // A Chronon probe is bounded as the column's Element type would be.
+    for point in ["1990-03-05", "1989-06-01", "1999-11-25"] {
+        let sql = format!("SELECT COUNT(*) FROM rx WHERE contains(valid, '{point}'::Chronon)");
+        let count = |s: &Session| s.query(&sql).unwrap().rows[0][0].as_int().unwrap();
+        assert_eq!(count(&s_plain), count(&s_ix), "point {point}");
+    }
 }
 
 #[test]

@@ -322,11 +322,13 @@ fn apply_pred(pred: &BoundExpr, ctx: &ExecCtx, batch: &mut Batch) -> DbResult<()
 
 // ----- batch operators ------------------------------------------------------
 
-/// Full-table scan source fed column-at-a-time by
-/// [`crate::storage::Table::scan_columns`]: the storage layer clones the
-/// referenced columns straight out of the version slots, so no per-row
-/// `Vec` is ever materialized. Batches move values out of the column
-/// vectors (pointer-bump iteration, no second copy).
+/// Scan source fed column-at-a-time by
+/// [`crate::storage::Table::scan_columns`] — every live row, or the rows
+/// an index probe selected: the storage layer clones the referenced
+/// columns straight out of the version slots, so no per-row `Vec` is
+/// ever materialized. Batches move values out of the column vectors
+/// (pointer-bump iteration, no second copy) and apply the residual
+/// filter.
 pub(super) struct ColumnScan<'a> {
     cols: Vec<std::vec::IntoIter<Value>>,
     remaining: usize,
@@ -365,35 +367,6 @@ impl BatchStream for ColumnScan<'_> {
                 len: n,
                 sel: Bitmap::all(n),
             };
-            if let Some(pred) = self.filter {
-                apply_pred(pred, self.ctx, &mut batch)?;
-                if !batch.sel.any() {
-                    continue;
-                }
-            }
-            return Ok(Some(batch));
-        }
-        Ok(None)
-    }
-}
-
-/// Scan source: rows are materialized (and projected) at open time by
-/// the shared scan helper; this operator slices them into batches and
-/// applies the residual filter vectorized.
-pub(super) struct BatchScan<'a> {
-    pub rows: Vec<Row>,
-    pub pos: usize,
-    pub arity: usize,
-    pub filter: &'a Option<BoundExpr>,
-    pub ctx: &'a ExecCtx,
-}
-
-impl BatchStream for BatchScan<'_> {
-    fn next_batch(&mut self) -> DbResult<Option<Batch>> {
-        while self.pos < self.rows.len() {
-            let end = (self.pos + BATCH_ROWS).min(self.rows.len());
-            let mut batch = Batch::from_rows(&mut self.rows[self.pos..end], self.arity);
-            self.pos = end;
             if let Some(pred) = self.filter {
                 apply_pred(pred, self.ctx, &mut batch)?;
                 if !batch.sel.any() {

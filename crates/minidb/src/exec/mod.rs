@@ -17,18 +17,19 @@ pub mod vector_ops;
 pub use batch::{Batch, BatchStream, Vector, BATCH_ROWS};
 pub use vector_ops::{elementwise, Bitmap};
 
+use crate::binder::BoundExpr;
 use crate::catalog::ExecCtx;
 use crate::error::{DbError, DbResult};
 use crate::obs::{AccessPath, OpProfile};
 use crate::pin::TableSource;
-use crate::plan::Plan;
+use crate::plan::{DmlPlan, Plan};
 use crate::value::{GroupKey, Row, Value};
 use std::collections::HashMap;
 use std::time::Instant;
 
 use batch::{
-    aggregate_rows, distinct_rows, drain_rows, sort_rows, BatchChain, BatchFilter, BatchHashJoin,
-    BatchLimit, BatchOffset, BatchProject, BatchScan, BatchTake, BatchToRow, ColumnScan,
+    aggregate_rows, distinct_rows, drain_rows, eval_vec, sort_rows, BatchChain, BatchFilter,
+    BatchHashJoin, BatchLimit, BatchOffset, BatchProject, BatchTake, BatchToRow, ColumnScan,
     MaterializedBatches,
 };
 
@@ -110,45 +111,9 @@ fn open_batch<'a>(
     let stream: Box<dyn BatchStream + 'a> = match plan {
         // One row of no columns: `SELECT 1` projects its constants over it.
         Plan::Nothing => Box::new(MaterializedBatches::new(vec![Vec::new()], 0)),
-        Plan::Scan {
-            table,
-            index_eq,
-            index_overlap,
-            index_range,
-            filter,
-            project,
-            arity,
-        } => {
-            if index_eq.is_none() && index_overlap.is_none() && index_range.is_none() {
-                // Full scans read columns straight out of the table's
-                // version slots — no per-row materialization.
-                let t = src.table(table)?;
-                let (count, cols) = t.scan_columns(project.as_deref())?;
-                if let Some(p) = prof {
-                    p.record_scan(AccessPath::FullScan, count as u64);
-                }
-                Box::new(ColumnScan::new(count, cols, filter, ctx))
-            } else {
-                let (rows, path) = materialize_scan(
-                    table,
-                    index_eq,
-                    index_overlap,
-                    index_range,
-                    project,
-                    src,
-                    ctx,
-                )?;
-                if let Some(p) = prof {
-                    p.record_scan(path, rows.len() as u64);
-                }
-                Box::new(BatchScan {
-                    rows,
-                    pos: 0,
-                    arity: *arity,
-                    filter,
-                    ctx,
-                })
-            }
+        Plan::Scan { filter, .. } => {
+            let (rowids, cols) = scan_candidates(plan, src, ctx, prof)?;
+            Box::new(ColumnScan::new(rowids.len(), cols, filter, ctx))
         }
         Plan::Filter { input, pred } => Box::new(BatchFilter {
             input: child(input, 0)?,
@@ -259,58 +224,118 @@ fn open_batch<'a>(
     })
 }
 
-/// Materializes the rows a scan node will stream, honoring the planned
-/// index probe (with runtime fallback when a deferred parameter can't
-/// drive it) and the pushed-down projection. Returns the access path
-/// actually taken.
-#[allow(clippy::type_complexity)]
-fn materialize_scan(
-    table: &str,
-    index_eq: &Option<(usize, crate::binder::BoundExpr)>,
-    index_overlap: &Option<(usize, crate::binder::BoundExpr)>,
-    index_range: &Option<Box<crate::plan::IndexRange>>,
-    project: &Option<Vec<usize>>,
+/// DML victim selection on the batch engine. Runs the plan's scan — the
+/// access path the planner chose, then the residual WHERE as batch
+/// predicates — and evaluates an UPDATE's `SET` expressions over the
+/// surviving lanes. Returns each victim's rowid with its new row (`None`
+/// for a DELETE), in rowid order: the order the changes are logged and
+/// applied in, whichever path found them. Only victims are gathered
+/// back into rows.
+pub(crate) fn execute_dml(
+    dml: &DmlPlan,
     src: &dyn TableSource,
     ctx: &ExecCtx,
-) -> DbResult<(Vec<Row>, AccessPath)> {
-    let t = src.table(table)?;
-    let project_row = |mut r: Row| -> Row {
-        match project {
-            None => r,
-            Some(cols) => cols
+    prof: Option<&OpProfile>,
+) -> DbResult<Vec<(usize, Option<Row>)>> {
+    let Plan::Scan {
+        filter,
+        project: None,
+        arity,
+        ..
+    } = &dml.scan
+    else {
+        return Err(DbError::exec(
+            "a DML plan must read through a full-width scan",
+        ));
+    };
+    let (rowids, mut cols) = scan_candidates(&dml.scan, src, ctx, prof)?;
+    // The rowids ride as one trailing column, past every column the
+    // filter and the SET expressions can reference.
+    let count = rowids.len();
+    cols.push(rowids.into_iter().map(|id| Value::Int(id as i64)).collect());
+    let mut victims = ColumnScan::new(count, cols, filter, ctx);
+    let mut out = Vec::new();
+    while let Some(batch) = victims.next_batch()? {
+        let rowid = |lane: usize| {
+            let id = batch.cols[*arity].get(lane).as_int();
+            id.expect("the trailing column holds rowids") as usize
+        };
+        let Some(sets) = &dml.sets else {
+            out.extend(batch.sel.iter().map(|lane| (rowid(lane), None)));
+            continue;
+        };
+        let mut new_vals = Vec::with_capacity(sets.len());
+        for (_, e) in sets {
+            new_vals.push(eval_vec(e, ctx, &batch, &batch.sel)?);
+        }
+        for lane in batch.sel.iter() {
+            let mut row: Row = batch.cols[..*arity]
                 .iter()
-                .map(|&c| std::mem::replace(&mut r[c], Value::Null))
-                .collect(),
-        }
-    };
-    let fetch = |rowids: Vec<usize>| -> DbResult<Vec<Row>> {
-        let mut rows = Vec::new();
-        for rowid in rowids {
-            if let Some(r) = t.get(rowid)? {
-                rows.push(project_row((*r).clone()));
+                .map(|c| c.get(lane).clone())
+                .collect();
+            for ((col, _), v) in sets.iter().zip(&new_vals) {
+                row[*col] = v.get(lane).clone();
             }
+            out.push((rowid(lane), Some(row)));
         }
-        Ok(rows)
+    }
+    out.sort_unstable_by_key(|(rowid, _)| *rowid);
+    Ok(out)
+}
+
+/// A scan node's candidate rows, column-major: what its access path
+/// selects, before the residual filter, with the rowid of each. Only the
+/// pushed-down projection's columns are read. Records the access path
+/// actually taken and the rows it touched into `prof`.
+fn scan_candidates(
+    scan: &Plan,
+    src: &dyn TableSource,
+    ctx: &ExecCtx,
+    prof: Option<&OpProfile>,
+) -> DbResult<(Vec<usize>, Vec<Vec<Value>>)> {
+    let Plan::Scan {
+        table,
+        index_eq,
+        index_overlap,
+        index_range,
+        project,
+        ..
+    } = scan
+    else {
+        return Err(DbError::exec("scan candidates of a non-scan plan"));
     };
-    let full_scan = || -> DbResult<Vec<Row>> {
-        Ok(t.scan()?.into_iter().map(|(_, r)| project_row(r)).collect())
-    };
-    // Probe keys may be deferred parameters whose value is only known
-    // now; when the runtime value can't drive the planned probe, fall
-    // back. The access path recorded is the one actually taken, not the
-    // one planned.
+    let t = src.table(table)?;
+    let (hits, path) = probe(t, table, index_eq, index_overlap, index_range, ctx)?;
+    let candidates = t.scan_columns(hits.as_deref(), project.as_deref())?;
+    if let Some(p) = prof {
+        p.record_scan(path, candidates.0.len() as u64);
+    }
+    Ok(candidates)
+}
+
+/// Resolves a scan's planned index probe to the rowids it selects, or
+/// `None` for every live row, with the access path actually taken. Probe
+/// keys may be deferred parameters whose value is only known now; when
+/// the runtime value can't drive the planned probe, it falls back to a
+/// full scan.
+fn probe(
+    t: &crate::storage::Table,
+    table: &str,
+    index_eq: &Option<(usize, BoundExpr)>,
+    index_overlap: &Option<(usize, BoundExpr)>,
+    index_range: &Option<Box<crate::plan::IndexRange>>,
+    ctx: &ExecCtx,
+) -> DbResult<(Option<Vec<usize>>, AccessPath)> {
+    let vanished = |col: usize| DbError::exec(format!("planned index on {table}.{col} vanished"));
     if let Some((col, key_expr)) = index_eq {
         let key = key_expr.eval(ctx, &[])?;
         if key.is_null() {
             // The eq conjunct was consumed by the probe and `col = NULL`
             // is never TRUE: a NULL key matches nothing.
-            Ok((Vec::new(), AccessPath::IndexEq))
-        } else {
-            let ix = t
-                .index_on(*col)
-                .ok_or_else(|| DbError::exec(format!("planned index on {table}.{col} vanished")))?;
-            Ok((fetch(ix.lookup_eq(&key))?, AccessPath::IndexEq))
+            return Ok((Some(Vec::new()), AccessPath::IndexEq));
         }
+        let ix = t.index_on(*col).ok_or_else(|| vanished(*col))?;
+        Ok((Some(ix.lookup_eq(&key)), AccessPath::IndexEq))
     } else if let Some(rng) = index_range {
         let lo = match &rng.lo {
             Some((e, inc)) => Some((e.eval(ctx, &[])?, *inc)),
@@ -320,42 +345,55 @@ fn materialize_scan(
             Some((e, inc)) => Some((e.eval(ctx, &[])?, *inc)),
             None => None,
         };
-        let null_bound = lo.as_ref().map(|(v, _)| v.is_null()).unwrap_or(false)
-            || hi.as_ref().map(|(v, _)| v.is_null()).unwrap_or(false);
-        if null_bound {
+        if [&lo, &hi].into_iter().flatten().any(|(v, _)| v.is_null()) {
             // A NULL bound can't order against keys; the range conjuncts
             // stay in the filter as a recheck, so a full scan is still
             // exact.
-            Ok((full_scan()?, AccessPath::FullScan))
-        } else {
-            let ix = t.index_on(rng.column).ok_or_else(|| {
-                DbError::exec(format!("planned index on {table}.{} vanished", rng.column))
-            })?;
-            let hits = ix.lookup_range(
-                lo.as_ref().map(|(v, i)| (v, *i)),
-                hi.as_ref().map(|(v, i)| (v, *i)),
-            );
-            Ok((fetch(hits)?, AccessPath::IndexRange))
+            return Ok((None, AccessPath::FullScan));
         }
+        let ix = t.index_on(rng.column).ok_or_else(|| vanished(rng.column))?;
+        let hits = ix.lookup_range(
+            lo.as_ref().map(|(v, i)| (v, *i)),
+            hi.as_ref().map(|(v, i)| (v, *i)),
+        );
+        Ok((Some(hits), AccessPath::IndexRange))
     } else if let Some((col, probe_expr)) = index_overlap {
         let probe = probe_expr.eval(ctx, &[])?;
         if probe.as_udt().is_none() {
             // A NULL (or otherwise non-UDT) probe can't be bucketed; the
             // overlaps conjunct stays in the filter, so a full scan is
             // still exact.
-            Ok((full_scan()?, AccessPath::FullScan))
-        } else {
-            let ix = t.interval_index_on(*col).ok_or_else(|| {
-                DbError::exec(format!("planned interval index on {table}.{col} vanished"))
-            })?;
-            Ok((
-                fetch(ix.lookup_overlaps_value(&probe))?,
-                AccessPath::IndexOverlap,
-            ))
+            return Ok((None, AccessPath::FullScan));
         }
+        let ix = t.interval_index_on(*col).ok_or_else(|| vanished(*col))?;
+        Ok((
+            Some(ix.lookup_overlaps_value(&probe)),
+            AccessPath::IndexOverlap,
+        ))
     } else {
-        Ok((full_scan()?, AccessPath::FullScan))
+        Ok((None, AccessPath::FullScan))
     }
+}
+
+/// The row interpreter's scan source: [`scan_candidates`] turned back
+/// into rows.
+fn materialize_scan(
+    scan: &Plan,
+    src: &dyn TableSource,
+    ctx: &ExecCtx,
+    prof: Option<&OpProfile>,
+) -> DbResult<Vec<Row>> {
+    let (rowids, cols) = scan_candidates(scan, src, ctx, prof)?;
+    let mut rows: Vec<Row> = rowids
+        .iter()
+        .map(|_| Vec::with_capacity(cols.len()))
+        .collect();
+    for col in cols {
+        for (row, v) in rows.iter_mut().zip(col) {
+            row.push(v);
+        }
+    }
+    Ok(rows)
 }
 
 /// Counting (and, under EXPLAIN ANALYZE, timing) wrapper around a batch

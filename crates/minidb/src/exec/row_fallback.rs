@@ -2,8 +2,9 @@
 //! expression with [`BoundExpr::eval`], one row at a time. Semantics here
 //! are the reference; the batch engine must match them byte for byte.
 //! The only entry is [`execute`] (public as `exec::execute_rows`), and the
-//! only code shared with the batch engine is `materialize_scan`, so a bug
-//! in a batch operator or kernel cannot hide in both.
+//! only code shared with the batch engine is the scan's candidate
+//! resolution (`materialize_scan`), so a bug in a batch operator or kernel
+//! cannot hide in both.
 
 use crate::binder::BoundExpr;
 use crate::catalog::{AggregateState, ExecCtx};
@@ -44,33 +45,11 @@ fn open<'a>(
     let child = |p: &'a Plan, i: usize| open(p, src, ctx, prof.map(|pr| pr.child(i)));
     Ok(match plan {
         Plan::Nothing => Box::new(Once { done: false }),
-        Plan::Scan {
-            table,
-            index_eq,
-            index_overlap,
-            index_range,
+        Plan::Scan { filter, .. } => Box::new(Scan {
+            rows: materialize_scan(plan, src, ctx, prof)?.into_iter(),
             filter,
-            project,
-            ..
-        } => {
-            let (rows, path) = materialize_scan(
-                table,
-                index_eq,
-                index_overlap,
-                index_range,
-                project,
-                src,
-                ctx,
-            )?;
-            if let Some(p) = prof {
-                p.record_scan(path, rows.len() as u64);
-            }
-            Box::new(Scan {
-                rows: rows.into_iter(),
-                filter,
-                ctx,
-            })
-        }
+            ctx,
+        }),
         Plan::Filter { input, pred } => Box::new(Filter {
             input: child(input, 0)?,
             pred,

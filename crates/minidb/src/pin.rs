@@ -426,7 +426,13 @@ impl Collector<'_> {
                 }
             }
             Statement::CreateIndex { table, .. } => self.touch(table, true),
-            Statement::Explain { inner, .. } => self.stmt(inner),
+            Statement::Explain { inner, .. } => {
+                self.stmt(inner);
+                // EXPLAIN only plans: a DML target is read, not locked.
+                for (_, write) in self.tables.values_mut() {
+                    *write = false;
+                }
+            }
             Statement::CreateView { query, .. } => self.select(query),
             // Pure registry/session operations pin no tables.
             Statement::CreateTable { .. }

@@ -17,7 +17,7 @@ use crate::binder::{normalize_expr, Binder, BoundExpr, BoundKind, Scope, ScopeCo
 use crate::catalog::{AggregateState, Catalog, ExecCtx};
 use crate::error::{DbError, DbResult};
 use crate::pin::TableSource;
-use crate::sql::ast::{Expr, OrderItem, SelectItem, SelectStmt};
+use crate::sql::ast::{Expr, OrderItem, SelectItem, SelectStmt, Statement};
 use crate::types::DataType;
 use crate::value::Value;
 use std::collections::HashMap;
@@ -315,6 +315,32 @@ pub struct IndexRange {
     pub column: usize,
     pub lo: Option<(BoundExpr, bool)>,
     pub hi: Option<(BoundExpr, bool)>,
+}
+
+/// A planned UPDATE or DELETE. `scan` selects the victims: it is the
+/// plan a single-table SELECT with the same WHERE would get — index
+/// probes included — but full-width, since applying a change needs the
+/// whole old row and its old index keys.
+pub struct DmlPlan {
+    /// Canonical name of the target table.
+    pub table: String,
+    pub scan: Plan,
+    /// An UPDATE's assignments as (column index, new value over the old
+    /// row); `None` for a DELETE.
+    pub sets: Option<Vec<(usize, BoundExpr)>>,
+}
+
+impl DmlPlan {
+    /// `update(t) over ixscan(t)` — what EXPLAIN and the slow-query log
+    /// show.
+    pub fn describe(&self) -> String {
+        let verb = if self.sets.is_some() {
+            "update"
+        } else {
+            "delete"
+        };
+        format!("{verb}({}) over {}", self.table, self.scan.describe())
+    }
 }
 
 /// A planned SELECT: the plan plus output column metadata.
@@ -812,6 +838,65 @@ impl<'a> Planner<'a> {
         };
         planned.plan.pushdown_projections();
         Ok(planned)
+    }
+
+    /// Plans an UPDATE or DELETE. The WHERE's conjuncts, subqueries
+    /// resolved, go through the same scan planning as a SELECT's.
+    pub fn plan_dml(&self, stmt: &Statement) -> DbResult<DmlPlan> {
+        let (table, sets, where_clause) = match stmt {
+            Statement::Update {
+                table,
+                sets,
+                where_clause,
+            } => (table, Some(sets), where_clause),
+            Statement::Delete {
+                table,
+                where_clause,
+            } => (table, None, where_clause),
+            _ => return Err(DbError::binding("only UPDATE and DELETE plan as DML")),
+        };
+        let t = self.tables.table(table)?;
+        let binding = t.schema.name.to_ascii_lowercase();
+        let scope = Scope::new(
+            t.schema
+                .columns
+                .iter()
+                .map(|c| ScopeCol {
+                    binding: Some(binding.clone()),
+                    name: c.name.to_ascii_lowercase(),
+                    ty: c.ty,
+                })
+                .collect(),
+        );
+        let sets = match sets {
+            None => None,
+            Some(sets) => {
+                let mut bound = Vec::with_capacity(sets.len());
+                for (name, e) in sets {
+                    let col = t.schema.col_index(name).ok_or_else(|| DbError::NotFound {
+                        kind: "column",
+                        name: format!("{table}.{name}"),
+                    })?;
+                    let e = self.binder.bind(&self.resolve_subqueries(e)?, &scope)?;
+                    let e = self.binder.coerce(e, t.schema.columns[col].ty, false)?;
+                    bound.push((col, self.fold(e)));
+                }
+                Some(bound)
+            }
+        };
+        let pushed = match where_clause {
+            Some(w) if contains_aggregate(w, self.catalog) => {
+                return Err(DbError::binding("aggregates are not allowed in WHERE"))
+            }
+            Some(w) => conjuncts(&self.resolve_subqueries(w)?),
+            None => Vec::new(),
+        };
+        let range = (binding, 0..scope.cols.len());
+        Ok(DmlPlan {
+            table: t.schema.name.clone(),
+            scan: self.plan_scan(table, &pushed, &range, &scope)?,
+            sets,
+        })
     }
 
     /// Plans a UNION chain: every arm is planned independently, arities
@@ -1639,7 +1724,14 @@ impl<'a> Planner<'a> {
                             if !probe.is_column_free() {
                                 continue;
                             }
-                            index_overlap = Some((col_idx, probe));
+                            // The index bounds a probe with its column
+                            // type's interval key, so the probe takes
+                            // that type (`contains(valid, chronon)`).
+                            let col_ty = table.schema.columns[col_idx].ty;
+                            let Ok(probe) = self.binder.coerce(probe, col_ty, false) else {
+                                continue;
+                            };
+                            index_overlap = Some((col_idx, self.fold(probe)));
                             break;
                         }
                     }

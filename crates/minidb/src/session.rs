@@ -15,7 +15,7 @@ use crate::obs::{
     Metric, MetricsSnapshot, OpProfile, QueryMetrics, SlowQuery, SlowQueryLogger, StatementKind,
 };
 use crate::pin::{FrozenTables, PinnedTables, TableSet, TableSource};
-use crate::plan::Planner;
+use crate::plan::{DmlPlan, Planner};
 use crate::sql::ast::{AsOf, Expr, InsertSource, SelectItem, SelectStmt, Statement};
 use crate::sql::parse_statement;
 use crate::storage::{self, Column, SharedTable, Storage, Table, TableSchema};
@@ -1120,9 +1120,9 @@ struct TxnState {
     /// name. The transaction's statements read and write these; nobody
     /// else sees them until COMMIT.
     tables: HashMap<String, TxnTable>,
-    /// Every applied operation in order — COMMIT replays them into one
-    /// WAL chunk.
-    ops: Vec<PendingOp>,
+    /// Every applied change in order, with its table's canonical name —
+    /// COMMIT replays them into one WAL chunk.
+    ops: Vec<(String, Change)>,
 }
 
 /// One table's private workspace inside a transaction.
@@ -1137,11 +1137,42 @@ struct TxnTable {
     name: String,
 }
 
-/// A buffered DML operation awaiting COMMIT.
-enum PendingOp {
-    Insert { table: String, rowid: u64, row: Row },
-    Update { table: String, rowid: u64, row: Row },
-    Delete { table: String, rowid: u64 },
+/// One row change — what every INSERT, UPDATE and DELETE computes.
+/// Autocommit logs a statement's changes and applies them to the live
+/// table; a transaction applies them to its workspace and logs them all
+/// at COMMIT.
+#[derive(Clone)]
+enum Change {
+    Insert { rowid: usize, row: Row },
+    Update { rowid: usize, row: Row },
+    Delete { rowid: usize },
+}
+
+impl Change {
+    fn log(&self, b: &mut TxnBuilder<'_>, table: &str) -> DbResult<()> {
+        match self {
+            Change::Insert { rowid, row } => b.insert(table, *rowid as u64, row),
+            Change::Update { rowid, row } => b.update(table, *rowid as u64, row),
+            Change::Delete { rowid } => b.delete(table, *rowid as u64),
+        }
+    }
+
+    /// Applies the change to the table its set was computed against.
+    fn apply(self, t: &mut Table) -> DbResult<()> {
+        match self {
+            Change::Insert { rowid, row } => {
+                let got = t.insert(row);
+                debug_assert_eq!(got, rowid, "planned rowid diverged from insert");
+            }
+            Change::Update { rowid, row } => {
+                t.update(rowid, row)?;
+            }
+            Change::Delete { rowid } => {
+                t.delete(rowid)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Session {
@@ -1197,19 +1228,9 @@ impl Session {
     /// DML observation: affected-row count, latency histogram, and the
     /// slow-query hook — INSERT/UPDATE/DELETE are first-class citizens
     /// of the slow-query log, not just SELECT.
-    fn observe_dml(
-        &self,
-        sql: &str,
-        desc: &str,
-        outcome: &DbResult<StatementOutcome>,
-        elapsed: Duration,
-    ) {
-        let Ok(StatementOutcome::Affected(n)) = outcome else {
-            return;
-        };
-        let rows = *n as u64;
+    fn observe_dml(&self, sql: &str, plan: &str, rows: u64, elapsed: Duration) {
         self.metrics.record_dml(rows, elapsed);
-        self.observe_slow(sql, rows, elapsed, || desc.to_owned());
+        self.observe_slow(sql, rows, elapsed, || plan.to_owned());
     }
 
     /// Folds one pinned guard set into the lock-wait counters.
@@ -1348,11 +1369,17 @@ impl Session {
             Statement::Select(ref sel) if in_txn && sel.as_of.is_none() => {
                 self.txn_select(&table_set, sel, sql, params_map, ctx)
             }
-            s
-            @ (Statement::Insert { .. } | Statement::Update { .. } | Statement::Delete { .. })
-                if in_txn =>
-            {
-                self.txn_dml(&table_set, s, sql, params_map, ctx)
+            ref s @ (Statement::Insert { .. }
+            | Statement::Update { .. }
+            | Statement::Delete { .. }) => {
+                let started = Instant::now();
+                let (plan, n) = if in_txn {
+                    self.txn_dml(&table_set, s, params_map, &ctx)?
+                } else {
+                    self.run_dml(&table_set, s, params_map, &ctx)?
+                };
+                self.observe_dml(sql, &plan, n as u64, started.elapsed());
+                Ok(StatementOutcome::Affected(n))
             }
             Statement::CreateTable { .. }
             | Statement::CreateIndex { .. }
@@ -1550,57 +1577,6 @@ impl Session {
                     Ok(StatementOutcome::Done)
                 }
             }
-            Statement::Insert {
-                table,
-                columns,
-                source,
-            } => {
-                let started = Instant::now();
-                let outcome = match source {
-                    InsertSource::Values(rows) => {
-                        self.run_insert(&table_set, &table, columns, rows, params_map, ctx)
-                    }
-                    InsertSource::Query(select) => self
-                        .run_insert_select(&table_set, &table, columns, &select, params_map, ctx),
-                };
-                self.observe_dml(
-                    sql,
-                    &format!("insert({table})"),
-                    &outcome,
-                    started.elapsed(),
-                );
-                outcome
-            }
-            Statement::Update {
-                table,
-                sets,
-                where_clause,
-            } => {
-                let started = Instant::now();
-                let outcome =
-                    self.run_update(&table_set, &table, sets, where_clause, params_map, ctx);
-                self.observe_dml(
-                    sql,
-                    &format!("update({table})"),
-                    &outcome,
-                    started.elapsed(),
-                );
-                outcome
-            }
-            Statement::Delete {
-                table,
-                where_clause,
-            } => {
-                let started = Instant::now();
-                let outcome = self.run_delete(&table_set, &table, where_clause, params_map, ctx);
-                self.observe_dml(
-                    sql,
-                    &format!("delete({table})"),
-                    &outcome,
-                    started.elapsed(),
-                );
-                outcome
-            }
             Statement::CreateView {
                 name,
                 query,
@@ -1662,6 +1638,19 @@ impl Session {
                     self.db.wal_wait(seq)?;
                     Ok(StatementOutcome::Done)
                 }
+            }
+            Statement::Explain { inner, .. } if !matches!(*inner, Statement::Select(_)) => {
+                // The parser admits only UPDATE and DELETE here, never
+                // under ANALYZE: that would execute the write.
+                let pinned = table_set.pin();
+                self.record_pin(&pinned);
+                let catalog = self.db.catalog.read();
+                let planner = Planner::new_deferred(&catalog, &pinned, params_map, ctx);
+                let plan = planner.plan_dml(&inner)?.describe();
+                Ok(StatementOutcome::Rows(QueryResult {
+                    columns: vec![("plan".to_owned(), DataType::Str)],
+                    rows: vec![vec![Value::Str(plan)]],
+                }))
             }
             Statement::Explain { inner, analyze } => {
                 let Statement::Select(sel) = *inner else {
@@ -1851,197 +1840,101 @@ impl Session {
 
     // ----- DML -------------------------------------------------------
 
-    fn run_insert(
+    /// Autocommit INSERT, UPDATE or DELETE: the change set is computed
+    /// under the target's write guard, logged as one WAL chunk, applied to
+    /// the live table and published. Logging comes first: a chunk that
+    /// never reaches the log leaves memory untouched, so the statement is
+    /// refused cleanly instead of surviving unlogged. Returns the plan
+    /// rendering and the affected-row count.
+    fn run_dml(
         &self,
         set: &TableSet,
-        table: &str,
-        columns: Option<Vec<String>>,
-        rows: Vec<Vec<crate::sql::ast::Expr>>,
+        stmt: &Statement,
         params: &HashMap<String, Value>,
-        ctx: ExecCtx,
-    ) -> DbResult<StatementOutcome> {
+        ctx: &ExecCtx,
+    ) -> DbResult<(String, usize)> {
         let mut pinned = set.pin();
         self.record_pin(&pinned);
         let catalog = self.db.catalog.read();
-        let schema = pinned.table(table)?.schema.clone();
-        let target_cols = resolve_target_cols(&schema, table, &columns)?;
-        let to_insert = eval_insert_values(
-            &catalog,
-            &pinned,
-            &schema,
-            &target_cols,
-            &rows,
-            params,
-            &ctx,
-        )?;
-        let t = pinned.table_mut(table)?;
-        // Log *before* applying, against the rowids the inserts are
-        // about to land on (the free list is deterministic): a chunk
-        // that never reaches the log leaves memory untouched, so the
-        // statement is refused cleanly instead of surviving unlogged.
-        let rowids = t.planned_rowids(to_insert.len());
+        let (plan, changes) = self.statement_changes(stmt, &catalog, &pinned, params, ctx)?;
+        let t = pinned.table_mut(dml_target(stmt))?;
         let seq = self.db.wal_append(&catalog, |b| {
-            for (&rid, row) in rowids.iter().zip(&to_insert) {
-                b.insert(&schema.name, rid as u64, row)?;
-            }
-            Ok(())
+            changes.iter().try_for_each(|c| c.log(b, &t.schema.name))
         })?;
-        let n = to_insert.len();
-        for (row, &rid) in to_insert.into_iter().zip(&rowids) {
-            let got = t.insert(row);
-            debug_assert_eq!(got, rid, "planned rowid diverged from insert");
+        let n = changes.len();
+        for c in changes {
+            c.apply(t)?;
         }
         self.db.publish_pinned(&pinned);
         drop(pinned);
         drop(catalog);
         self.db.wal_wait(seq)?;
-        Ok(StatementOutcome::Affected(n))
+        Ok((plan, n))
     }
 
-    /// `INSERT INTO t [cols] SELECT …`: runs the query, then coerces each
-    /// produced row into the target column types.
-    fn run_insert_select(
+    /// The change set of one INSERT, UPDATE or DELETE, computed against
+    /// `src` — which holds the target table — without mutating anything,
+    /// and the plan rendering the slow-query log shows for it.
+    fn statement_changes(
         &self,
-        set: &TableSet,
-        table: &str,
-        columns: Option<Vec<String>>,
-        select: &crate::sql::ast::SelectStmt,
+        stmt: &Statement,
+        catalog: &Catalog,
+        src: &dyn TableSource,
         params: &HashMap<String, Value>,
-        ctx: ExecCtx,
-    ) -> DbResult<StatementOutcome> {
-        let mut pinned = set.pin();
-        self.record_pin(&pinned);
-        let catalog = self.db.catalog.read();
-        let schema = pinned.table(table)?.schema.clone();
-        let target_cols = resolve_target_cols(&schema, table, &columns)?;
-        let (to_insert, prof) = eval_insert_select(
-            &catalog,
-            &pinned,
-            &schema,
-            &target_cols,
-            select,
-            params,
-            &ctx,
-        )?;
-        prof.charge_scans(&self.metrics);
-        let t = pinned.table_mut(table)?;
-        // Same log-before-apply protocol as plain INSERT.
-        let rowids = t.planned_rowids(to_insert.len());
-        let seq = self.db.wal_append(&catalog, |b| {
-            for (&rid, row) in rowids.iter().zip(&to_insert) {
-                b.insert(&schema.name, rid as u64, row)?;
-            }
-            Ok(())
-        })?;
-        let n = to_insert.len();
-        for (row, &rid) in to_insert.into_iter().zip(&rowids) {
-            let got = t.insert(row);
-            debug_assert_eq!(got, rid, "planned rowid diverged from insert");
-        }
-        self.db.publish_pinned(&pinned);
-        drop(pinned);
-        drop(catalog);
-        self.db.wal_wait(seq)?;
-        Ok(StatementOutcome::Affected(n))
-    }
-
-    fn table_scope(schema: &TableSchema) -> crate::binder::Scope {
-        crate::binder::Scope::new(
-            schema
-                .columns
-                .iter()
-                .map(|c| crate::binder::ScopeCol {
-                    binding: Some(schema.name.to_ascii_lowercase()),
-                    name: c.name.to_ascii_lowercase(),
-                    ty: c.ty,
-                })
-                .collect(),
-        )
-    }
-
-    fn run_update(
-        &self,
-        set: &TableSet,
-        table: &str,
-        sets: Vec<(String, crate::sql::ast::Expr)>,
-        where_clause: Option<crate::sql::ast::Expr>,
-        params: &HashMap<String, Value>,
-        ctx: ExecCtx,
-    ) -> DbResult<StatementOutcome> {
-        let mut pinned = set.pin();
-        self.record_pin(&pinned);
-        let catalog = self.db.catalog.read();
-        let schema = pinned.table(table)?.schema.clone();
-        let snapshot = pinned.table(table)?.scan()?;
-        let changes = eval_update_changes(
-            &catalog,
-            &pinned,
-            &schema,
+        ctx: &ExecCtx,
+    ) -> DbResult<(String, Vec<Change>)> {
+        let planner = Planner::new(catalog, src, params, ctx.clone());
+        let Statement::Insert {
             table,
-            snapshot,
-            &sets,
-            &where_clause,
-            params,
-            &ctx,
-        )?;
-        let t = pinned.table_mut(table)?;
-        let seq = self.db.wal_append(&catalog, |b| {
-            for (rid, row) in &changes {
-                b.update(&schema.name, *rid as u64, row)?;
+            columns,
+            source,
+        } = stmt
+        else {
+            let dml = planner.plan_dml(stmt)?;
+            return Ok((dml.describe(), self.dml_changes(&dml, src, ctx)?));
+        };
+        let t = src.table(table)?;
+        let target_cols = resolve_target_cols(&t.schema, table, columns)?;
+        let rows = match source {
+            InsertSource::Values(rows) => {
+                eval_insert_values(&planner, &t.schema, &target_cols, rows)?
             }
-            Ok(())
-        })?;
-        let affected = changes.len();
-        for (rowid, new_row) in changes {
-            t.update(rowid, new_row)?;
-        }
-        self.db.publish_pinned(&pinned);
-        drop(pinned);
-        drop(catalog);
-        self.db.wal_wait(seq)?;
-        Ok(StatementOutcome::Affected(affected))
+            InsertSource::Query(select) => {
+                let (rows, prof) = eval_insert_select(&planner, &t.schema, &target_cols, select)?;
+                prof.charge_scans(&self.metrics);
+                rows
+            }
+        };
+        // The rowids the inserts will land on (the free list is
+        // deterministic), so the changes can be logged before they apply.
+        let rowids = t.planned_rowids(rows.len());
+        let changes = rowids
+            .into_iter()
+            .zip(rows)
+            .map(|(rowid, row)| Change::Insert { rowid, row })
+            .collect();
+        Ok((format!("insert({table})"), changes))
     }
 
-    fn run_delete(
+    /// An UPDATE's or DELETE's changes: its victims, found by the plan's
+    /// scan on the batch engine, which charges its access path to this
+    /// session's scan counters like any SELECT's.
+    fn dml_changes(
         &self,
-        set: &TableSet,
-        table: &str,
-        where_clause: Option<crate::sql::ast::Expr>,
-        params: &HashMap<String, Value>,
-        ctx: ExecCtx,
-    ) -> DbResult<StatementOutcome> {
-        let mut pinned = set.pin();
-        self.record_pin(&pinned);
-        let catalog = self.db.catalog.read();
-        let schema = pinned.table(table)?.schema.clone();
-        let snapshot = pinned.table(table)?.scan()?;
-        let victims = eval_delete_victims(
-            &catalog,
-            &pinned,
-            &schema,
-            snapshot,
-            &where_clause,
-            params,
-            &ctx,
-        )?;
-        let t = pinned.table_mut(table)?;
-        let seq = self.db.wal_append(&catalog, |b| {
-            for &rid in &victims {
-                b.delete(&schema.name, rid as u64)?;
-            }
-            Ok(())
-        })?;
-        let mut affected = 0;
-        for rowid in victims {
-            if t.delete(rowid)? {
-                affected += 1;
-            }
-        }
-        self.db.publish_pinned(&pinned);
-        drop(pinned);
-        drop(catalog);
-        self.db.wal_wait(seq)?;
-        Ok(StatementOutcome::Affected(affected))
+        dml: &DmlPlan,
+        src: &dyn TableSource,
+        ctx: &ExecCtx,
+    ) -> DbResult<Vec<Change>> {
+        let prof = OpProfile::paths_only(&dml.scan);
+        let victims = exec::execute_dml(dml, src, ctx, Some(&prof))?;
+        prof.charge_scans(&self.metrics);
+        Ok(victims
+            .into_iter()
+            .map(|(rowid, row)| match row {
+                Some(row) => Change::Update { rowid, row },
+                None => Change::Delete { rowid },
+            })
+            .collect())
     }
 
     // ----- Transactions ----------------------------------------------
@@ -2112,14 +2005,7 @@ impl Session {
         // tables were never touched (every write is still buffered in
         // the workspace), so refusing the COMMIT is a clean abort.
         let seq = match self.db.wal_append(&catalog, |b| {
-            for op in &ops {
-                match op {
-                    PendingOp::Insert { table, rowid, row } => b.insert(table, *rowid, row)?,
-                    PendingOp::Update { table, rowid, row } => b.update(table, *rowid, row)?,
-                    PendingOp::Delete { table, rowid } => b.delete(table, *rowid)?,
-                }
-            }
-            Ok(())
+            ops.iter().try_for_each(|(table, c)| c.log(b, table))
         }) {
             Ok(seq) => seq,
             Err(e) => {
@@ -2198,176 +2084,29 @@ impl Session {
         }))
     }
 
-    /// Routes one buffered DML statement into the transaction
-    /// workspace.
+    /// INSERT, UPDATE or DELETE inside a transaction: the change set is
+    /// computed against the workspace and applied to it; COMMIT logs it.
+    /// Returns the plan rendering and the affected-row count.
     fn txn_dml(
         &self,
-        table_set: &TableSet,
-        stmt: Statement,
-        sql: &str,
-        params: &HashMap<String, Value>,
-        ctx: ExecCtx,
-    ) -> DbResult<StatementOutcome> {
-        let started = Instant::now();
-        let (desc, outcome) = match stmt {
-            Statement::Insert {
-                table,
-                columns,
-                source,
-            } => (
-                format!("insert({table})"),
-                self.txn_insert(table_set, &table, columns, source, params, ctx),
-            ),
-            Statement::Update {
-                table,
-                sets,
-                where_clause,
-            } => (
-                format!("update({table})"),
-                self.txn_update(table_set, &table, sets, where_clause, params, ctx),
-            ),
-            Statement::Delete {
-                table,
-                where_clause,
-            } => (
-                format!("delete({table})"),
-                self.txn_delete(table_set, &table, where_clause, params, ctx),
-            ),
-            _ => unreachable!("caller routes only DML here"),
-        };
-        self.observe_dml(sql, &desc, &outcome, started.elapsed());
-        outcome
-    }
-
-    fn txn_insert(
-        &self,
         set: &TableSet,
-        table: &str,
-        columns: Option<Vec<String>>,
-        source: InsertSource,
+        stmt: &Statement,
         params: &HashMap<String, Value>,
-        ctx: ExecCtx,
-    ) -> DbResult<StatementOutcome> {
+        ctx: &ExecCtx,
+    ) -> DbResult<(String, usize)> {
         let mut guard = self.txn.lock();
         let txn = guard.as_mut().expect("caller checked txn");
-        let key = self.txn_touch(txn, table)?;
-        let schema = txn.tables[&key].work.schema.clone();
-        let catalog = self.db.catalog.read();
-        let target_cols = resolve_target_cols(&schema, table, &columns)?;
-        let frozen = frozen_for_txn(set, txn)?;
-        let to_insert = match source {
-            InsertSource::Values(rows) => eval_insert_values(
-                &catalog,
-                &frozen,
-                &schema,
-                &target_cols,
-                &rows,
-                params,
-                &ctx,
-            )?,
-            InsertSource::Query(select) => {
-                let (rows, prof) = eval_insert_select(
-                    &catalog,
-                    &frozen,
-                    &schema,
-                    &target_cols,
-                    &select,
-                    params,
-                    &ctx,
-                )?;
-                prof.charge_scans(&self.metrics);
-                rows
-            }
-        };
-        let n = to_insert.len();
-        let tt = txn.tables.get_mut(&key).expect("touched above");
-        for row in to_insert {
-            let rowid = tt.work.insert(row.clone()) as u64;
-            txn.ops.push(PendingOp::Insert {
-                table: tt.name.clone(),
-                rowid,
-                row,
-            });
-        }
-        Ok(StatementOutcome::Affected(n))
-    }
-
-    fn txn_update(
-        &self,
-        set: &TableSet,
-        table: &str,
-        sets: Vec<(String, Expr)>,
-        where_clause: Option<Expr>,
-        params: &HashMap<String, Value>,
-        ctx: ExecCtx,
-    ) -> DbResult<StatementOutcome> {
-        let mut guard = self.txn.lock();
-        let txn = guard.as_mut().expect("caller checked txn");
-        let key = self.txn_touch(txn, table)?;
-        let schema = txn.tables[&key].work.schema.clone();
+        let key = self.txn_touch(txn, dml_target(stmt))?;
         let catalog = self.db.catalog.read();
         let frozen = frozen_for_txn(set, txn)?;
-        let snapshot = txn.tables[&key].work.scan()?;
-        let changes = eval_update_changes(
-            &catalog,
-            &frozen,
-            &schema,
-            table,
-            snapshot,
-            &sets,
-            &where_clause,
-            params,
-            &ctx,
-        )?;
-        let affected = changes.len();
+        let (plan, changes) = self.statement_changes(stmt, &catalog, &frozen, params, ctx)?;
+        let n = changes.len();
         let tt = txn.tables.get_mut(&key).expect("touched above");
-        for (rowid, new_row) in changes {
-            tt.work.update(rowid, new_row.clone())?;
-            txn.ops.push(PendingOp::Update {
-                table: tt.name.clone(),
-                rowid: rowid as u64,
-                row: new_row,
-            });
+        for c in changes {
+            c.clone().apply(&mut tt.work)?;
+            txn.ops.push((tt.name.clone(), c));
         }
-        Ok(StatementOutcome::Affected(affected))
-    }
-
-    fn txn_delete(
-        &self,
-        set: &TableSet,
-        table: &str,
-        where_clause: Option<Expr>,
-        params: &HashMap<String, Value>,
-        ctx: ExecCtx,
-    ) -> DbResult<StatementOutcome> {
-        let mut guard = self.txn.lock();
-        let txn = guard.as_mut().expect("caller checked txn");
-        let key = self.txn_touch(txn, table)?;
-        let schema = txn.tables[&key].work.schema.clone();
-        let catalog = self.db.catalog.read();
-        let frozen = frozen_for_txn(set, txn)?;
-        let snapshot = txn.tables[&key].work.scan()?;
-        let victims = eval_delete_victims(
-            &catalog,
-            &frozen,
-            &schema,
-            snapshot,
-            &where_clause,
-            params,
-            &ctx,
-        )?;
-        let mut affected = 0;
-        let tt = txn.tables.get_mut(&key).expect("touched above");
-        for rowid in victims {
-            if tt.work.delete(rowid)? {
-                affected += 1;
-                txn.ops.push(PendingOp::Delete {
-                    table: tt.name.clone(),
-                    rowid: rowid as u64,
-                });
-            }
-        }
-        Ok(StatementOutcome::Affected(affected))
+        Ok((plan, n))
     }
 
     /// `SELECT … AS OF`: time travel against committed history only —
@@ -2534,18 +2273,24 @@ fn resolve_target_cols(
     }
 }
 
+/// The table an INSERT, UPDATE or DELETE writes.
+fn dml_target(stmt: &Statement) -> &str {
+    match stmt {
+        Statement::Insert { table, .. }
+        | Statement::Update { table, .. }
+        | Statement::Delete { table, .. } => table,
+        _ => unreachable!("caller routes only DML here"),
+    }
+}
+
 /// Evaluates INSERT … VALUES rows into full-width rows. Two-phase: any
 /// evaluation error leaves nothing applied.
 fn eval_insert_values(
-    catalog: &Catalog,
-    source: &dyn TableSource,
+    planner: &Planner,
     schema: &TableSchema,
     target_cols: &[usize],
     rows: &[Vec<Expr>],
-    params: &HashMap<String, Value>,
-    ctx: &ExecCtx,
 ) -> DbResult<Vec<Row>> {
-    let planner = Planner::new(catalog, source, params, ctx.clone());
     let scope = crate::binder::Scope::default();
     let mut out = Vec::with_capacity(rows.len());
     for exprs in rows {
@@ -2565,27 +2310,24 @@ fn eval_insert_values(
             let coerced = planner
                 .binder
                 .coerce(bound, schema.columns[col].ty, false)?;
-            row[col] = coerced.eval(ctx, &[])?;
+            row[col] = coerced.eval(&planner.ctx, &[])?;
         }
         out.push(row);
     }
     Ok(out)
 }
 
-/// Plans and runs the SELECT side of `INSERT … SELECT` against
-/// `source`, coercing each produced row to the target column types.
-/// Returns the rows with the SELECT's scan profile, which the caller
-/// charges to the session metrics like any other SELECT's.
+/// Plans and runs the SELECT side of `INSERT … SELECT`, coercing each
+/// produced row to the target column types. Returns the rows with the
+/// SELECT's scan profile, which the caller charges to the session
+/// metrics like any other SELECT's.
 fn eval_insert_select(
-    catalog: &Catalog,
-    source: &dyn TableSource,
+    planner: &Planner,
     schema: &TableSchema,
     target_cols: &[usize],
     select: &SelectStmt,
-    params: &HashMap<String, Value>,
-    ctx: &ExecCtx,
 ) -> DbResult<(Vec<Row>, OpProfile)> {
-    let planner = Planner::new(catalog, source, params, ctx.clone());
+    let (catalog, ctx) = (planner.catalog, &planner.ctx);
     let planned = planner.plan_select(select)?;
     if planned.columns.len() != target_cols.len() {
         return Err(DbError::Constraint {
@@ -2618,7 +2360,7 @@ fn eval_insert_select(
         }
     }
     let prof = OpProfile::paths_only(&planned.plan);
-    let produced = exec::execute_with(&planned.plan, source, ctx, Some(&prof))?;
+    let produced = exec::execute_with(&planned.plan, planner.tables, ctx, Some(&prof))?;
     // Two-phase: coerce the whole change set before anything is
     // applied, so a coercion error mid-stream cannot leave a partial
     // insert.
@@ -2634,93 +2376,6 @@ fn eval_insert_select(
         out.push(row);
     }
     Ok((out, prof))
-}
-
-/// Evaluates an UPDATE's full change set against `rows` without
-/// mutating anything.
-#[allow(clippy::too_many_arguments)]
-fn eval_update_changes(
-    catalog: &Catalog,
-    source: &dyn TableSource,
-    schema: &TableSchema,
-    table: &str,
-    rows: Vec<(usize, Row)>,
-    sets: &[(String, Expr)],
-    where_clause: &Option<Expr>,
-    params: &HashMap<String, Value>,
-    ctx: &ExecCtx,
-) -> DbResult<Vec<(usize, Row)>> {
-    let scope = Session::table_scope(schema);
-    let planner = Planner::new(catalog, source, params, ctx.clone());
-    let mut bound_sets = Vec::with_capacity(sets.len());
-    for (name, e) in sets {
-        let col = schema.col_index(name).ok_or_else(|| DbError::NotFound {
-            kind: "column",
-            name: format!("{table}.{name}"),
-        })?;
-        let e = planner.resolve_subqueries(e)?;
-        let bound = planner.binder.bind(&e, &scope)?;
-        let coerced = planner
-            .binder
-            .coerce(bound, schema.columns[col].ty, false)?;
-        bound_sets.push((col, coerced));
-    }
-    let pred = match where_clause {
-        Some(w) => {
-            let w = planner.resolve_subqueries(w)?;
-            Some(planner.bind_folded(&w, &scope)?)
-        }
-        None => None,
-    };
-    let mut changes = Vec::new();
-    for (rowid, row) in rows {
-        let keep = match &pred {
-            Some(p) => p.eval(ctx, &row)?.as_bool() == Some(true),
-            None => true,
-        };
-        if !keep {
-            continue;
-        }
-        let mut new_row = row.clone();
-        for (col, e) in &bound_sets {
-            new_row[*col] = e.eval(ctx, &row)?;
-        }
-        changes.push((rowid, new_row));
-    }
-    Ok(changes)
-}
-
-/// Decides a DELETE's victim set against `rows` without mutating
-/// anything.
-fn eval_delete_victims(
-    catalog: &Catalog,
-    source: &dyn TableSource,
-    schema: &TableSchema,
-    rows: Vec<(usize, Row)>,
-    where_clause: &Option<Expr>,
-    params: &HashMap<String, Value>,
-    ctx: &ExecCtx,
-) -> DbResult<Vec<usize>> {
-    let scope = Session::table_scope(schema);
-    let planner = Planner::new(catalog, source, params, ctx.clone());
-    let pred = match where_clause {
-        Some(w) => {
-            let w = planner.resolve_subqueries(w)?;
-            Some(planner.bind_folded(&w, &scope)?)
-        }
-        None => None,
-    };
-    let mut victims = Vec::new();
-    for (rowid, row) in rows {
-        let hit = match &pred {
-            Some(p) => p.eval(ctx, &row)?.as_bool() == Some(true),
-            None => true,
-        };
-        if hit {
-            victims.push(rowid);
-        }
-    }
-    Ok(victims)
 }
 
 /// A validated statement handle for repeat execution, from

@@ -142,8 +142,12 @@ impl Parser {
         if self.eat_kw("explain") {
             let analyze = self.eat_kw("analyze");
             let inner = self.statement()?;
-            if !matches!(inner, Statement::Select(_)) {
-                return Err(self.err("EXPLAIN supports SELECT statements"));
+            match inner {
+                Statement::Select(_) => {}
+                // Analyzing a write would execute it.
+                Statement::Update { .. } | Statement::Delete { .. } if !analyze => {}
+                _ if analyze => return Err(self.err("EXPLAIN ANALYZE supports SELECT statements")),
+                _ => return Err(self.err("EXPLAIN supports SELECT, UPDATE and DELETE statements")),
             }
             return Ok(Statement::Explain {
                 inner: Box::new(inner),

@@ -402,11 +402,16 @@ enum IndexBackend {
 
 /// A secondary index over one column: equality B-tree, or bucketed
 /// interval index for types with interval-bounds support.
+///
+/// The backend is shared copy-on-write: publishing a table version
+/// clones only an `Arc` per index, and the live table copies an index
+/// the first time a later commit changes it. A commit that changes no
+/// key of an index (an UPDATE of other columns) never copies it.
 #[derive(Debug, Clone)]
 pub struct Index {
     pub name: String,
     pub column: usize,
-    backend: IndexBackend,
+    backend: Arc<IndexBackend>,
 }
 
 impl Index {
@@ -414,7 +419,7 @@ impl Index {
         Index {
             name,
             column,
-            backend: IndexBackend::BTree(BTreeMap::new()),
+            backend: Arc::new(IndexBackend::BTree(BTreeMap::new())),
         }
     }
 
@@ -422,17 +427,17 @@ impl Index {
         Index {
             name,
             column,
-            backend: IndexBackend::Interval(IntervalIndex::new(bounds, stride)),
+            backend: Arc::new(IndexBackend::Interval(IntervalIndex::new(bounds, stride))),
         }
     }
 
     /// `true` for the interval variant.
     pub fn is_interval(&self) -> bool {
-        matches!(self.backend, IndexBackend::Interval(_))
+        matches!(*self.backend, IndexBackend::Interval(_))
     }
 
     fn insert(&mut self, key: &Value, rowid: usize) {
-        match &mut self.backend {
+        match Arc::make_mut(&mut self.backend) {
             IndexBackend::BTree(map) => {
                 map.entry(OrdKey(key.clone())).or_default().push(rowid);
             }
@@ -441,7 +446,7 @@ impl Index {
     }
 
     fn remove(&mut self, key: &Value, rowid: usize) {
-        match &mut self.backend {
+        match Arc::make_mut(&mut self.backend) {
             IndexBackend::BTree(map) => {
                 if let Some(list) = map.get_mut(&OrdKey(key.clone())) {
                     list.retain(|&r| r != rowid);
@@ -454,9 +459,23 @@ impl Index {
         }
     }
 
+    /// Moves `rowid` from key `old` to key `new`. When both file the row
+    /// in the same place the index is left untouched — and so stays
+    /// shared with the published versions.
+    fn replace(&mut self, old: &Value, new: &Value, rowid: usize) {
+        let unchanged = match &*self.backend {
+            IndexBackend::BTree(_) => old.cmp_ordering(new) == Ordering::Equal,
+            IndexBackend::Interval(ix) => ix.value_bounds(old) == ix.value_bounds(new),
+        };
+        if !unchanged {
+            self.remove(old, rowid);
+            self.insert(new, rowid);
+        }
+    }
+
     /// Row ids whose indexed column equals `key` (B-tree only).
     pub fn lookup_eq(&self, key: &Value) -> Vec<usize> {
-        match &self.backend {
+        match &*self.backend {
             IndexBackend::BTree(map) => map.get(&OrdKey(key.clone())).cloned().unwrap_or_default(),
             IndexBackend::Interval(_) => Vec::new(),
         }
@@ -465,7 +484,7 @@ impl Index {
     /// Candidate row ids overlapping `[lo, hi]` (interval only; a
     /// conservative superset).
     pub fn lookup_overlaps(&self, lo: i64, hi: i64) -> Vec<usize> {
-        match &self.backend {
+        match &*self.backend {
             IndexBackend::Interval(ix) => ix.lookup_overlaps(lo, hi),
             IndexBackend::BTree(_) => Vec::new(),
         }
@@ -480,7 +499,7 @@ impl Index {
         hi: Option<(&Value, bool)>,
     ) -> Vec<usize> {
         use std::ops::Bound;
-        let IndexBackend::BTree(map) = &self.backend else {
+        let IndexBackend::BTree(map) = &*self.backend else {
             return Vec::new();
         };
         let lo_bound = match lo {
@@ -518,7 +537,7 @@ impl Index {
     /// bounds, e.g. an empty Element) yields no candidates, which is
     /// exact for overlap predicates.
     pub fn lookup_overlaps_value(&self, v: &Value) -> Vec<usize> {
-        match &self.backend {
+        match &*self.backend {
             IndexBackend::Interval(ix) => match ix.value_bounds(v) {
                 Some((lo, hi)) => ix.lookup_overlaps(lo, hi),
                 None => Vec::new(),
@@ -529,7 +548,7 @@ impl Index {
 
     /// Number of distinct keys (B-tree) or occupied buckets (interval).
     pub fn distinct_keys(&self) -> usize {
-        match &self.backend {
+        match &*self.backend {
             IndexBackend::BTree(map) => map.len(),
             IndexBackend::Interval(ix) => ix.buckets.len(),
         }
@@ -750,8 +769,7 @@ impl Table {
             .collect();
         self.slots[rowid] = Slot::Mem(new_row);
         for ((ix, old_k), new_k) in self.indexes.iter_mut().zip(old_keys).zip(new_keys) {
-            ix.remove(&old_k, rowid);
-            ix.insert(&new_k, rowid);
+            ix.replace(&old_k, &new_k, rowid);
         }
         Ok(true)
     }
@@ -765,28 +783,19 @@ impl Table {
         }
     }
 
-    /// Snapshot of all live `(rowid, row)` pairs, faulting cold pages
-    /// as the scan crosses them.
-    pub fn scan(&self) -> DbResult<Vec<(usize, Row)>> {
-        let mut out = Vec::with_capacity(self.live);
-        for (i, s) in self.slots.iter().enumerate() {
-            match s {
-                Slot::Empty => {}
-                Slot::Mem(r) => out.push((i, (**r).clone())),
-                Slot::Cold(c) => out.push((i, (*self.fault(*c)?).clone())),
-            }
-        }
-        Ok(out)
-    }
-
-    /// Columnar snapshot of the live rows: the row count plus one value
+    /// Columnar snapshot of live rows: the rowids read plus one value
     /// vector per requested column (all columns when `project` is
-    /// `None`), in storage order — the same order [`Table::scan`]
-    /// returns. This feeds the vectorized scan directly from the version
-    /// slots without materializing a per-row `Vec` for every tuple.
-    /// Cold rows are faulted (and immediately dropped again) as the
-    /// scan crosses their pages, so memory stays bounded by the pool.
-    pub fn scan_columns(&self, project: Option<&[usize]>) -> DbResult<(usize, Vec<Vec<Value>>)> {
+    /// `None`). `at` restricts the read to those rowids, in that order,
+    /// skipping dead ones; without it every live row is read in storage
+    /// order. This feeds the vectorized scan directly from the version
+    /// slots without materializing a per-row `Vec` for every tuple. Cold
+    /// rows are faulted (and immediately dropped again) as the read
+    /// crosses their pages, so memory stays bounded by the pool.
+    pub fn scan_columns(
+        &self,
+        at: Option<&[usize]>,
+        project: Option<&[usize]>,
+    ) -> DbResult<(Vec<usize>, Vec<Vec<Value>>)> {
         let all: Vec<usize>;
         let cols: &[usize] = match project {
             Some(p) => p,
@@ -795,24 +804,40 @@ impl Table {
                 &all
             }
         };
-        let mut out: Vec<Vec<Value>> = cols.iter().map(|_| Vec::with_capacity(self.live)).collect();
-        let mut count = 0usize;
-        for slot in &self.slots {
+        let cap = at.map_or(self.live, <[usize]>::len);
+        let mut rowids = Vec::with_capacity(cap);
+        let mut out: Vec<Vec<Value>> = cols.iter().map(|_| Vec::with_capacity(cap)).collect();
+        let mut read = |rowid: usize, slot: &Slot| -> DbResult<()> {
             let faulted;
             let r: &Row = match slot {
-                Slot::Empty => continue,
+                Slot::Empty => return Ok(()),
                 Slot::Mem(r) => r,
                 Slot::Cold(c) => {
                     faulted = self.fault(*c)?;
                     &faulted
                 }
             };
-            count += 1;
+            rowids.push(rowid);
             for (o, &c) in out.iter_mut().zip(cols) {
                 o.push(r[c].clone());
             }
+            Ok(())
+        };
+        match at {
+            Some(ids) => {
+                for &rowid in ids {
+                    if let Some(slot) = self.slots.get(rowid) {
+                        read(rowid, slot)?;
+                    }
+                }
+            }
+            None => {
+                for (rowid, slot) in self.slots.iter().enumerate() {
+                    read(rowid, slot)?;
+                }
+            }
         }
-        Ok((count, out))
+        Ok((rowids, out))
     }
 
     /// The rowids the next `n` [`Table::insert`] calls will allocate,
@@ -1454,7 +1479,7 @@ pub fn save_snapshot_with(
         for ix in t.indexes() {
             put_str(&mut out, &ix.name);
             out.put_u32_le(ix.column as u32);
-            match &ix.backend {
+            match &*ix.backend {
                 IndexBackend::BTree(_) => out.put_u8(0),
                 IndexBackend::Interval(iv) => {
                     out.put_u8(1);
@@ -1741,9 +1766,9 @@ mod tests {
         assert!(t.delete(r0).unwrap());
         assert!(!t.delete(r0).unwrap());
         assert_eq!(t.len(), 1);
-        let rows = t.scan().unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].0, r1);
+        let (rowids, cols) = t.scan_columns(None, None).unwrap();
+        assert_eq!(rowids, vec![r1]);
+        assert_eq!(cols[0], vec![Value::Int(2)]);
     }
 
     #[test]
@@ -1783,6 +1808,18 @@ mod tests {
         assert_eq!(ix.lookup_eq(&Value::Str("a".into())), vec![r1, r2]);
         assert!(ix.lookup_eq(&Value::Str("b".into())).is_empty());
         assert_eq!(ix.distinct_keys(), 1);
+        // A published clone keeps its index when the live table changes a
+        // key, and shares it while the live table leaves keys in place.
+        let published = t.clone();
+        t.update(r1, row(7, "a")).unwrap();
+        assert!(Arc::ptr_eq(
+            &t.indexes()[0].backend,
+            &published.indexes()[0].backend
+        ));
+        t.update(r1, row(7, "c")).unwrap();
+        let a = Value::Str("a".into());
+        assert_eq!(published.index_on(1).unwrap().lookup_eq(&a), vec![r1, r2]);
+        assert_eq!(t.index_on(1).unwrap().lookup_eq(&a), vec![r2]);
     }
 
     #[test]
@@ -1844,7 +1881,7 @@ mod tests {
         let shared = restored.shared_table("t").unwrap();
         let mut t = shared.write();
         assert_eq!(t.len(), 2);
-        let rowids: Vec<usize> = t.scan().unwrap().into_iter().map(|(r, _)| r).collect();
+        let (rowids, _) = t.scan_columns(None, None).unwrap();
         assert_eq!(rowids, vec![0, 2], "live rowids survive the round trip");
         // The freed middle slot is the next allocation, as in the live db.
         assert_eq!(t.insert(row(4, "d")), 1);
@@ -1969,9 +2006,8 @@ mod tests {
             assert!(t.has_cold());
             // Reads fault the cold row back transparently.
             assert_eq!(t.get(r0).unwrap().unwrap()[1].as_str(), Some("cold"));
-            assert_eq!(t.scan().unwrap().len(), 2);
-            let (n, cols) = t.scan_columns(None).unwrap();
-            assert_eq!(n, 2);
+            let (ids, cols) = t.scan_columns(None, None).unwrap();
+            assert_eq!(ids, vec![r0, r0 + 1]);
             assert_eq!(cols[0][0].as_int(), Some(1));
         }
         // A storage with cold slots snapshots as v3 (page references)…

@@ -2,8 +2,10 @@
 //! tests can exercise the hot/cold row classifier without depending on
 //! the TIP blade (which lives downstream of this crate).
 
-use minidb::catalog::{Blade, Catalog, UdtTypeDef};
-use minidb::{DbError, DbResult, UdtObject, UdtValue};
+#![allow(dead_code)] // each test crate uses its own subset
+
+use minidb::catalog::{Blade, Catalog, FunctionOverload, UdtTypeDef};
+use minidb::{DataType, DbError, DbResult, UdtObject, UdtValue, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -30,6 +32,7 @@ impl UdtObject for Validity {
     }
 }
 
+/// Registers [`Validity`] as the interval-capable type `Validity`.
 pub struct ValidityBlade;
 
 impl Blade for ValidityBlade {
@@ -40,45 +43,83 @@ impl Blade for ValidityBlade {
         "1.0"
     }
     fn register(&self, catalog: &mut Catalog) -> DbResult<()> {
-        let id = catalog.next_type_id();
-        catalog.register_type(UdtTypeDef {
-            id,
-            name: "Validity".into(),
-            parse: Arc::new(move |s| {
-                let (lo, hi) = s
-                    .split_once("..")
-                    .ok_or_else(|| DbError::exec("Validity literal is LO..HI"))?;
-                let lo: i64 = lo
-                    .trim()
-                    .parse()
-                    .map_err(|e| DbError::exec(format!("{e}")))?;
-                let hi: i64 = hi
-                    .trim()
-                    .parse()
-                    .map_err(|e| DbError::exec(format!("{e}")))?;
-                Ok(UdtValue::new(id, Arc::new(Validity(lo, hi))))
-            }),
-            display: Arc::new(|u| {
-                let v = u.downcast::<Validity>().expect("Validity payload");
-                format!("{}..{}", v.0, v.1)
-            }),
-            encode: Arc::new(|u, out| {
-                let v = u.downcast::<Validity>().expect("Validity payload");
-                out.extend_from_slice(&v.0.to_le_bytes());
-                out.extend_from_slice(&v.1.to_le_bytes());
-            }),
-            decode: Arc::new(move |buf| {
-                if buf.len() < 16 {
-                    return Err(DbError::exec("short Validity payload"));
-                }
-                let lo = i64::from_le_bytes(buf[..8].try_into().unwrap());
-                let hi = i64::from_le_bytes(buf[8..16].try_into().unwrap());
-                *buf = &buf[16..];
-                Ok(UdtValue::new(id, Arc::new(Validity(lo, hi))))
-            }),
-            ordered: true,
-            interval_key: Some(Arc::new(|u| u.downcast::<Validity>().map(|v| (v.0, v.1)))),
-        })?;
-        Ok(())
+        register_validity(catalog, "Validity", true).map(drop)
     }
+}
+
+/// Registers the same payload as the *unordered* type `Interval`, which
+/// `CREATE INDEX` gives an interval index — as it does the TIP blade's
+/// Element — and an `overlaps(Interval, Interval)` routine that index
+/// answers.
+pub struct IntervalBlade;
+
+impl Blade for IntervalBlade {
+    fn name(&self) -> &str {
+        "interval-test"
+    }
+    fn version(&self) -> &str {
+        "1.0"
+    }
+    fn register(&self, catalog: &mut Catalog) -> DbResult<()> {
+        let ty = register_validity(catalog, "Interval", false)?;
+        catalog.register_function(
+            "overlaps",
+            FunctionOverload {
+                params: vec![ty, ty],
+                ret: DataType::Bool,
+                now_dependent: false,
+                f: Arc::new(|_, args| {
+                    let bounds = |v: &Value| {
+                        let v = v.as_udt().and_then(|u| u.downcast::<Validity>());
+                        v.map(|v| (v.0, v.1)).expect("Interval argument")
+                    };
+                    let ((alo, ahi), (blo, bhi)) = (bounds(&args[0]), bounds(&args[1]));
+                    Ok(Value::Bool(alo <= bhi && blo <= ahi))
+                }),
+            },
+        )
+    }
+}
+
+fn register_validity(catalog: &mut Catalog, name: &str, ordered: bool) -> DbResult<DataType> {
+    let id = catalog.next_type_id();
+    catalog.register_type(UdtTypeDef {
+        id,
+        name: name.into(),
+        parse: Arc::new(move |s| {
+            let (lo, hi) = s
+                .split_once("..")
+                .ok_or_else(|| DbError::exec("Validity literal is LO..HI"))?;
+            let lo: i64 = lo
+                .trim()
+                .parse()
+                .map_err(|e| DbError::exec(format!("{e}")))?;
+            let hi: i64 = hi
+                .trim()
+                .parse()
+                .map_err(|e| DbError::exec(format!("{e}")))?;
+            Ok(UdtValue::new(id, Arc::new(Validity(lo, hi))))
+        }),
+        display: Arc::new(|u| {
+            let v = u.downcast::<Validity>().expect("Validity payload");
+            format!("{}..{}", v.0, v.1)
+        }),
+        encode: Arc::new(|u, out| {
+            let v = u.downcast::<Validity>().expect("Validity payload");
+            out.extend_from_slice(&v.0.to_le_bytes());
+            out.extend_from_slice(&v.1.to_le_bytes());
+        }),
+        decode: Arc::new(move |buf| {
+            if buf.len() < 16 {
+                return Err(DbError::exec("short Validity payload"));
+            }
+            let lo = i64::from_le_bytes(buf[..8].try_into().unwrap());
+            let hi = i64::from_le_bytes(buf[8..16].try_into().unwrap());
+            *buf = &buf[16..];
+            Ok(UdtValue::new(id, Arc::new(Validity(lo, hi))))
+        }),
+        ordered,
+        interval_key: Some(Arc::new(|u| u.downcast::<Validity>().map(|v| (v.0, v.1)))),
+    })?;
+    Ok(DataType::Udt(id))
 }

@@ -385,3 +385,35 @@ fn show_stats_reports_bufpool_counters() {
     assert!(matches!(misses[1], Value::Int(m) if m > 0), "{misses:?}");
     db.close().unwrap();
 }
+
+/// A keyed UPDATE or DELETE over spilled rows faults only the pages its
+/// victims live on: the B-tree probe finds them, so pool misses stay a
+/// handful however many pages the table spans.
+#[test]
+fn keyed_dml_faults_only_its_own_pages() {
+    let dir = scratch("keyed-dml");
+    let (db, _) = open(&dir, cfg_small_pool());
+    create_padded_table(&db);
+    for i in 0..200 {
+        insert_row(&db, i, 10);
+    }
+    db.session().execute("CREATE INDEX ix_id ON t(id)").unwrap();
+    db.checkpoint().unwrap(); // spills every row
+    let (live, _, _) = db.paged_store().unwrap().page_counts();
+    assert!(live > 30, "the dataset spans many pages: {live}");
+
+    let s = db.session();
+    for (sql, k) in [
+        ("UPDATE t SET pad = 'touched' WHERE id = :k", 17),
+        ("DELETE FROM t WHERE id = :k", 123),
+    ] {
+        let before = db.bufpool_stats().misses;
+        s.execute_with_params(sql, &[("k", Value::Int(k))]).unwrap();
+        let faults = db.bufpool_stats().misses - before;
+        assert!(faults <= 3, "{sql}: {faults} misses over {live} pages");
+    }
+    assert_eq!(ids(&db, "SELECT id FROM t WHERE pad = 'touched'"), [17]);
+    let r = s.query("SELECT COUNT(*) FROM t").unwrap();
+    assert_eq!(r.rows[0][0], Value::Int(199));
+    db.close().unwrap();
+}

@@ -3,8 +3,10 @@
 //! barrier — the optimizer behaviours DESIGN.md commits to.
 
 use minidb::catalog::{Catalog, FunctionOverload};
-use minidb::{Blade, DataType, Database, DbResult, Value};
+use minidb::{Blade, DataType, Database, DbResult, StatementOutcome, UdtValue, Value};
 use std::sync::Arc;
+
+mod common;
 
 fn explain(db: &std::sync::Arc<Database>, sql: &str) -> String {
     let s = db.session();
@@ -261,4 +263,71 @@ fn range_probe_answers_match_full_scans() {
             .as_int();
         assert_eq!(a, b, "{pred}");
     }
+}
+
+/// UPDATE and DELETE find their rows through the same access paths as a
+/// SELECT with their WHERE: the B-tree probe for a key, the interval
+/// probe for `overlaps`, each counted in SHOW STATS like a SELECT's.
+#[test]
+fn dml_victims_are_found_through_index_probes() {
+    let db = Database::new();
+    db.install_blade(&common::IntervalBlade).unwrap();
+    let s = db.session();
+    let interval = |lo: i64, hi: i64| match db.with_catalog(|c| c.lookup_type_name("Interval")) {
+        Ok(DataType::Udt(id)) => Value::Udt(UdtValue::new(id, Arc::new(common::Validity(lo, hi)))),
+        other => panic!("Interval resolved to {other:?}"),
+    };
+    s.execute("CREATE TABLE h (id INT, valid Interval)")
+        .unwrap();
+    for i in 0..50 {
+        s.execute_with_params(
+            "INSERT INTO h VALUES (:i, :v)",
+            &[("i", Value::Int(i)), ("v", interval(i * 10, i * 10 + 5))],
+        )
+        .unwrap();
+    }
+    s.execute("CREATE INDEX ix_id ON h(id)").unwrap();
+    s.execute("CREATE INDEX ix_valid ON h(valid)").unwrap();
+    let stat = |name: &str| -> i64 {
+        let r = s.query("SHOW STATS").unwrap();
+        let row = r.rows.iter().find(|r| r[0].as_str() == Some(name));
+        row.and_then(|r| r[1].as_int()).expect("metric row")
+    };
+
+    assert_eq!(
+        explain(&db, "UPDATE h SET id = id + 100 WHERE id = 7"),
+        "update(h) over ixscan(h)"
+    );
+    let window = interval(100, 125);
+    let plan = s
+        .query_with_params(
+            "EXPLAIN DELETE FROM h WHERE overlaps(valid, :e)",
+            &[("e", window.clone())],
+        )
+        .unwrap();
+    assert_eq!(
+        plan.rows[0][0].as_str(),
+        Some("delete(h) over ivscan(h)[f]")
+    );
+
+    let eq_before = stat("scans.index_eq");
+    for k in 1..=3i64 {
+        let n = s
+            .execute_with_params(
+                "UPDATE h SET id = id + 100 WHERE id = :k",
+                &[("k", Value::Int(k))],
+            )
+            .unwrap();
+        assert!(matches!(n, StatementOutcome::Affected(1)), "{n:?}");
+        assert_eq!(stat("scans.index_eq"), eq_before + k);
+    }
+    let overlap_before = stat("scans.index_overlap");
+    let n = s
+        .execute_with_params("DELETE FROM h WHERE overlaps(valid, :e)", &[("e", window)])
+        .unwrap();
+    // [100, 125] meets rows 10, 11 and 12 ([100,105], [110,115], [120,125]).
+    assert!(matches!(n, StatementOutcome::Affected(3)), "{n:?}");
+    assert_eq!(stat("scans.index_overlap"), overlap_before + 1);
+    let r = s.query("SELECT COUNT(*) FROM h").unwrap();
+    assert_eq!(r.rows[0][0], Value::Int(47));
 }

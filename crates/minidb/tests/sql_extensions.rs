@@ -217,8 +217,19 @@ fn explain_returns_plan_shape() {
         "{:?}",
         r.rows[0][0]
     );
-    // EXPLAIN of non-SELECT is a syntax error.
-    assert!(s.execute("EXPLAIN DELETE FROM t").is_err());
+    // UPDATE and DELETE explain as their victim scan; ANALYZE would
+    // execute the write, and INSERT has no scan: both are syntax errors.
+    let r = s.query("EXPLAIN DELETE FROM t WHERE id = 2").unwrap();
+    assert_eq!(r.rows[0][0].as_str(), Some("delete(t) over ixscan(t)"));
+    for sql in [
+        "EXPLAIN ANALYZE DELETE FROM t",
+        "EXPLAIN INSERT INTO t VALUES (9, 'x')",
+    ] {
+        assert!(
+            matches!(s.execute(sql), Err(DbError::Syntax { .. })),
+            "{sql}"
+        );
+    }
 }
 
 #[test]

@@ -270,9 +270,10 @@ fn dml_statements_reach_the_slow_query_log_and_counters() {
     assert_eq!(logged.len(), 3, "every DML statement hit the hook");
     assert_eq!(logged[0].1, "insert(t)");
     assert_eq!(logged[0].2, 3, "INSERT reports affected rows");
-    assert_eq!(logged[1].1, "update(t)");
+    // UPDATE and DELETE log their plan: the victim scan under the verb.
+    assert_eq!(logged[1].1, "update(t) over scan(t)[f]");
     assert_eq!(logged[1].2, 2);
-    assert_eq!(logged[2].1, "delete(t)");
+    assert_eq!(logged[2].1, "delete(t) over scan(t)[f]");
     assert_eq!(logged[2].2, 1);
 
     assert_eq!(stat(&conn, "rows.affected"), 6);
