@@ -220,6 +220,7 @@ fn register_comparisons(cat: &mut Catalog) {
             op(cat, o, l, r, DataType::Bool, move |_, a| {
                 Ok(cmp_result(o, a[0].cmp_ordering(&a[1])))
             });
+            cat.register_operator_batch(o, l, r, crate::exec::vector_ops::cmp_kernel(o));
         }
     }
 }
@@ -474,7 +475,6 @@ pub fn install(cat: &mut Catalog) {
     register_functions(cat);
     register_numeric_casts(cat);
     register_aggregates(cat);
-    crate::exec::vector_ops::install_builtin_kernels(cat);
 }
 
 /// Registers a `count` overload for a UDT so `COUNT(udt_column)` works.

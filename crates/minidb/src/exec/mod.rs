@@ -330,8 +330,7 @@ fn probe(
     if let Some((col, key_expr)) = index_eq {
         let key = key_expr.eval(ctx, &[])?;
         if key.is_null() {
-            // The eq conjunct was consumed by the probe and `col = NULL`
-            // is never TRUE: a NULL key matches nothing.
+            // `col = NULL` is never TRUE: a NULL key matches nothing.
             return Ok((Some(Vec::new()), AccessPath::IndexEq));
         }
         let ix = t.index_on(*col).ok_or_else(|| vanished(*col))?;

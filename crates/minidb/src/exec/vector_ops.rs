@@ -7,7 +7,7 @@
 //! comparisons against a constant probe, the E9 point-selection pattern)
 //! with tight loops over the column storage.
 
-use crate::catalog::{BatchFnImpl, BinaryOp, Catalog, ExecCtx, ScalarFnImpl};
+use crate::catalog::{BatchFnImpl, BinaryOp, ExecCtx, ScalarFnImpl};
 use crate::value::Value;
 use std::sync::Arc;
 
@@ -146,10 +146,10 @@ pub fn elementwise(f: ScalarFnImpl) -> BatchFnImpl {
     )
 }
 
-/// Specialized `Int <cmp> Int` kernel: no argument buffer, no overload
-/// dispatch, no `Value` cloning — the inner loop is a plain integer
-/// compare per selected lane.
-fn int_cmp_kernel(op: BinaryOp) -> BatchFnImpl {
+/// Built-in comparison kernel: no argument buffer, no overload dispatch,
+/// no `Value` cloning — integers compare inline, every other built-in
+/// pairing through `cmp_ordering`, exactly as its scalar overload does.
+pub(crate) fn cmp_kernel(op: BinaryOp) -> BatchFnImpl {
     Arc::new(
         move |_ctx: &ExecCtx, args: &[Vector], sel: &Bitmap, len: usize| {
             let mut out = vec![Value::Null; len];
@@ -166,8 +166,6 @@ fn int_cmp_kernel(op: BinaryOp) -> BatchFnImpl {
                         _ => unreachable!("not a comparison"),
                     }),
                     (Value::Null, _) | (_, Value::Null) => Value::Null,
-                    // Defensive: mirror the generic comparison for any
-                    // other runtime value the (Int, Int) overload sees.
                     (a, b) => Value::Bool(match op {
                         BinaryOp::Eq => a.cmp_ordering(b).is_eq(),
                         BinaryOp::Ne => a.cmp_ordering(b).is_ne(),
@@ -182,22 +180,6 @@ fn int_cmp_kernel(op: BinaryOp) -> BatchFnImpl {
             Ok(Vector::vals(out))
         },
     )
-}
-
-/// Registers the hand-specialized built-in kernels (called by
-/// [`crate::builtin::install`]).
-pub fn install_builtin_kernels(cat: &mut Catalog) {
-    use crate::types::DataType::Int;
-    for op in [
-        BinaryOp::Eq,
-        BinaryOp::Ne,
-        BinaryOp::Lt,
-        BinaryOp::Le,
-        BinaryOp::Gt,
-        BinaryOp::Ge,
-    ] {
-        cat.register_operator_batch(op, Int, Int, int_cmp_kernel(op));
-    }
 }
 
 #[cfg(test)]

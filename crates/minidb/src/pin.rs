@@ -263,22 +263,21 @@ impl PinnedTables<'_> {
         self.pins.iter().any(|p| matches!(p, Pin::Write(_)))
     }
 
-    /// Pre-clones a publishable snapshot of every write-pinned table,
+    /// Shares a publishable snapshot of every write-pinned table,
     /// paired with its cell — the input
     /// [`Database::publish_prepared`](crate::session::Database) wants.
     /// Called with the guards still held (they are: they live in
     /// `self`), so the snapshots are exactly what this statement
-    /// committed and version chains grow in commit order. Cheap: rows
-    /// are `Arc`-shared, only slot/index structure is copied.
+    /// committed and version chains grow in commit order. Cheap: see
+    /// [`Table::share`].
     pub(crate) fn prepared_publishes(&self) -> Vec<(SharedTable, Arc<Table>)> {
         self.pins
             .iter()
             .enumerate()
             .filter_map(|(i, p)| match p {
-                Pin::Write(g) => Some((
-                    Arc::clone(&self.set.entries[i].shared),
-                    Arc::new((**g).clone()),
-                )),
+                Pin::Write(g) => {
+                    Some((Arc::clone(&self.set.entries[i].shared), Arc::new(g.share())))
+                }
                 Pin::Snap(_) => None,
             })
             .collect()

@@ -40,9 +40,10 @@ pub enum Plan {
     /// Produces exactly one zero-width row (`SELECT` without `FROM`).
     Nothing,
     /// Table scan with pushed-down filter; `index_eq` switches to an
-    /// index-equality lookup, `index_overlap` to an interval-index probe
-    /// (the probe value's bounds select candidate rows; the filter
-    /// rechecks the exact predicate).
+    /// index-equality lookup, `index_overlap` to an interval-index probe.
+    /// Every probe returns candidate rows (an index is shared by all
+    /// versions of its table, see [`crate::storage::Index`]); the filter
+    /// keeps every probed conjunct and rechecks it.
     Scan {
         table: String,
         index_eq: Option<(usize, BoundExpr)>,
@@ -1653,7 +1654,8 @@ impl<'a> Planner<'a> {
     }
 
     /// Plans one table scan with its pushed-down conjuncts, trying an
-    /// index-equality lookup first.
+    /// index-equality lookup first. Every conjunct stays in the residual
+    /// filter, the probed ones included: index answers are supersets.
     fn plan_scan(
         &self,
         table_name: &str,
@@ -1776,9 +1778,6 @@ impl<'a> Planner<'a> {
                             index_eq = Some((col_idx, key));
                             break;
                         }
-                    }
-                    if index_eq.is_some() {
-                        continue; // consumed as index probe
                     }
                 }
             }

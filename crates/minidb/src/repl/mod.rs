@@ -271,7 +271,7 @@ impl ReplicaApplier {
             .iter()
             .filter_map(|name| self.db.with_storage(|s| s.shared_table(name)).ok())
             .map(|cell| {
-                let snap = Arc::new(cell.read().clone());
+                let snap = Arc::new(cell.read().share());
                 (cell, snap)
             })
             .collect();

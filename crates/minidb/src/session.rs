@@ -491,7 +491,7 @@ impl Database {
             let n = guard.spill_cold(now, lsn)?;
             if n > 0 {
                 spilled += n;
-                published.push((Arc::clone(cell), Arc::new((**guard).clone())));
+                published.push((Arc::clone(cell), Arc::new(guard.share())));
             }
         }
         self.publish_prepared(published);
@@ -646,11 +646,11 @@ impl Database {
         }
     }
 
-    /// Publishes pre-cloned `(cell, snapshot)` pairs as one atomic
+    /// Publishes pre-shared `(cell, snapshot)` pairs as one atomic
     /// commit: every table gets the same fresh sequence and instant,
     /// then each chain is garbage-collected down to what live pins and
     /// the retention window still need. Callers must still hold the
-    /// write guards the snapshots were cloned under (or otherwise have
+    /// write guards the snapshots were shared under (or otherwise have
     /// exclusive access), so chains append in commit order.
     pub(crate) fn publish_prepared(&self, items: Vec<(SharedTable, Arc<Table>)>) {
         if items.is_empty() {
@@ -707,7 +707,7 @@ impl Database {
             .shared_tables_sorted()
             .into_iter()
             .map(|(_, cell)| {
-                let snap = Arc::new(cell.read().clone());
+                let snap = Arc::new(cell.read().share());
                 (cell, snap)
             })
             .collect();
@@ -986,7 +986,7 @@ impl Database {
         // Publish the (possibly) mutated state while the guard is still
         // held, so snapshot readers observe the bulk change as one
         // commit.
-        let snap = Arc::new((*guard).clone());
+        let snap = Arc::new(guard.share());
         self.publish_prepared(vec![(Arc::clone(&shared), snap)]);
         drop(guard);
         Ok(r)
@@ -1121,17 +1121,19 @@ struct TxnState {
     /// else sees them until COMMIT.
     tables: HashMap<String, TxnTable>,
     /// Every applied change in order, with its table's canonical name —
-    /// COMMIT replays them into one WAL chunk.
+    /// COMMIT logs them as one WAL chunk and applies them to the live
+    /// tables.
     ops: Vec<(String, Change)>,
 }
 
 /// One table's private workspace inside a transaction.
 struct TxnTable {
     cell: SharedTable,
-    /// Version sequence the workspace was cloned from. COMMIT refuses
+    /// Version sequence the workspace detached from. COMMIT refuses
     /// (write-write conflict) if the chain moved past it.
     base_seq: u64,
-    /// The private copy all in-transaction statements operate on.
+    /// The private copy all in-transaction statements operate on
+    /// ([`Table::detach`]: shared slot chunks, private indexes).
     work: Table,
     /// Canonical table name, for WAL records.
     name: String,
@@ -1969,7 +1971,8 @@ impl Session {
 
     /// `COMMIT`: write-write conflict check against each touched
     /// table's base version, one WAL chunk for the whole transaction,
-    /// then an atomic publish of every workspace table.
+    /// the change list applied to the live tables, then one atomic
+    /// publish of them all.
     fn txn_commit(&self) -> DbResult<StatementOutcome> {
         let Some(txn) = self.txn.lock().take() else {
             return Err(DbError::exec("no transaction is open"));
@@ -2013,11 +2016,21 @@ impl Session {
                 return Err(e);
             }
         };
-        let mut publishes = Vec::with_capacity(entries.len());
-        for ((_, tt), g) in entries.iter().zip(guards.iter_mut()) {
-            **g = tt.work.clone();
-            publishes.push((Arc::clone(&tt.cell), Arc::new(tt.work.clone())));
+        // Each live table still equals its workspace's base (first
+        // committer wins, checked above), so the change list replays onto
+        // it through the one apply path autocommit and WAL replay use.
+        for (table, c) in ops {
+            let i = entries
+                .iter()
+                .position(|(_, tt)| tt.name == table)
+                .expect("every logged change's table is in the workspace");
+            c.apply(&mut guards[i])?;
         }
+        let publishes = entries
+            .iter()
+            .zip(&guards)
+            .map(|((_, tt), g)| (Arc::clone(&tt.cell), Arc::new(g.share())))
+            .collect();
         self.db.publish_prepared(publishes);
         drop(guards);
         drop(entries);
@@ -2029,7 +2042,7 @@ impl Session {
     }
 
     /// Materializes `table` in the transaction workspace on first
-    /// touch: a private copy of the table's version at the transaction
+    /// touch: a detached copy of the table's version at the transaction
     /// snapshot. Returns the lowercase workspace key.
     fn txn_touch(&self, txn: &mut TxnState, table: &str) -> DbResult<String> {
         let key = table.to_ascii_lowercase();
@@ -2045,7 +2058,7 @@ impl Session {
                 TxnTable {
                     cell,
                     base_seq,
-                    work: (*snap).clone(),
+                    work: snap.detach(),
                     name,
                 },
             );
@@ -2161,7 +2174,7 @@ fn frozen_for_txn(set: &TableSet, txn: &TxnState) -> DbResult<FrozenTables> {
     let mut tables = Vec::with_capacity(set.len());
     for (key, cell) in set.entries() {
         let snap = match txn.tables.get(key) {
-            Some(tt) => Arc::new(tt.work.clone()),
+            Some(tt) => Arc::new(tt.work.share()),
             None => cell.snapshot_at(txn.pin.seq()).ok_or(DbError::NotFound {
                 kind: "table",
                 name: key.to_owned(),

@@ -17,10 +17,11 @@ use crate::types::DataType;
 use crate::value::{Row, Value};
 use bytes::{Buf, BufMut};
 use pages::{ColdRef, PagedStore};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::ops::RangeInclusive;
+use std::sync::{Arc, Weak};
 
 // ----- cold-row spill support ----------------------------------------------
 
@@ -275,15 +276,14 @@ const MAX_BUCKETS_PER_ENTRY: i64 = 64;
 /// live in an overflow list — the classic difficulty of indexing
 /// now-relative data that the paper's reference [2] studies. Queries are
 /// conservative: they return a superset of the matching rows, and the
-/// scan's residual filter rechecks the exact predicate.
+/// scan's residual filter rechecks the exact predicate. Bucket lists are
+/// multisets; removal recomputes a value's bounds to find its buckets.
+#[derive(Clone)]
 pub struct IntervalIndex {
     bounds: UdtIntervalKeyFn,
     stride: i64,
     buckets: BTreeMap<i64, Vec<usize>>,
     overflow: Vec<usize>,
-    /// rowid -> bounds used at insert (needed for removal); `None` when
-    /// the value produced no bounds (empty/NULL) and was not indexed.
-    entries: HashMap<usize, Option<(i64, i64)>>,
 }
 
 impl std::fmt::Debug for IntervalIndex {
@@ -292,20 +292,14 @@ impl std::fmt::Debug for IntervalIndex {
             .field("stride", &self.stride)
             .field("buckets", &self.buckets.len())
             .field("overflow", &self.overflow.len())
-            .field("entries", &self.entries.len())
             .finish()
     }
 }
 
-impl Clone for IntervalIndex {
-    fn clone(&self) -> IntervalIndex {
-        IntervalIndex {
-            bounds: self.bounds.clone(),
-            stride: self.stride,
-            buckets: self.buckets.clone(),
-            overflow: self.overflow.clone(),
-            entries: self.entries.clone(),
-        }
+/// Removes one occurrence of `rowid` from a multiset list.
+fn remove_one(list: &mut Vec<usize>, rowid: usize) {
+    if let Some(pos) = list.iter().position(|&r| r == rowid) {
+        list.swap_remove(pos);
     }
 }
 
@@ -316,7 +310,6 @@ impl IntervalIndex {
             stride: stride.max(1),
             buckets: BTreeMap::new(),
             overflow: Vec::new(),
-            entries: HashMap::new(),
         }
     }
 
@@ -328,41 +321,43 @@ impl IntervalIndex {
         v.as_udt().and_then(|u| (self.bounds)(u))
     }
 
-    fn insert(&mut self, v: &Value, rowid: usize) {
-        let bounds = self.value_bounds(v);
-        self.entries.insert(rowid, bounds);
-        let Some((lo, hi)) = bounds else { return };
+    /// Where `v` is filed: `None` when it has no bounds (not indexed),
+    /// `Some(None)` in the overflow list, else that bucket range.
+    fn placement(&self, v: &Value) -> Option<Option<RangeInclusive<i64>>> {
+        let (lo, hi) = self.value_bounds(v)?;
         let span_buckets = self
             .bucket_of(hi.max(lo))
             .saturating_sub(self.bucket_of(lo))
             .saturating_add(1);
         if lo == i64::MIN || hi == i64::MAX || span_buckets > MAX_BUCKETS_PER_ENTRY {
-            self.overflow.push(rowid);
-            return;
+            return Some(None);
         }
-        for b in self.bucket_of(lo)..=self.bucket_of(hi) {
-            self.buckets.entry(b).or_default().push(rowid);
+        Some(Some(self.bucket_of(lo)..=self.bucket_of(hi)))
+    }
+
+    fn insert(&mut self, v: &Value, rowid: usize) {
+        match self.placement(v) {
+            None => {}
+            Some(None) => self.overflow.push(rowid),
+            Some(Some(range)) => {
+                for b in range {
+                    self.buckets.entry(b).or_default().push(rowid);
+                }
+            }
         }
     }
 
-    fn remove(&mut self, _v: &Value, rowid: usize) {
-        let Some(bounds) = self.entries.remove(&rowid) else {
-            return;
-        };
-        let Some((lo, hi)) = bounds else { return };
-        let span_buckets = self
-            .bucket_of(hi.max(lo))
-            .saturating_sub(self.bucket_of(lo))
-            .saturating_add(1);
-        if lo == i64::MIN || hi == i64::MAX || span_buckets > MAX_BUCKETS_PER_ENTRY {
-            self.overflow.retain(|&r| r != rowid);
-            return;
-        }
-        for b in self.bucket_of(lo)..=self.bucket_of(hi) {
-            if let Some(list) = self.buckets.get_mut(&b) {
-                list.retain(|&r| r != rowid);
-                if list.is_empty() {
-                    self.buckets.remove(&b);
+    fn remove(&mut self, v: &Value, rowid: usize) {
+        match self.placement(v) {
+            None => {}
+            Some(None) => remove_one(&mut self.overflow, rowid),
+            Some(Some(range)) => {
+                for b in range {
+                    let list = self.buckets.entry(b).or_default();
+                    remove_one(list, rowid);
+                    if list.is_empty() {
+                        self.buckets.remove(&b);
+                    }
                 }
             }
         }
@@ -387,110 +382,156 @@ impl IntervalIndex {
                 out.extend_from_slice(list);
             }
         }
-        out.sort_unstable();
-        out.dedup();
-        out
+        sorted_unique(out)
     }
 }
 
-/// Ordering wrapper already defined above backs the B-tree variant.
+fn sorted_unique(mut rowids: Vec<usize>) -> Vec<usize> {
+    rowids.sort_unstable();
+    rowids.dedup();
+    rowids
+}
+
 #[derive(Debug, Clone)]
-enum IndexBackend {
+enum IndexKeys {
     BTree(BTreeMap<OrdKey, Vec<usize>>),
     Interval(IntervalIndex),
+}
+
+/// Sequence a retirement carries until its commit is published.
+const PENDING: u64 = u64::MAX;
+
+/// An index's entries plus the ones retired but still visible to some
+/// retained version, oldest first, each with the commit that retired it.
+#[derive(Debug)]
+struct IndexBackend {
+    keys: IndexKeys,
+    retired: VecDeque<(u64, Value, usize)>,
 }
 
 /// A secondary index over one column: equality B-tree, or bucketed
 /// interval index for types with interval-bounds support.
 ///
-/// The backend is shared copy-on-write: publishing a table version
-/// clones only an `Arc` per index, and the live table copies an index
-/// the first time a later commit changes it. A commit that changes no
-/// key of an index (an UPDATE of other columns) never copies it.
+/// One backend serves the live table and every version of it (a clone
+/// is another handle on it), holding a superset of the `(key, rowid)`
+/// entries any of them can see: an insert adds its entry at apply time;
+/// a delete or key-moving update *retires* the old one, which
+/// [`TableCell::gc`] removes once no reachable version predates the
+/// retiring commit. Probes therefore return candidates the scan's
+/// residual filter rechecks; each holds the read lock for the lookup
+/// only and returns sorted, unique row ids. Workspaces
+/// [`detach`](Table::detach) private copies.
 #[derive(Debug, Clone)]
 pub struct Index {
     pub name: String,
     pub column: usize,
-    backend: Arc<IndexBackend>,
+    /// The backend's variant, readable without its lock.
+    interval: bool,
+    backend: Arc<RwLock<IndexBackend>>,
 }
 
 impl Index {
-    fn new_btree(name: String, column: usize) -> Index {
+    fn with_keys(name: String, column: usize, keys: IndexKeys) -> Index {
         Index {
             name,
             column,
-            backend: Arc::new(IndexBackend::BTree(BTreeMap::new())),
+            interval: matches!(keys, IndexKeys::Interval(_)),
+            backend: Arc::new(RwLock::new(IndexBackend {
+                keys,
+                retired: VecDeque::new(),
+            })),
         }
     }
 
-    fn new_interval(name: String, column: usize, bounds: UdtIntervalKeyFn, stride: i64) -> Index {
-        Index {
-            name,
-            column,
-            backend: Arc::new(IndexBackend::Interval(IntervalIndex::new(bounds, stride))),
-        }
+    /// A private copy of the entries (a workspace's). Retired entries
+    /// stay in it as plain superset entries.
+    fn detach(&self) -> Index {
+        let keys = self.backend.read().keys.clone();
+        Index::with_keys(self.name.clone(), self.column, keys)
     }
 
     /// `true` for the interval variant.
     pub fn is_interval(&self) -> bool {
-        matches!(*self.backend, IndexBackend::Interval(_))
+        self.interval
     }
 
-    fn insert(&mut self, key: &Value, rowid: usize) {
-        match Arc::make_mut(&mut self.backend) {
-            IndexBackend::BTree(map) => {
-                map.entry(OrdKey(key.clone())).or_default().push(rowid);
-            }
-            IndexBackend::Interval(ix) => ix.insert(key, rowid),
+    fn insert(&self, key: &Value, rowid: usize) {
+        match &mut self.backend.write().keys {
+            IndexKeys::BTree(map) => map.entry(OrdKey(key.clone())).or_default().push(rowid),
+            IndexKeys::Interval(ix) => ix.insert(key, rowid),
         }
     }
 
-    fn remove(&mut self, key: &Value, rowid: usize) {
-        match Arc::make_mut(&mut self.backend) {
-            IndexBackend::BTree(map) => {
-                if let Some(list) = map.get_mut(&OrdKey(key.clone())) {
-                    list.retain(|&r| r != rowid);
-                    if list.is_empty() {
-                        map.remove(&OrdKey(key.clone()));
-                    }
-                }
-            }
-            IndexBackend::Interval(ix) => ix.remove(key, rowid),
-        }
+    /// Marks one `(key, rowid)` entry for removal once the commit making
+    /// this change is no longer newer than any retained version.
+    fn retire(&self, key: &Value, rowid: usize) {
+        let mut b = self.backend.write();
+        b.retired.push_back((PENDING, key.clone(), rowid));
     }
 
     /// Moves `rowid` from key `old` to key `new`. When both file the row
-    /// in the same place the index is left untouched — and so stays
-    /// shared with the published versions.
-    fn replace(&mut self, old: &Value, new: &Value, rowid: usize) {
-        let unchanged = match &*self.backend {
-            IndexBackend::BTree(_) => old.cmp_ordering(new) == Ordering::Equal,
-            IndexBackend::Interval(ix) => ix.value_bounds(old) == ix.value_bounds(new),
+    /// in the same place the index is left untouched.
+    fn replace(&self, old: &Value, new: &Value, rowid: usize) {
+        let unchanged = match &self.backend.read().keys {
+            IndexKeys::BTree(_) => old.cmp_ordering(new) == Ordering::Equal,
+            IndexKeys::Interval(ix) => ix.value_bounds(old) == ix.value_bounds(new),
         };
         if !unchanged {
-            self.remove(old, rowid);
+            self.retire(old, rowid);
             self.insert(new, rowid);
         }
     }
 
-    /// Row ids whose indexed column equals `key` (B-tree only).
+    /// Stamps this commit's retirements with its sequence.
+    fn stamp(&self, seq: u64) {
+        let mut b = self.backend.write();
+        for e in b.retired.iter_mut().rev().take_while(|e| e.0 == PENDING) {
+            e.0 = seq;
+        }
+    }
+
+    /// Removes the retired entries of commits at or below `oldest`, the
+    /// oldest sequence any reachable version has.
+    fn purge(&self, oldest: u64) {
+        let b = &mut *self.backend.write();
+        while b.retired.front().is_some_and(|e| e.0 <= oldest) {
+            let (_, key, rowid) = b.retired.pop_front().expect("front checked above");
+            match &mut b.keys {
+                IndexKeys::BTree(map) => {
+                    let key = OrdKey(key);
+                    let list = map.entry(key.clone()).or_default();
+                    remove_one(list, rowid);
+                    if list.is_empty() {
+                        map.remove(&key);
+                    }
+                }
+                IndexKeys::Interval(ix) => ix.remove(&key, rowid),
+            }
+        }
+    }
+
+    /// Entries held, retired ones included (an interval entry counts
+    /// once per bucket it spans).
+    pub fn entry_count(&self) -> usize {
+        match &self.backend.read().keys {
+            IndexKeys::BTree(map) => map.values().map(Vec::len).sum(),
+            IndexKeys::Interval(ix) => {
+                ix.buckets.values().map(Vec::len).sum::<usize>() + ix.overflow.len()
+            }
+        }
+    }
+
+    /// Candidate row ids whose indexed column equals `key` (B-tree only).
     pub fn lookup_eq(&self, key: &Value) -> Vec<usize> {
-        match &*self.backend {
-            IndexBackend::BTree(map) => map.get(&OrdKey(key.clone())).cloned().unwrap_or_default(),
-            IndexBackend::Interval(_) => Vec::new(),
+        match &self.backend.read().keys {
+            IndexKeys::BTree(map) => {
+                sorted_unique(map.get(&OrdKey(key.clone())).cloned().unwrap_or_default())
+            }
+            IndexKeys::Interval(_) => Vec::new(),
         }
     }
 
-    /// Candidate row ids overlapping `[lo, hi]` (interval only; a
-    /// conservative superset).
-    pub fn lookup_overlaps(&self, lo: i64, hi: i64) -> Vec<usize> {
-        match &*self.backend {
-            IndexBackend::Interval(ix) => ix.lookup_overlaps(lo, hi),
-            IndexBackend::BTree(_) => Vec::new(),
-        }
-    }
-
-    /// Row ids whose indexed column lies within the given bounds
+    /// Candidate row ids whose indexed column lies within the given bounds
     /// (B-tree only; `None` means unbounded on that side). `NULL` keys
     /// are never returned: SQL comparisons against NULL are never TRUE.
     pub fn lookup_range(
@@ -499,37 +540,23 @@ impl Index {
         hi: Option<(&Value, bool)>,
     ) -> Vec<usize> {
         use std::ops::Bound;
-        let IndexBackend::BTree(map) = &*self.backend else {
+        let bound = |b: Option<(&Value, bool)>| match b {
+            Some((v, true)) => Bound::Included(OrdKey(v.clone())),
+            Some((v, false)) => Bound::Excluded(OrdKey(v.clone())),
+            None => Bound::Unbounded,
+        };
+        let b = self.backend.read();
+        let IndexKeys::BTree(map) = &b.keys else {
             return Vec::new();
         };
-        let lo_bound = match lo {
-            Some((v, inclusive)) => {
-                if inclusive {
-                    Bound::Included(OrdKey(v.clone()))
-                } else {
-                    Bound::Excluded(OrdKey(v.clone()))
-                }
-            }
-            None => Bound::Unbounded,
-        };
-        let hi_bound = match hi {
-            Some((v, inclusive)) => {
-                if inclusive {
-                    Bound::Included(OrdKey(v.clone()))
-                } else {
-                    Bound::Excluded(OrdKey(v.clone()))
-                }
-            }
-            None => Bound::Unbounded,
-        };
         let mut out = Vec::new();
-        for (key, rows) in map.range((lo_bound, hi_bound)) {
-            if key.0.is_null() {
-                continue;
+        for (key, rows) in map.range((bound(lo), bound(hi))) {
+            if !key.0.is_null() {
+                out.extend_from_slice(rows);
             }
-            out.extend_from_slice(rows);
         }
-        out
+        drop(b);
+        sorted_unique(out)
     }
 
     /// Candidate row ids whose bounds may overlap the bounds of `v`
@@ -537,46 +564,54 @@ impl Index {
     /// bounds, e.g. an empty Element) yields no candidates, which is
     /// exact for overlap predicates.
     pub fn lookup_overlaps_value(&self, v: &Value) -> Vec<usize> {
-        match &*self.backend {
-            IndexBackend::Interval(ix) => match ix.value_bounds(v) {
+        match &self.backend.read().keys {
+            IndexKeys::Interval(ix) => match ix.value_bounds(v) {
                 Some((lo, hi)) => ix.lookup_overlaps(lo, hi),
                 None => Vec::new(),
             },
-            IndexBackend::BTree(_) => Vec::new(),
-        }
-    }
-
-    /// Number of distinct keys (B-tree) or occupied buckets (interval).
-    pub fn distinct_keys(&self) -> usize {
-        match &*self.backend {
-            IndexBackend::BTree(map) => map.len(),
-            IndexBackend::Interval(ix) => ix.buckets.len(),
+            IndexKeys::BTree(_) => Vec::new(),
         }
     }
 }
 
+/// Slots per copy-on-write chunk of a table. Publishing a version
+/// copies one pointer per chunk; a write copies the chunks it touches.
+const CHUNK: usize = 64;
+
+/// Ends the free list threaded through empty slots.
+const NO_FREE: usize = usize::MAX;
+
 /// One row slot: empty, resident in memory, or spilled to a cold page
-/// (faulted back through the table's [`ColdAttach`] on demand).
+/// (faulted back through the table's [`ColdAttach`] on demand). An empty
+/// slot on the free list holds the next free rowid (or `NO_FREE`), so
+/// the LIFO free list is shared copy-on-write with the slots.
 #[derive(Debug, Clone)]
 pub enum Slot {
-    Empty,
+    Empty(usize),
     Mem(Arc<Row>),
     Cold(ColdRef),
 }
 
+type Chunk = [Slot; CHUNK];
+
 /// One table: schema, slotted row storage, and indexes.
 ///
-/// Rows are held behind `Arc` so that cloning a table to publish an
-/// MVCC version (see [`TableCell`]) copies only the slot vector and
-/// index structures, never the row payloads themselves. Cold slots are
-/// `(page, slot)` references into the shared [`PagedStore`]; cloning a
-/// table shares those references, and the store's epoch life cycle
-/// keeps the pages readable until every retained version is gone.
-#[derive(Debug, Clone)]
+/// Slots live in `Arc`'d chunks and rows behind `Arc`, and indexes are
+/// shared handles (see [`Index`]), so [`Table::share`] — publishing an
+/// MVCC version (see [`TableCell`]) — copies a pointer per chunk and
+/// per index, and a later write copies only the chunks it touches. Cold
+/// slots are `(page, slot)` references into the shared [`PagedStore`],
+/// whose epoch life cycle keeps the pages readable until every retained
+/// version is gone. Not `Clone`: a version [`share`s](Table::share), a
+/// workspace [`detach`es](Table::detach).
+#[derive(Debug)]
 pub struct Table {
     pub schema: TableSchema,
-    slots: Vec<Slot>,
-    free: Vec<usize>,
+    chunks: Vec<Arc<Chunk>>,
+    /// Slots in use: every rowid is below it.
+    nslots: usize,
+    /// Head of the free list (`NO_FREE` when empty).
+    free: usize,
     live: usize,
     indexes: Vec<Index>,
     cold: Option<ColdAttach>,
@@ -588,12 +623,99 @@ impl Table {
     pub fn new(schema: TableSchema) -> Table {
         Table {
             schema,
-            slots: Vec::new(),
-            free: Vec::new(),
+            chunks: Vec::new(),
+            nslots: 0,
+            free: NO_FREE,
             live: 0,
             indexes: Vec::new(),
             cold: None,
             cold_count: 0,
+        }
+    }
+
+    /// A version of this table for publication: shares every slot chunk
+    /// and every index backend, so it costs one pointer per 64 slots.
+    pub fn share(&self) -> Table {
+        Table {
+            schema: self.schema.clone(),
+            chunks: self.chunks.clone(),
+            nslots: self.nslots,
+            free: self.free,
+            live: self.live,
+            indexes: self.indexes.clone(),
+            cold: self.cold.clone(),
+            cold_count: self.cold_count,
+        }
+    }
+
+    /// A private workspace copy: shares slot chunks copy-on-write but
+    /// copies every index, so its writes never reach a shared backend.
+    pub fn detach(&self) -> Table {
+        Table {
+            indexes: self.indexes.iter().map(Index::detach).collect(),
+            ..self.share()
+        }
+    }
+
+    fn slot(&self, rowid: usize) -> Option<&Slot> {
+        (rowid < self.nslots).then(|| &self.chunks[rowid / CHUNK][rowid % CHUNK])
+    }
+
+    /// Write access to one slot, copying its chunk if a version shares it.
+    fn slot_mut(&mut self, rowid: usize) -> &mut Slot {
+        &mut Arc::make_mut(&mut self.chunks[rowid / CHUNK])[rowid % CHUNK]
+    }
+
+    fn slots(&self) -> impl Iterator<Item = &Slot> + '_ {
+        self.chunks.iter().flat_map(|c| c.iter()).take(self.nslots)
+    }
+
+    /// Appends a slot and returns its rowid.
+    fn push_slot(&mut self, slot: Slot) -> usize {
+        if self.nslots == self.chunks.len() * CHUNK {
+            self.chunks
+                .push(Arc::new(std::array::from_fn(|_| Slot::Empty(NO_FREE))));
+        }
+        self.nslots += 1;
+        *self.slot_mut(self.nslots - 1) = slot;
+        self.nslots - 1
+    }
+
+    fn pop_free(&mut self) -> Option<usize> {
+        let Some(&Slot::Empty(next)) = self.slot(self.free) else {
+            return None;
+        };
+        Some(std::mem::replace(&mut self.free, next))
+    }
+
+    fn push_free(&mut self, rowid: usize) {
+        *self.slot_mut(rowid) = Slot::Empty(self.free);
+        self.free = rowid;
+    }
+
+    /// The free list, top of the stack first.
+    fn free_list(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(Some(self.free), |&r| match self.slot(r) {
+            Some(Slot::Empty(next)) => Some(*next),
+            _ => None,
+        })
+        .take_while(|&r| r != NO_FREE)
+    }
+
+    /// Takes `rowid` off the free list wherever it sits (replay only).
+    fn unlink_free(&mut self, rowid: usize) {
+        let Some(&Slot::Empty(next)) = self.slot(rowid) else {
+            return;
+        };
+        if self.free == rowid {
+            self.pop_free();
+            return;
+        }
+        let prev = self
+            .free_list()
+            .find(|&r| matches!(self.slot(r), Some(&Slot::Empty(n)) if n == rowid));
+        if let Some(prev) = prev {
+            *self.slot_mut(prev) = Slot::Empty(next);
         }
     }
 
@@ -620,7 +742,7 @@ impl Table {
 
     /// Iterates the cold slots as `(rowid, ref)`.
     pub fn cold_slots(&self) -> impl Iterator<Item = (usize, ColdRef)> + '_ {
-        self.slots.iter().enumerate().filter_map(|(i, s)| match s {
+        self.slots().enumerate().filter_map(|(i, s)| match s {
             Slot::Cold(c) => Some((i, *c)),
             _ => None,
         })
@@ -639,9 +761,9 @@ impl Table {
 
     /// Takes the row out of a slot for mutation: a resident row is
     /// cloned out; a cold row is faulted (its index keys are needed) and
-    /// its page slot released. Leaves the slot `Empty`.
+    /// its page slot released. Leaves the slot empty, off the free list.
     fn take_row(&mut self, rowid: usize) -> DbResult<Option<Arc<Row>>> {
-        let row = match self.slots.get(rowid) {
+        let row = match self.slot(rowid) {
             Some(Slot::Mem(r)) => r.clone(),
             Some(Slot::Cold(c)) => {
                 let c = *c;
@@ -654,7 +776,7 @@ impl Table {
             }
             _ => return Ok(None),
         };
-        self.slots[rowid] = Slot::Empty;
+        *self.slot_mut(rowid) = Slot::Empty(NO_FREE);
         Ok(Some(row))
     }
 
@@ -673,8 +795,8 @@ impl Table {
         };
         let max_len = att.store.max_record_len();
         let mut spilled = 0;
-        for i in 0..self.slots.len() {
-            let Slot::Mem(row) = &self.slots[i] else {
+        for i in 0..self.nslots {
+            let Some(Slot::Mem(row)) = self.slot(i) else {
                 continue;
             };
             let is_cold = row[col]
@@ -689,7 +811,7 @@ impl Table {
                 continue; // jumbo row: stays resident
             }
             let cref = att.store.alloc_slot(&bytes, lsn)?;
-            self.slots[i] = Slot::Cold(cref);
+            *self.slot_mut(i) = Slot::Cold(cref);
             self.cold_count += 1;
             spilled += 1;
         }
@@ -712,39 +834,28 @@ impl Table {
     pub fn insert(&mut self, row: Row) -> usize {
         debug_assert_eq!(row.len(), self.schema.columns.len());
         let row = Arc::new(row);
-        let keys: Vec<Value> = self
-            .indexes
-            .iter()
-            .map(|ix| row[ix.column].clone())
-            .collect();
-        let rowid = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot] = Slot::Mem(row);
-                slot
-            }
-            None => {
-                self.slots.push(Slot::Mem(row));
-                self.slots.len() - 1
-            }
-        };
-        self.live += 1;
-        for (ix, key) in self.indexes.iter_mut().zip(keys) {
-            ix.insert(&key, rowid);
+        let rowid = self
+            .pop_free()
+            .unwrap_or_else(|| self.push_slot(Slot::Empty(NO_FREE)));
+        *self.slot_mut(rowid) = Slot::Mem(Arc::clone(&row));
+        for ix in &self.indexes {
+            ix.insert(&row[ix.column], rowid);
         }
+        self.live += 1;
         rowid
     }
 
     /// Removes a row by id; returns `true` when it existed. A cold row
-    /// is faulted first (its index keys are needed for removal) and its
-    /// page slot released.
+    /// is faulted first (its index keys are needed to retire its
+    /// entries) and its page slot released.
     pub fn delete(&mut self, rowid: usize) -> DbResult<bool> {
         let Some(row) = self.take_row(rowid)? else {
             return Ok(false);
         };
-        for ix in &mut self.indexes {
-            ix.remove(&row[ix.column], rowid);
+        for ix in &self.indexes {
+            ix.retire(&row[ix.column], rowid);
         }
-        self.free.push(rowid);
+        self.push_free(rowid);
         self.live -= 1;
         Ok(true)
     }
@@ -756,27 +867,16 @@ impl Table {
         let Some(old) = self.take_row(rowid)? else {
             return Ok(false);
         };
-        let new_row = Arc::new(new_row);
-        let old_keys: Vec<Value> = self
-            .indexes
-            .iter()
-            .map(|ix| old[ix.column].clone())
-            .collect();
-        let new_keys: Vec<Value> = self
-            .indexes
-            .iter()
-            .map(|ix| new_row[ix.column].clone())
-            .collect();
-        self.slots[rowid] = Slot::Mem(new_row);
-        for ((ix, old_k), new_k) in self.indexes.iter_mut().zip(old_keys).zip(new_keys) {
-            ix.replace(&old_k, &new_k, rowid);
+        for ix in &self.indexes {
+            ix.replace(&old[ix.column], &new_row[ix.column], rowid);
         }
+        *self.slot_mut(rowid) = Slot::Mem(Arc::new(new_row));
         Ok(true)
     }
 
     /// Fetches one live row, faulting it from its cold page if needed.
     pub fn get(&self, rowid: usize) -> DbResult<Option<Arc<Row>>> {
-        match self.slots.get(rowid) {
+        match self.slot(rowid) {
             Some(Slot::Mem(r)) => Ok(Some(r.clone())),
             Some(Slot::Cold(c)) => Ok(Some(self.fault(*c)?)),
             _ => Ok(None),
@@ -786,11 +886,12 @@ impl Table {
     /// Columnar snapshot of live rows: the rowids read plus one value
     /// vector per requested column (all columns when `project` is
     /// `None`). `at` restricts the read to those rowids, in that order,
-    /// skipping dead ones; without it every live row is read in storage
-    /// order. This feeds the vectorized scan directly from the version
-    /// slots without materializing a per-row `Vec` for every tuple. Cold
-    /// rows are faulted (and immediately dropped again) as the read
-    /// crosses their pages, so memory stays bounded by the pool.
+    /// skipping dead ones and ones past this version's end; without it
+    /// every live row is read in storage order. This feeds the
+    /// vectorized scan directly from the version slots without
+    /// materializing a per-row `Vec` for every tuple. Cold rows are
+    /// faulted (and immediately dropped again) as the read crosses their
+    /// pages, so memory stays bounded by the pool.
     pub fn scan_columns(
         &self,
         at: Option<&[usize]>,
@@ -810,7 +911,7 @@ impl Table {
         let mut read = |rowid: usize, slot: &Slot| -> DbResult<()> {
             let faulted;
             let r: &Row = match slot {
-                Slot::Empty => return Ok(()),
+                Slot::Empty(_) => return Ok(()),
                 Slot::Mem(r) => r,
                 Slot::Cold(c) => {
                     faulted = self.fault(*c)?;
@@ -826,13 +927,13 @@ impl Table {
         match at {
             Some(ids) => {
                 for &rowid in ids {
-                    if let Some(slot) = self.slots.get(rowid) {
+                    if let Some(slot) = self.slot(rowid) {
                         read(rowid, slot)?;
                     }
                 }
             }
             None => {
-                for (rowid, slot) in self.slots.iter().enumerate() {
+                for (rowid, slot) in self.slots().enumerate() {
                     read(rowid, slot)?;
                 }
             }
@@ -842,25 +943,21 @@ impl Table {
 
     /// The rowids the next `n` [`Table::insert`] calls will allocate,
     /// without mutating anything. The free list is LIFO, so the first
-    /// inserts pop from its tail; the rest extend the slot vector. Used
-    /// to WAL-log an INSERT *before* applying it, so a statement whose
+    /// inserts pop from its top; the rest extend the slots. Used to
+    /// WAL-log an INSERT *before* applying it, so a statement whose
     /// chunk never reaches the log leaves memory untouched.
     pub(crate) fn planned_rowids(&self, n: usize) -> Vec<usize> {
-        (0..n)
-            .map(|i| {
-                if i < self.free.len() {
-                    self.free[self.free.len() - 1 - i]
-                } else {
-                    self.slots.len() + (i - self.free.len())
-                }
-            })
-            .collect()
+        self.free_list().chain(self.nslots..).take(n).collect()
     }
 
     /// Creates a secondary B-tree index over a column, backfilling
     /// existing rows.
     pub fn create_index(&mut self, name: String, column: usize) -> DbResult<()> {
-        self.install_index(Index::new_btree(name, column))
+        self.install_index(Index::with_keys(
+            name,
+            column,
+            IndexKeys::BTree(BTreeMap::new()),
+        ))
     }
 
     /// Creates a bucketed interval index over a column whose type
@@ -872,10 +969,11 @@ impl Table {
         bounds: UdtIntervalKeyFn,
         stride: i64,
     ) -> DbResult<()> {
-        self.install_index(Index::new_interval(name, column, bounds, stride))
+        let keys = IndexKeys::Interval(IntervalIndex::new(bounds, stride));
+        self.install_index(Index::with_keys(name, column, keys))
     }
 
-    fn install_index(&mut self, mut ix: Index) -> DbResult<()> {
+    fn install_index(&mut self, ix: Index) -> DbResult<()> {
         if self
             .indexes
             .iter()
@@ -886,14 +984,13 @@ impl Table {
                 name: ix.name,
             });
         }
-        let column = ix.column;
-        for rowid in 0..self.slots.len() {
-            let row = match &self.slots[rowid] {
-                Slot::Empty => continue,
+        for (rowid, slot) in self.slots().enumerate() {
+            let row = match slot {
+                Slot::Empty(_) => continue,
                 Slot::Mem(r) => r.clone(),
                 Slot::Cold(c) => self.fault(*c)?,
             };
-            ix.insert(&row[column], rowid);
+            ix.insert(&row[ix.column], rowid);
         }
         self.indexes.push(ix);
         Ok(())
@@ -928,37 +1025,22 @@ impl Table {
     /// even if a lossy-sync log skips ahead of the snapshot.
     pub(crate) fn restore_insert_at(&mut self, rowid: usize, row: Row) -> DbResult<()> {
         debug_assert_eq!(row.len(), self.schema.columns.len());
-        if self
-            .slots
-            .get(rowid)
-            .is_some_and(|s| !matches!(s, Slot::Empty))
-        {
+        if matches!(self.slot(rowid), Some(Slot::Mem(_) | Slot::Cold(_))) {
             self.delete(rowid)?;
         }
+        while self.nslots <= rowid {
+            let gap = self.push_slot(Slot::Empty(NO_FREE));
+            if gap < rowid {
+                self.push_free(gap);
+            }
+        }
+        self.unlink_free(rowid);
         let row = Arc::new(row);
-        let keys: Vec<Value> = self
-            .indexes
-            .iter()
-            .map(|ix| row[ix.column].clone())
-            .collect();
-        if rowid == self.slots.len() {
-            self.slots.push(Slot::Mem(row));
-        } else {
-            while self.slots.len() <= rowid {
-                self.free.push(self.slots.len());
-                self.slots.push(Slot::Empty);
-            }
-            if self.free.last() == Some(&rowid) {
-                self.free.pop();
-            } else if let Some(pos) = self.free.iter().rposition(|&r| r == rowid) {
-                self.free.remove(pos);
-            }
-            self.slots[rowid] = Slot::Mem(row);
+        for ix in &self.indexes {
+            ix.insert(&row[ix.column], rowid);
         }
+        *self.slot_mut(rowid) = Slot::Mem(row);
         self.live += 1;
-        for (ix, key) in self.indexes.iter_mut().zip(keys) {
-            ix.insert(&key, rowid);
-        }
         Ok(())
     }
 }
@@ -984,8 +1066,8 @@ pub struct TableVersion {
     /// across commits; `i64::MIN` for the initial "always existed"
     /// version).
     pub instant: i64,
-    /// The immutable table snapshot. Cheap: rows are `Arc`-shared with
-    /// the live table, so this copies slot/index structure only.
+    /// The immutable table snapshot. Cheap: it shares slot chunks and
+    /// index backends with the live table (see [`Table::share`]).
     pub snap: Arc<Table>,
 }
 
@@ -999,14 +1081,20 @@ pub struct TableVersion {
 ///
 /// Protocol: a writer mutates `data` under its write guard, then — with
 /// the guard still held, so no concurrent writer can interleave —
-/// clones the table and [`publish`es](TableCell::publish) it at its
-/// commit sequence. `publish` takes the pre-cloned snapshot rather than
-/// re-locking `data` (the lock is not reentrant). Versions older than
-/// the oldest pinned snapshot are garbage-collected by [`TableCell::gc`].
+/// [`share`s](Table::share) the table and
+/// [`publish`es](TableCell::publish) it at its commit sequence, which
+/// stamps the index entries the commit retired. `publish` takes the
+/// pre-shared snapshot rather than re-locking `data` (the lock is not
+/// reentrant). Versions older than the oldest pinned snapshot are
+/// garbage-collected by [`TableCell::gc`], which also removes retired
+/// index entries no reachable version can still see.
 #[derive(Debug)]
 pub struct TableCell {
     data: RwLock<Table>,
     versions: RwLock<Vec<TableVersion>>,
+    /// Collected versions a reader may still hold, so their retired
+    /// index entries outlive the chain entry.
+    collected: Mutex<Vec<(u64, Weak<Table>)>>,
 }
 
 impl TableCell {
@@ -1015,7 +1103,7 @@ impl TableCell {
     /// tables are visible at every point in time unless
     /// [`TableCell::rebase_creation`] stamps a real creation point.
     pub fn new(table: Table) -> TableCell {
-        let snap = Arc::new(table.clone());
+        let snap = Arc::new(table.share());
         TableCell {
             data: RwLock::new(table),
             versions: RwLock::new(vec![TableVersion {
@@ -1023,6 +1111,7 @@ impl TableCell {
                 instant: i64::MIN,
                 snap,
             }]),
+            collected: Mutex::new(Vec::new()),
         }
     }
 
@@ -1038,12 +1127,15 @@ impl TableCell {
         self.data.write()
     }
 
-    /// Appends a committed snapshot to the version chain. Call with the
-    /// `data` write guard still held so versions append in commit order.
+    /// Appends a committed snapshot to the version chain and stamps the
+    /// index entries its commit retired with `seq`. Call with the `data`
+    /// write guard still held so versions append in commit order.
     pub fn publish(&self, seq: u64, instant: i64, snap: Arc<Table>) {
-        self.versions
-            .write()
-            .push(TableVersion { seq, instant, snap });
+        let mut v = self.versions.write();
+        for ix in snap.indexes() {
+            ix.stamp(seq);
+        }
+        v.push(TableVersion { seq, instant, snap });
     }
 
     /// The newest published version.
@@ -1055,26 +1147,22 @@ impl TableCell {
     /// The newest version with sequence `<= seq`, or `None` if the table
     /// was created after `seq`.
     pub fn snapshot_at(&self, seq: u64) -> Option<Arc<Table>> {
-        let v = self.versions.read();
-        v.iter()
-            .rev()
-            .find(|tv| tv.seq <= seq)
-            .map(|tv| Arc::clone(&tv.snap))
+        self.version_at(seq).map(|(_, snap)| snap)
     }
 
     /// The newest version committed at or before wall-clock `instant`
     /// (unix seconds), or `None` if the table did not exist yet. Commit
     /// instants are monotone, so this cut is consistent across tables.
     pub fn snapshot_at_instant(&self, instant: i64) -> Option<Arc<Table>> {
-        let v = self.versions.read();
-        v.iter()
-            .rev()
-            .find(|tv| tv.instant <= instant)
-            .map(|tv| Arc::clone(&tv.snap))
+        self.newest(|tv| tv.instant <= instant)
+            .map(|(_, snap)| snap)
     }
 
     /// Drops versions no snapshot at or above `floor` can still see,
-    /// always keeping the newest. Returns how many were dropped.
+    /// always keeping the newest, then removes every retired index entry
+    /// whose retiring commit is no newer than the oldest version still
+    /// reachable — from the chain or from a reader that outlived its
+    /// collection. Returns how many versions were dropped.
     pub fn gc(&self, floor: u64) -> usize {
         let mut v = self.versions.write();
         let keep_from = v
@@ -1082,7 +1170,17 @@ impl TableCell {
             .position(|tv| tv.seq > floor)
             .unwrap_or(v.len())
             .saturating_sub(1);
-        v.drain(..keep_from).count()
+        let mut collected = self.collected.lock();
+        collected.extend(
+            v.drain(..keep_from)
+                .map(|tv| (tv.seq, Arc::downgrade(&tv.snap))),
+        );
+        collected.retain(|(_, snap)| snap.strong_count() > 0);
+        let oldest = collected.iter().map(|c| c.0).fold(v[0].seq, u64::min);
+        for ix in v[v.len() - 1].snap.indexes() {
+            ix.purge(oldest);
+        }
+        keep_from
     }
 
     /// The `(sequence, snapshot)` of the newest version with sequence
@@ -1090,11 +1188,13 @@ impl TableCell {
     /// sequence is what a transaction records as its conflict-check
     /// base.
     pub fn version_at(&self, seq: u64) -> Option<(u64, Arc<Table>)> {
+        self.newest(|tv| tv.seq <= seq)
+    }
+
+    fn newest(&self, keep: impl Fn(&TableVersion) -> bool) -> Option<(u64, Arc<Table>)> {
         let v = self.versions.read();
-        v.iter()
-            .rev()
-            .find(|tv| tv.seq <= seq)
-            .map(|tv| (tv.seq, Arc::clone(&tv.snap)))
+        let tv = v.iter().rev().find(|tv| keep(tv))?;
+        Some((tv.seq, Arc::clone(&tv.snap)))
     }
 
     /// The newest published version's sequence. A committing transaction
@@ -1447,8 +1547,8 @@ pub fn save_snapshot_with(
             put_str(&mut out, &c.name);
             put_str(&mut out, &type_to_persist_name(cat, c.ty));
         }
-        out.put_u32_le(t.slots.len() as u32);
-        for slot in &t.slots {
+        out.put_u32_le(t.nslots as u32);
+        for slot in t.slots() {
             match slot {
                 Slot::Mem(row) => {
                     out.put_u8(1);
@@ -1468,20 +1568,21 @@ pub fn save_snapshot_with(
                         encode_value(cat, v, &mut out)?;
                     }
                 }
-                Slot::Empty => out.put_u8(0),
+                Slot::Empty(_) => out.put_u8(0),
             }
         }
-        out.put_u32_le(t.free.len() as u32);
-        for &f in &t.free {
+        let free: Vec<usize> = t.free_list().collect();
+        out.put_u32_le(free.len() as u32);
+        for &f in free.iter().rev() {
             out.put_u32_le(f as u32);
         }
         out.put_u32_le(t.indexes().len() as u32);
         for ix in t.indexes() {
             put_str(&mut out, &ix.name);
             out.put_u32_le(ix.column as u32);
-            match &*ix.backend {
-                IndexBackend::BTree(_) => out.put_u8(0),
-                IndexBackend::Interval(iv) => {
+            match &ix.backend.read().keys {
+                IndexKeys::BTree(_) => out.put_u8(0),
+                IndexKeys::Interval(iv) => {
                     out.put_u8(1);
                     out.put_i64_le(iv.stride);
                 }
@@ -1579,24 +1680,21 @@ pub fn load_snapshot_with(
             });
         }
         let nslots = buf.get_u32_le() as usize;
-        let mut slots: Vec<Slot> = Vec::with_capacity(nslots);
-        let mut live = 0usize;
-        let mut cold_count = 0usize;
         for _ in 0..nslots {
             if buf.remaining() < 1 {
                 return Err(DbError::Persist {
                     message: "truncated slot presence".into(),
                 });
             }
-            match buf.get_u8() {
-                0 => slots.push(Slot::Empty),
+            let slot = match buf.get_u8() {
+                0 => Slot::Empty(NO_FREE),
                 1 => {
                     let mut row = Vec::with_capacity(columns.len());
                     for _ in 0..columns.len() {
                         row.push(decode_value(cat, &mut buf)?);
                     }
-                    slots.push(Slot::Mem(Arc::new(row)));
-                    live += 1;
+                    table.live += 1;
+                    Slot::Mem(Arc::new(row))
                 }
                 2 if v3 => {
                     if buf.remaining() < 6 {
@@ -1606,16 +1704,17 @@ pub fn load_snapshot_with(
                     }
                     let page = buf.get_u32_le();
                     let slot = buf.get_u16_le();
-                    slots.push(Slot::Cold(ColdRef { page, slot }));
-                    live += 1;
-                    cold_count += 1;
+                    table.live += 1;
+                    table.cold_count += 1;
+                    Slot::Cold(ColdRef { page, slot })
                 }
                 p => {
                     return Err(DbError::Persist {
                         message: format!("bad slot presence byte {p}"),
                     })
                 }
-            }
+            };
+            table.push_slot(slot);
         }
         if buf.remaining() < 4 {
             return Err(DbError::Persist {
@@ -1623,25 +1722,25 @@ pub fn load_snapshot_with(
             });
         }
         let nfree = buf.get_u32_le() as usize;
-        let mut free = Vec::with_capacity(nfree);
+        let mut bottom = None;
         for _ in 0..nfree {
             if buf.remaining() < 4 {
                 return Err(DbError::Persist {
                     message: "truncated free-list entry".into(),
                 });
             }
+            // Thread the list through the slots, bottom of the stack
+            // first. Only unlisted empty slots and the bottom entry read
+            // `Empty(NO_FREE)`; anything else is a duplicate.
             let slot = buf.get_u32_le() as usize;
-            if !matches!(slots.get(slot), Some(Slot::Empty)) {
+            if !matches!(table.slot(slot), Some(Slot::Empty(NO_FREE))) || bottom == Some(slot) {
                 return Err(DbError::Persist {
-                    message: format!("free-list entry {slot} is not an empty slot"),
+                    message: format!("free-list entry {slot} is not an unlisted empty slot"),
                 });
             }
-            free.push(slot);
+            bottom.get_or_insert(slot);
+            table.push_free(slot);
         }
-        table.slots = slots;
-        table.free = free;
-        table.live = live;
-        table.cold_count = cold_count;
         if buf.remaining() < 4 {
             return Err(DbError::Persist {
                 message: "truncated index count".into(),
@@ -1796,30 +1895,62 @@ mod tests {
         t.create_index("ix".into(), 1).unwrap();
         let r1 = t.insert(row(2, "a"));
         let r2 = t.insert(row(3, "b"));
+        let (a, b) = (Value::Str("a".into()), Value::Str("b".into()));
         let ix = t.index_on(1).unwrap();
-        let mut hits = ix.lookup_eq(&Value::Str("a".into()));
-        hits.sort_unstable();
-        assert_eq!(hits, vec![r0, r1]);
-        assert_eq!(ix.lookup_eq(&Value::Str("b".into())), vec![r2]);
-        // Delete and update maintain the index.
+        assert_eq!(
+            (ix.lookup_eq(&a), ix.lookup_eq(&b)),
+            (vec![r0, r1], vec![r2])
+        );
+        // Delete and a key-moving update retire the old entries: probes
+        // answer a superset until the retiring commit is purged.
         t.delete(r0).unwrap();
         t.update(r2, row(3, "a")).unwrap();
         let ix = t.index_on(1).unwrap();
-        assert_eq!(ix.lookup_eq(&Value::Str("a".into())), vec![r1, r2]);
-        assert!(ix.lookup_eq(&Value::Str("b".into())).is_empty());
-        assert_eq!(ix.distinct_keys(), 1);
-        // A published clone keeps its index when the live table changes a
-        // key, and shares it while the live table leaves keys in place.
-        let published = t.clone();
-        t.update(r1, row(7, "a")).unwrap();
-        assert!(Arc::ptr_eq(
-            &t.indexes()[0].backend,
-            &published.indexes()[0].backend
-        ));
-        t.update(r1, row(7, "c")).unwrap();
-        let a = Value::Str("a".into());
-        assert_eq!(published.index_on(1).unwrap().lookup_eq(&a), vec![r1, r2]);
-        assert_eq!(t.index_on(1).unwrap().lookup_eq(&a), vec![r2]);
+        assert_eq!(
+            (ix.lookup_eq(&a), ix.lookup_eq(&b)),
+            (vec![r0, r1, r2], vec![r2])
+        );
+        ix.stamp(5);
+        ix.purge(4);
+        assert_eq!(ix.entry_count(), 4, "not purged before its commit");
+        ix.purge(5);
+        assert_eq!((ix.lookup_eq(&a), ix.lookup_eq(&b)), (vec![r1, r2], vec![]));
+        // A freed rowid back under the same key: one occurrence retired,
+        // one live.
+        t.delete(r1).unwrap();
+        assert_eq!(t.insert(row(9, "a")), r1);
+        let ix = t.index_on(1).unwrap();
+        ix.stamp(6);
+        ix.purge(6);
+        assert_eq!((ix.lookup_eq(&a), ix.entry_count()), (vec![r1, r2], 2));
+    }
+
+    #[test]
+    fn a_write_copies_only_the_chunks_it_touches() {
+        let mut t = Table::new(schema());
+        t.create_index("ix".into(), 1).unwrap();
+        for i in 0..20_000 {
+            t.insert(row(i, &format!("k{}", i % 500)));
+        }
+        let version = t.share();
+        t.insert(row(20_000, "k1"));
+        t.update(7_000, row(7_000, "moved")).unwrap();
+        t.delete(15_000).unwrap();
+        let copied = t.chunks.iter().zip(&version.chunks);
+        assert!(copied.filter(|(a, b)| !Arc::ptr_eq(a, b)).count() <= 3);
+        let shared = t.indexes.iter().zip(&version.indexes);
+        assert!(shared
+            .clone()
+            .all(|(a, b)| Arc::ptr_eq(&a.backend, &b.backend)));
+        // The version still reads its own rows (the probe's superset is
+        // rechecked by the scan's filter above this layer).
+        let k0 = version
+            .index_on(1)
+            .unwrap()
+            .lookup_eq(&Value::Str("k0".into()));
+        assert!(k0.contains(&7_000) && k0.contains(&15_000));
+        assert_eq!(version.get(7_000).unwrap().unwrap()[1].as_str(), Some("k0"));
+        assert!(version.get(15_000).unwrap().is_some() && version.get(20_000).unwrap().is_none());
     }
 
     #[test]
@@ -1925,16 +2056,21 @@ mod tests {
         {
             let shared = s.shared_table("t").unwrap();
             let mut t = shared.write();
-            let r = t.insert(row(1, "a"));
-            t.delete(r).unwrap();
+            t.insert(row(1, "a"));
+            t.insert(row(2, "b"));
+            t.delete(0).unwrap();
+            t.delete(1).unwrap();
         }
         let bytes = save_snapshot(&cat, &s).unwrap();
-        // Point the single free-list entry at a nonexistent slot. The
-        // tail is: free entry u32 | index count u32 | view count u32.
-        let mut bad = bytes.clone();
-        let n = bad.len();
-        bad[n - 12] = 99;
-        assert!(load_snapshot(&cat, &bad).is_err());
+        // The tail is: free entries u32 u32 | index count u32 | view count
+        // u32. Point the top entry at a nonexistent slot, then at the
+        // bottom entry (a duplicate would thread a cycle).
+        let n = bytes.len();
+        for entry in [99, bytes[n - 16]] {
+            let mut bad = bytes.clone();
+            bad[n - 12] = entry;
+            assert!(load_snapshot(&cat, &bad).is_err());
+        }
     }
 
     #[test]
@@ -1946,12 +2082,12 @@ mod tests {
         t.delete(0).unwrap();
         t.restore_insert_at(0, row(3, "c")).unwrap();
         assert_eq!(t.len(), 2);
-        assert!(t.free.is_empty());
+        assert_eq!(t.free, NO_FREE);
         assert_eq!(t.index_on(0).unwrap().lookup_eq(&Value::Int(3)), vec![0]);
         // Out-of-order restore (lossy-sync log ahead of snapshot) still
         // leaves a consistent structure.
         t.restore_insert_at(5, row(9, "z")).unwrap();
-        assert_eq!(t.free, vec![2, 3, 4]);
+        assert_eq!(t.free_list().collect::<Vec<_>>(), vec![4, 3, 2]);
         assert_eq!(t.insert(row(10, "y")), 4);
     }
 
@@ -2001,7 +2137,7 @@ mod tests {
             // exercise the slot mechanics directly).
             let bytes = encode_cold_row(&t.cold.as_ref().unwrap().codecs, &row(1, "cold")).unwrap();
             cref = store.alloc_slot(&bytes, 7).unwrap();
-            t.slots[r0] = Slot::Cold(cref);
+            *t.slot_mut(r0) = Slot::Cold(cref);
             t.cold_count = 1;
             assert!(t.has_cold());
             // Reads fault the cold row back transparently.

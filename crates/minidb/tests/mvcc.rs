@@ -1,13 +1,20 @@
 //! MVCC and transaction semantics end to end: AS OF edge cases (before a
 //! table existed, future commits, historical stability under concurrent
 //! writers), BEGIN/COMMIT/ROLLBACK visibility and conflict detection,
-//! and the apply-vs-log ordering proof — a statement whose WAL append
-//! fails must leave no trace in memory or in recovery.
+//! the apply-vs-log ordering proof — a statement whose WAL append
+//! fails must leave no trace in memory or in recovery — and the shared,
+//! retire-on-delete indexes every version of a table probes.
 
 use minidb::wal::file::FailpointFile;
-use minidb::{Database, DbError, DurabilityConfig, SyncMode, Value};
-use std::path::PathBuf;
+use minidb::wal::record::{self, WalRecord};
+use minidb::{
+    DataType, Database, DbError, DurabilityConfig, SyncMode, TableSource, UdtValue, Value,
+};
+use proptest::prelude::*;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+mod common;
 
 /// Fresh scratch directory under the system temp dir, unique per test.
 fn scratch(name: &str) -> PathBuf {
@@ -360,4 +367,306 @@ fn failed_wal_append_leaves_memory_untouched_and_recovery_agrees() {
         "recovery keeps the committed prefix and drops the torn statement"
     );
     db.close().unwrap();
+}
+
+// ----- Shared indexes ------------------------------------------------
+
+/// An `Interval` value (the test blade's interval-indexed type).
+fn interval(db: &Arc<Database>, lo: i64, hi: i64) -> Value {
+    match db.with_catalog(|c| c.lookup_type_name("Interval")) {
+        Ok(DataType::Udt(id)) => Value::Udt(UdtValue::new(id, Arc::new(common::Validity(lo, hi)))),
+        other => panic!("Interval resolved to {other:?}"),
+    }
+}
+
+/// Entries each index of `table` holds, retired ones included.
+fn index_entries(db: &Arc<Database>, table: &str) -> Vec<usize> {
+    db.with_tables(|p| {
+        let t = p.table(table).unwrap();
+        t.indexes().iter().map(|ix| ix.entry_count()).collect()
+    })
+}
+
+/// `(id, patient, doctor, valid)` rows with all three probe-able keys
+/// indexed: B-trees on `patient` and `doctor`, an interval index on
+/// `valid`.
+fn indexed_table(s: &minidb::Session, t: &str) {
+    s.execute(&format!(
+        "CREATE TABLE {t} (id INT, patient INT, doctor INT, valid Interval)"
+    ))
+    .unwrap();
+    for col in ["patient", "doctor", "valid"] {
+        s.execute(&format!("CREATE INDEX ix_{col} ON {t}({col})"))
+            .unwrap();
+    }
+}
+
+/// Every probe shape answered at commit `n`, first through its index and
+/// then with the index kept out of the plan (the same predicate in a
+/// shape no probe matches). Both read the same snapshot, so they must
+/// agree row for row.
+fn check_probes_at(db: &Arc<Database>, n: u64, patient: i64, window: (i64, i64)) {
+    let s = db.session();
+    let e = interval(db, window.0, window.1);
+    let params = [
+        ("p", Value::Int(patient)),
+        ("e", e),
+        ("lo", Value::Int(2)),
+        ("hi", Value::Int(5)),
+    ];
+    let pairs = [
+        ("patient = :p", "patient + 0 = :p"),
+        ("overlaps(valid, :e)", "(overlaps(valid, :e) OR FALSE)"),
+        (
+            "doctor BETWEEN :lo AND :hi",
+            "doctor + 0 BETWEEN :lo AND :hi",
+        ),
+    ];
+    for (probed, plain) in pairs {
+        let run = |pred: &str| {
+            let sql = format!("SELECT id FROM p WHERE {pred} ORDER BY id AS OF COMMIT {n}");
+            s.query_with_params(&sql, &params)
+                .map(|r| r.rows)
+                .map_err(|e| format!("{e:?}"))
+        };
+        assert_eq!(run(probed), run(plain), "`{probed}` at commit {n}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random autocommit churn — inserts, key-moving and key-keeping
+    /// updates, deletes, and freed rowids reused under the same keys —
+    /// with snapshots pinned at random points: at every commit still
+    /// retained, each index answers exactly what a full scan of the same
+    /// snapshot does. Once the pins are gone and the retention window
+    /// has passed, each index holds one entry per live row.
+    #[test]
+    fn every_version_probes_like_its_full_scan_under_churn(
+        ops in proptest::collection::vec((0usize..7, 0i64..6, 0i64..40), 1..40),
+    ) {
+        const RETENTION: u64 = 4;
+        let db = Database::new();
+        db.install_blade(&common::IntervalBlade).unwrap();
+        db.set_mvcc_retention(RETENTION);
+        let s = db.session();
+        indexed_table(&s, "p");
+        let first = db.commit_seq();
+        let mut pins = Vec::new();
+        let mut next_id = 0i64;
+        let check_retained = |pins: &[minidb::session::SnapshotPin], k: i64| {
+            let now = db.commit_seq();
+            let oldest = pins.iter().map(|p| p.seq()).min().unwrap_or(now);
+            let from = oldest.min(now.saturating_sub(RETENTION)).max(first);
+            for n in from..=now {
+                check_probes_at(&db, n, k % 4, (k * 10, k * 10 + 35));
+            }
+        };
+        for &(op, k, v) in &ops {
+            let valid = interval(&db, v * 5, v * 5 + k * 7);
+            match op {
+                0 | 1 => {
+                    s.execute_with_params(
+                        "INSERT INTO p VALUES (:id, :p, :d, :v)",
+                        &[("id", Value::Int(next_id)), ("p", Value::Int(k % 4)),
+                          ("d", Value::Int(v % 8)), ("v", valid)],
+                    ).unwrap();
+                    next_id += 1;
+                }
+                2 => {
+                    // Key-moving: every index files the row elsewhere.
+                    s.execute_with_params(
+                        "UPDATE p SET patient = :p, doctor = :d, valid = :v WHERE id = :id",
+                        &[("id", Value::Int(v % next_id.max(1))), ("p", Value::Int((k + 1) % 4)),
+                          ("d", Value::Int((v + 3) % 8)), ("v", valid)],
+                    ).unwrap();
+                }
+                3 => {
+                    // Key-keeping: no index changes.
+                    s.execute_with_params(
+                        "UPDATE p SET id = id + 1000 WHERE patient = :p",
+                        &[("p", Value::Int(k % 4))],
+                    ).unwrap();
+                }
+                4 => {
+                    s.execute_with_params("DELETE FROM p WHERE doctor = :d", &[("d", Value::Int(v % 8))])
+                        .unwrap();
+                }
+                5 => {
+                    // Delete one row and insert its keys again: the LIFO
+                    // free list hands the new row the same rowid.
+                    let r = s.query_with_params(
+                        "SELECT id, patient, doctor, valid FROM p WHERE id >= :id ORDER BY id LIMIT 1",
+                        &[("id", Value::Int(v))],
+                    ).unwrap();
+                    if let Some(row) = r.rows.first() {
+                        s.execute_with_params("DELETE FROM p WHERE id = :id", &[("id", row[0].clone())])
+                            .unwrap();
+                        s.execute_with_params(
+                            "INSERT INTO p VALUES (:id, :p, :d, :v)",
+                            &[("id", Value::Int(next_id)), ("p", row[1].clone()),
+                              ("d", row[2].clone()), ("v", row[3].clone())],
+                        ).unwrap();
+                        next_id += 1;
+                    }
+                }
+                _ => {
+                    pins.push(db.pin_snapshot());
+                    check_retained(&pins, k);
+                }
+            }
+        }
+        check_retained(&pins, 1);
+        drop(pins);
+        for _ in 0..=RETENTION {
+            s.execute("UPDATE p SET id = id WHERE id < 0").unwrap();
+        }
+        // One entry per live row: as many as a fresh copy's indexes hold.
+        indexed_table(&s, "q");
+        s.execute("INSERT INTO q SELECT * FROM p").unwrap();
+        let live = db.with_tables(|p| p.table("p").unwrap().len());
+        let entries = index_entries(&db, "p");
+        prop_assert_eq!(&entries[..2], &[live, live][..], "ops={:?}", ops);
+        prop_assert_eq!(entries, index_entries(&db, "q"), "ops={:?}", ops);
+    }
+}
+
+/// A reader that resolved its version without a snapshot pin (a read
+/// pin, as `with_tables` takes) keeps that version's retired index
+/// entries alive after GC drops the version from the chain.
+#[test]
+fn a_reader_outliving_gc_of_its_version_still_probes_its_rows() {
+    let db = Database::new();
+    db.set_mvcc_retention(2);
+    let s = db.session();
+    s.execute("CREATE TABLE t (id INT, k INT)").unwrap();
+    s.execute("CREATE INDEX ix_k ON t(k)").unwrap();
+    for i in 0..4 {
+        s.execute(&format!("INSERT INTO t VALUES ({i}, 7)"))
+            .unwrap();
+    }
+    db.with_tables(|p| {
+        let t = p.table("t").unwrap();
+        s.execute("DELETE FROM t WHERE k = 7").unwrap();
+        for _ in 0..5 {
+            s.execute("UPDATE t SET id = id WHERE id < 0").unwrap();
+        }
+        let hits = t.index_on(1).unwrap().lookup_eq(&Value::Int(7));
+        let (rowids, _) = t.scan_columns(Some(&hits), None).unwrap();
+        assert_eq!(rowids, vec![0, 1, 2, 3]);
+    });
+    // The reader is gone: the next commit's GC purges the entries.
+    s.execute("UPDATE t SET id = id WHERE id < 0").unwrap();
+    assert_eq!(index_entries(&db, "t"), vec![0]);
+}
+
+/// Data-changing WAL records of the current log, with every
+/// `Begin`…`Commit` chunk boundary kept as the records' chunk number.
+fn wal_changes(db: &Arc<Database>, dir: &Path) -> Vec<(usize, WalRecord)> {
+    let bytes = std::fs::read(dir.join("wal.log")).unwrap();
+    let scan = record::scan_records(&bytes[record::LOG_HEADER_LEN..]);
+    let mut chunk = 0;
+    let mut out = Vec::new();
+    for payload in &scan.payloads {
+        match db
+            .with_catalog(|c| record::decode_payload(c, payload))
+            .unwrap()
+        {
+            WalRecord::Begin { .. } => chunk += 1,
+            WalRecord::Commit { .. } | WalRecord::Ddl { .. } => {}
+            change => out.push((chunk, change)),
+        }
+    }
+    out
+}
+
+/// One BEGIN…COMMIT applies its change list to the live table through
+/// the same apply path autocommit uses: the same rows, the same WAL
+/// records (in one chunk rather than three), the same recovered bytes.
+/// A ROLLBACK never reaches the shared indexes.
+#[test]
+fn a_transaction_commit_matches_the_same_statements_autocommitted() {
+    let statements = [
+        // Reuses the rowid the setup's DELETE freed.
+        ("INSERT INTO p VALUES (9, 1, 3, :v)", (100, 140)),
+        (
+            "UPDATE p SET patient = 2, valid = :v WHERE id = 4",
+            (10, 20),
+        ),
+        (
+            "DELETE FROM p WHERE doctor = 5 AND overlaps(valid, :v)",
+            (0, 1000),
+        ),
+    ];
+    let install = |db: &Arc<Database>| db.install_blade(&common::IntervalBlade);
+    let run = |name: &str, txn: bool| {
+        let dir = scratch(name);
+        // Every commit on disk before `wal_changes` reads the log.
+        let cfg = DurabilityConfig {
+            sync_mode: SyncMode::EveryCommit,
+            checkpoint_bytes: 0,
+            ..DurabilityConfig::default()
+        };
+        let (db, _) = Database::open_with(&dir, cfg.clone(), install).unwrap();
+        let s = db.session();
+        let exec = |sql: &str, (lo, hi): (i64, i64)| {
+            s.execute_with_params(sql, &[("v", interval(&db, lo, hi))])
+                .unwrap()
+        };
+        indexed_table(&s, "p");
+        for i in 0..8 {
+            let sql = format!("INSERT INTO p VALUES ({i}, {}, {}, :v)", i % 3, i % 6);
+            exec(&sql, (i * 10, i * 10 + 25));
+        }
+        s.execute("DELETE FROM p WHERE id = 6").unwrap();
+        let before = index_entries(&db, "p");
+        s.execute("BEGIN").unwrap();
+        for (sql, v) in statements {
+            exec(sql, v);
+        }
+        s.execute("ROLLBACK").unwrap();
+        assert_eq!(
+            index_entries(&db, "p"),
+            before,
+            "ROLLBACK touched a shared index"
+        );
+        if txn {
+            s.execute("BEGIN").unwrap();
+        }
+        for (sql, v) in statements {
+            exec(sql, v);
+        }
+        if txn {
+            s.execute("COMMIT").unwrap();
+        }
+        let rows = s.query("SELECT * FROM p").unwrap();
+        let shown = db.format_result(&rows);
+        let live = db.save_snapshot().unwrap();
+        let log = wal_changes(&db, &dir);
+        drop(s);
+        drop(db); // unclean: recovery replays the log
+        let (db, _) = Database::open_with(&dir, cfg, install).unwrap();
+        assert_eq!(db.save_snapshot().unwrap(), live, "recovered state differs");
+        db.close().unwrap();
+        (shown, live, log)
+    };
+    let (auto_rows, auto_state, auto_log) = run("txn-parity-auto", false);
+    let (txn_rows, txn_state, txn_log) = run("txn-parity-txn", true);
+    assert_eq!(txn_rows, auto_rows);
+    assert_eq!(txn_state, auto_state);
+    let changes =
+        |log: &[(usize, WalRecord)]| log.iter().map(|(_, r)| r.clone()).collect::<Vec<_>>();
+    assert_eq!(changes(&txn_log), changes(&auto_log));
+    // One record per statement here: three chunks autocommitted, one
+    // for the transaction.
+    let chunks = |log: &[(usize, WalRecord)]| {
+        let mut c: Vec<usize> = log[log.len() - statements.len()..]
+            .iter()
+            .map(|r| r.0)
+            .collect();
+        c.dedup();
+        c.len()
+    };
+    assert_eq!((chunks(&auto_log), chunks(&txn_log)), (3, 1));
 }

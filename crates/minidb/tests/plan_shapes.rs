@@ -296,7 +296,7 @@ fn dml_victims_are_found_through_index_probes() {
 
     assert_eq!(
         explain(&db, "UPDATE h SET id = id + 100 WHERE id = 7"),
-        "update(h) over ixscan(h)"
+        "update(h) over ixscan(h)[f]"
     );
     let window = interval(100, 125);
     let plan = s

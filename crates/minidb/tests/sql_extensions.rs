@@ -220,7 +220,7 @@ fn explain_returns_plan_shape() {
     // UPDATE and DELETE explain as their victim scan; ANALYZE would
     // execute the write, and INSERT has no scan: both are syntax errors.
     let r = s.query("EXPLAIN DELETE FROM t WHERE id = 2").unwrap();
-    assert_eq!(r.rows[0][0].as_str(), Some("delete(t) over ixscan(t)"));
+    assert_eq!(r.rows[0][0].as_str(), Some("delete(t) over ixscan(t)[f]"));
     for sql in [
         "EXPLAIN ANALYZE DELETE FROM t",
         "EXPLAIN INSERT INTO t VALUES (9, 'x')",

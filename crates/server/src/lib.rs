@@ -441,8 +441,9 @@ impl Drop for Server {
 
 /// Sends one frame as a single write (length, tag and body assembled
 /// first so the kernel sees whole frames). Used by the blocking
-/// replication-feed path; client traffic goes through the outboxes.
-fn send(stream: &mut TcpStream, tag: u8, body: &[u8]) -> io::Result<()> {
+/// replication paths (the primary's feed, the replica's follower);
+/// client traffic goes through the outboxes.
+pub(crate) fn send(stream: &mut TcpStream, tag: u8, body: &[u8]) -> io::Result<()> {
     let mut frame = Vec::with_capacity(5 + body.len());
     protocol::write_frame(&mut frame, tag, body)?;
     stream.write_all(&frame)

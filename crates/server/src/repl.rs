@@ -8,8 +8,8 @@
 //! and resumes from the applier's committed position, so the replica's
 //! state is byte-identical to one that never lost the stream.
 
+use crate::send;
 use minidb::{Database, ReplicaApplier};
-use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -280,12 +280,6 @@ fn would_block(e: &std::io::Error) -> bool {
         e.kind(),
         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
     )
-}
-
-fn send(stream: &mut TcpStream, tag: u8, body: &[u8]) -> std::io::Result<()> {
-    let mut frame = Vec::with_capacity(5 + body.len());
-    protocol::write_frame(&mut frame, tag, body)?;
-    stream.write_all(&frame)
 }
 
 /// Sleeps `BASE * 2^attempt` (capped) plus up to 50% jitter, waking
