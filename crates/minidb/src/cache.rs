@@ -97,12 +97,12 @@ impl PlanCache {
 
     /// Inserts (or replaces) the entry for `key`, evicting the least
     /// recently used entry when full.
-    pub fn insert(&mut self, key: String, entry: CachedPlan) {
+    pub fn insert(&mut self, key: String, entry: Arc<CachedPlan>) {
         self.entries.retain(|(k, _)| *k != key);
         if self.entries.len() >= self.cap {
             self.entries.remove(0);
         }
-        self.entries.push((key, Arc::new(entry)));
+        self.entries.push((key, entry));
     }
 
     /// Current number of cached plans.
@@ -208,11 +208,11 @@ mod tests {
     #[test]
     fn lru_evicts_oldest_and_promotes_on_hit() {
         let mut c = PlanCache::new(2);
-        c.insert("a".into(), plan_stub());
-        c.insert("b".into(), plan_stub());
+        c.insert("a".into(), Arc::new(plan_stub()));
+        c.insert("b".into(), Arc::new(plan_stub()));
         // Touch "a" so "b" becomes the eviction candidate.
         assert!(matches!(c.lookup("a", 1, &[]), CacheLookup::Hit(_)));
-        c.insert("c".into(), plan_stub());
+        c.insert("c".into(), Arc::new(plan_stub()));
         assert_eq!(c.len(), 2);
         assert!(matches!(c.lookup("b", 1, &[]), CacheLookup::Absent));
         assert!(matches!(c.lookup("a", 1, &[]), CacheLookup::Hit(_)));
@@ -222,7 +222,7 @@ mod tests {
     #[test]
     fn stale_generation_evicts_and_reports() {
         let mut c = PlanCache::new(4);
-        c.insert("q".into(), plan_stub());
+        c.insert("q".into(), Arc::new(plan_stub()));
         assert!(matches!(c.lookup("q", 2, &[]), CacheLookup::Stale));
         // The stale entry is gone, not retried.
         assert!(matches!(c.lookup("q", 2, &[]), CacheLookup::Absent));
@@ -233,10 +233,10 @@ mod tests {
         let mut c = PlanCache::new(4);
         c.insert(
             "q".into(),
-            CachedPlan {
+            Arc::new(CachedPlan {
                 param_sig: vec![("w".into(), DataType::Int)],
                 ..plan_stub()
-            },
+            }),
         );
         let other = vec![("w".into(), DataType::Str)];
         assert!(matches!(c.lookup("q", 1, &other), CacheLookup::Absent));

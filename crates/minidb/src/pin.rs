@@ -9,17 +9,19 @@
 //!    referenced table (and the tables referenced by any views it uses)
 //!    into a [`TableSet`] — `Arc` handles plus the required access mode;
 //! 2. releases the registry lock;
-//! 3. [`pin`s](TableSet::pin) the set: **write** entries acquire their
-//!    per-table write guards in deterministic sorted-name order
-//!    (deadlock-free: any two writers acquire common tables in the same
-//!    global order), while **read** entries resolve a published
-//!    snapshot from the version chain and acquire *no lock at all* —
-//!    a SELECT never blocks behind a writer, however long it runs.
+//! 3. pins the set at one read cut ([`TableSet::pin_with`]): **write**
+//!    entries acquire their per-table write guards in deterministic
+//!    sorted-name order (deadlock-free: any two writers acquire common
+//!    tables in the same global order), while **read** entries resolve
+//!    a published snapshot from the version chain and acquire *no lock
+//!    at all* — a SELECT never blocks behind a writer, however long it
+//!    runs.
 //!
 //! The planner and executor then run against the pinned set through the
 //! [`TableSource`] trait rather than against `&Storage`.
 
 use crate::error::{DbError, DbResult};
+use crate::session::SnapshotPin;
 use crate::sql::ast::{Expr, InsertSource, SelectStmt, Statement};
 use crate::sql::parse_statement;
 use crate::storage::{SharedTable, Storage, Table, ViewDef};
@@ -51,8 +53,9 @@ struct Entry {
 
 /// The tables one statement touches, resolved to shared handles but not
 /// yet locked. Building a set requires only a registry read lock;
-/// [`TableSet::pin`] then blocks on the per-table locks with the
+/// [`TableSet::pin_with`] then blocks on the per-table locks with the
 /// registry lock already released.
+#[derive(Default)]
 pub struct TableSet {
     /// Sorted by `key` — the deterministic acquisition order.
     entries: Vec<Entry>,
@@ -134,63 +137,39 @@ impl TableSet {
         !self.views.is_empty()
     }
 
-    /// Number of tables in the set.
-    pub fn len(&self) -> usize {
-        self.entries.len()
+    /// Marks every entry a read. A transaction's DML writes its private
+    /// workspace, never a live table, so it takes no write guard.
+    pub(crate) fn demote_writes(&mut self) {
+        for e in &mut self.entries {
+            e.write = false;
+        }
     }
 
-    /// `true` when the statement touches no tables.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// `(lowercase key, shared handle)` pairs in sorted order — the
-    /// transaction and `AS OF` paths resolve their own snapshots from
-    /// these instead of pinning.
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (&str, &SharedTable)> {
-        self.entries.iter().map(|e| (e.key.as_str(), &e.shared))
-    }
-
-    /// The referenced view definitions, keyed by lowercase name.
-    pub(crate) fn views(&self) -> &HashMap<String, ViewDef> {
-        &self.views
-    }
-
-    /// Pins the set at the newest committed state: write guards for
-    /// write entries, the latest published snapshot for read entries.
-    pub fn pin(&self) -> PinnedTables<'_> {
-        self.pin_at(u64::MAX)
-    }
-
-    /// Pins the set against the snapshots visible at commit sequence
-    /// `seq`. Write entries still acquire their write guards (in
-    /// sorted-name order, measuring the time spent blocked); read
-    /// entries resolve the newest version with sequence `<= seq` —
-    /// lock-free — falling back to the latest version for a table
-    /// created after `seq` (the statement resolved its name *now*, so
-    /// showing it empty-at-birth would be stranger than showing it).
-    pub fn pin_at(&self, seq: u64) -> PinnedTables<'_> {
+    /// Pins the set at one read cut. Write entries acquire their write
+    /// guards (in sorted-name order, measuring the time spent blocked);
+    /// read entries take the version `read(key, cell)` resolves —
+    /// lock-free. `snap` is the registered snapshot the cut reads at,
+    /// held until the pin drops so garbage collection keeps its versions.
+    pub(crate) fn pin_with<E>(
+        &self,
+        snap: Option<SnapshotPin>,
+        mut read: impl FnMut(&str, &SharedTable) -> Result<Arc<Table>, E>,
+    ) -> Result<PinnedTables<'_>, E> {
         let t0 = Instant::now();
-        let pins: Vec<Pin<'_>> = self
-            .entries
-            .iter()
-            .map(|e| {
-                if e.write {
-                    Pin::Write(e.shared.write())
-                } else {
-                    Pin::Snap(
-                        e.shared
-                            .snapshot_at(seq)
-                            .unwrap_or_else(|| e.shared.latest()),
-                    )
-                }
-            })
-            .collect();
-        PinnedTables {
+        let mut pins = Vec::with_capacity(self.entries.len());
+        for e in &self.entries {
+            pins.push(if e.write {
+                Pin::Write(e.shared.write())
+            } else {
+                Pin::Snap(read(&e.key, &e.shared)?)
+            });
+        }
+        Ok(PinnedTables {
             set: self,
             pins,
             lock_wait: t0.elapsed(),
-        }
+            _snap: snap,
+        })
     }
 }
 
@@ -220,6 +199,7 @@ pub struct PinnedTables<'a> {
     /// Parallel to `set.entries` (sorted lowercase keys).
     pins: Vec<Pin<'a>>,
     lock_wait: Duration,
+    _snap: Option<SnapshotPin>,
 }
 
 impl PinnedTables<'_> {
@@ -258,11 +238,6 @@ impl PinnedTables<'_> {
         self.lock_wait
     }
 
-    /// `true` when at least one table is write-pinned.
-    pub(crate) fn has_writes(&self) -> bool {
-        self.pins.iter().any(|p| matches!(p, Pin::Write(_)))
-    }
-
     /// Shares a publishable snapshot of every write-pinned table,
     /// paired with its cell — the input
     /// [`Database::publish_prepared`](crate::session::Database) wants.
@@ -297,47 +272,6 @@ impl TableSource for PinnedTables<'_> {
 
     fn view(&self, name: &str) -> Option<&ViewDef> {
         self.set.views.get(&name.to_ascii_lowercase())
-    }
-}
-
-/// A fixed set of resolved table snapshots plus view definitions — the
-/// [`TableSource`] behind `AS OF` queries and in-transaction reads,
-/// where visibility comes from a historical cut or a private workspace
-/// rather than the current pin machinery.
-pub struct FrozenTables {
-    /// `(lowercase key, table)` pairs, sorted by key.
-    tables: Vec<(String, Arc<Table>)>,
-    views: HashMap<String, ViewDef>,
-}
-
-impl FrozenTables {
-    /// Builds a source from `(lowercase key, snapshot)` pairs.
-    pub(crate) fn new(
-        mut tables: Vec<(String, Arc<Table>)>,
-        views: HashMap<String, ViewDef>,
-    ) -> FrozenTables {
-        tables.sort_by(|a, b| a.0.cmp(&b.0));
-        FrozenTables { tables, views }
-    }
-}
-
-impl TableSource for FrozenTables {
-    fn table(&self, name: &str) -> DbResult<&Table> {
-        let key = name.to_ascii_lowercase();
-        match self
-            .tables
-            .binary_search_by(|(k, _)| k.as_str().cmp(key.as_str()))
-        {
-            Ok(i) => Ok(&self.tables[i].1),
-            Err(_) => Err(DbError::NotFound {
-                kind: "table",
-                name: name.to_owned(),
-            }),
-        }
-    }
-
-    fn view(&self, name: &str) -> Option<&ViewDef> {
-        self.views.get(&name.to_ascii_lowercase())
     }
 }
 
@@ -611,7 +545,9 @@ mod tests {
     fn pinned_set_serves_tables_and_rejects_read_only_mutation() {
         let reg = registry_with(&["a", "b"]);
         let set = set_for(&reg, "INSERT INTO a SELECT v FROM b");
-        let mut pinned = set.pin();
+        let mut pinned = set
+            .pin_with(None, |_, cell| DbResult::Ok(cell.latest()))
+            .unwrap();
         assert_eq!(pinned.tables_pinned(), 2);
         assert_eq!(pinned.table("A").unwrap().schema.name, "a");
         assert!(pinned.table_mut("a").is_ok());

@@ -14,7 +14,7 @@ use crate::exec;
 use crate::obs::{
     Metric, MetricsSnapshot, OpProfile, QueryMetrics, SlowQuery, SlowQueryLogger, StatementKind,
 };
-use crate::pin::{FrozenTables, PinnedTables, TableSet, TableSource};
+use crate::pin::{PinnedTables, TableSet, TableSource};
 use crate::plan::{DmlPlan, Planner};
 use crate::sql::ast::{AsOf, Expr, InsertSource, SelectItem, SelectStmt, Statement};
 use crate::sql::parse_statement;
@@ -29,6 +29,7 @@ use crate::wal::{
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
+use std::convert::Infallible;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -136,8 +137,9 @@ struct MvccState {
     /// `AS OF <instant>` cuts stay consistent across tables even if the
     /// wall clock steps backwards.
     last_instant: AtomicI64,
-    /// `commit sequence -> pin count` for every live snapshot.
-    pinned: Mutex<BTreeMap<u64, usize>>,
+    /// `commit sequence -> pin count` for every live snapshot. Shared
+    /// with each [`SnapshotPin`], which unregisters itself on drop.
+    pinned: Arc<Mutex<BTreeMap<u64, usize>>>,
 }
 
 impl MvccState {
@@ -146,7 +148,7 @@ impl MvccState {
             commit_lock: Mutex::new(()),
             commit_seq: AtomicU64::new(0),
             last_instant: AtomicI64::new(i64::MIN),
-            pinned: Mutex::new(BTreeMap::new()),
+            pinned: Arc::default(),
         }
     }
 
@@ -174,7 +176,7 @@ impl MvccState {
 /// versions visible at `seq` cannot be garbage-collected. From
 /// [`Database::pin_snapshot`].
 pub struct SnapshotPin {
-    db: Arc<Database>,
+    pins: Arc<Mutex<BTreeMap<u64, usize>>>,
     seq: u64,
 }
 
@@ -187,7 +189,7 @@ impl SnapshotPin {
 
 impl Drop for SnapshotPin {
     fn drop(&mut self) {
-        let mut pinned = self.db.mvcc.pinned.lock();
+        let mut pinned = self.pins.lock();
         if let Some(n) = pinned.get_mut(&self.seq) {
             *n -= 1;
             if *n == 0 {
@@ -624,13 +626,13 @@ impl Database {
     /// registering the pin happen under one lock, so a concurrent
     /// commit can never garbage-collect the versions this pin is about
     /// to read between the two steps.
-    pub fn pin_snapshot(self: &Arc<Self>) -> SnapshotPin {
+    pub fn pin_snapshot(&self) -> SnapshotPin {
         let mut pinned = self.mvcc.pinned.lock();
         let seq = self.mvcc.commit_seq.load(Ordering::Acquire);
         *pinned.entry(seq).or_insert(0) += 1;
         drop(pinned);
         SnapshotPin {
-            db: Arc::clone(self),
+            pins: Arc::clone(&self.mvcc.pinned),
             seq,
         }
     }
@@ -638,12 +640,25 @@ impl Database {
     /// Pins an explicit (historical) sequence — the `AS OF` path. The
     /// pin blocks garbage collection at or above `seq` for the query's
     /// duration; versions already collected stay collected.
-    pub fn pin_snapshot_at(self: &Arc<Self>, seq: u64) -> SnapshotPin {
+    pub fn pin_snapshot_at(&self, seq: u64) -> SnapshotPin {
         *self.mvcc.pinned.lock().entry(seq).or_insert(0) += 1;
         SnapshotPin {
-            db: Arc::clone(self),
+            pins: Arc::clone(&self.mvcc.pinned),
             seq,
         }
+    }
+
+    /// Pins `set` at the Latest read cut: one registered snapshot, every
+    /// read entry at its sequence — so a multi-table commit is seen whole
+    /// or not at all — and a table created after it at its latest
+    /// version (the statement resolved its name *now*).
+    pub(crate) fn pin_latest<'s>(&self, set: &'s TableSet) -> PinnedTables<'s> {
+        let snap = self.pin_snapshot();
+        let seq = snap.seq();
+        let Ok(pinned) = set.pin_with(Some(snap), |_, cell| {
+            Ok::<_, Infallible>(cell.snapshot_at(seq).unwrap_or_else(|| cell.latest()))
+        });
+        pinned
     }
 
     /// Publishes pre-shared `(cell, snapshot)` pairs as one atomic
@@ -678,9 +693,7 @@ impl Database {
     /// one commit (a no-op for read-only pins). Call with the pin still
     /// held.
     pub(crate) fn publish_pinned(&self, pinned: &PinnedTables<'_>) {
-        if pinned.has_writes() {
-            self.publish_prepared(pinned.prepared_publishes());
-        }
+        self.publish_prepared(pinned.prepared_publishes());
     }
 
     /// Stamps a just-created table's initial version with a fresh commit
@@ -943,19 +956,6 @@ impl Database {
         self.generation.fetch_add(1, Ordering::AcqRel);
     }
 
-    pub(crate) fn plan_cache_lookup(
-        &self,
-        key: &str,
-        generation: u64,
-        param_sig: &[(String, DataType)],
-    ) -> CacheLookup {
-        self.plan_cache.lock().lookup(key, generation, param_sig)
-    }
-
-    pub(crate) fn plan_cache_insert(&self, key: String, entry: CachedPlan) {
-        self.plan_cache.lock().insert(key, entry);
-    }
-
     /// Runs a closure with read access to the catalog.
     pub fn with_catalog<R>(&self, f: impl FnOnce(&Catalog) -> R) -> R {
         f(&self.catalog.read())
@@ -968,12 +968,12 @@ impl Database {
         f(&self.registry.read())
     }
 
-    /// Runs a closure against a read pin of every table: a consistent
-    /// whole-database view (the registry lock itself is already
-    /// released by the time the closure runs).
+    /// Runs a closure against every table pinned at the Latest read cut:
+    /// a consistent whole-database view (the registry lock itself is
+    /// already released by the time the closure runs).
     pub fn with_tables<R>(&self, f: impl FnOnce(&PinnedTables) -> R) -> R {
         let set = TableSet::read_all(&self.registry.read());
-        let pinned = set.pin();
+        let pinned = self.pin_latest(&set);
         f(&pinned)
     }
 
@@ -1222,11 +1222,6 @@ impl Session {
         }
     }
 
-    fn observe_select(&self, sql: &str, plan: &crate::plan::Plan, rows: u64, elapsed: Duration) {
-        self.metrics.record_select(rows, elapsed);
-        self.observe_slow(sql, rows, elapsed, || plan.describe());
-    }
-
     /// DML observation: affected-row count, latency histogram, and the
     /// slow-query hook — INSERT/UPDATE/DELETE are first-class citizens
     /// of the slow-query log, not just SELECT.
@@ -1235,11 +1230,6 @@ impl Session {
         self.observe_slow(sql, rows, elapsed, || plan.to_owned());
     }
 
-    /// Folds one pinned guard set into the lock-wait counters.
-    fn record_pin(&self, pinned: &PinnedTables) {
-        self.metrics
-            .record_lock_wait(pinned.tables_pinned() as u64, pinned.lock_wait());
-    }
     /// Overrides the interpretation of `NOW` (Unix seconds) for every
     /// subsequent statement; `None` restores the wall clock. This is the
     /// TIP Browser's what-if knob.
@@ -1320,12 +1310,38 @@ impl Session {
         let generation = self.db.ddl_generation();
         let param_sig = param_sig_of(params.as_ref());
         // Inside a transaction every read must see the workspace, so the
-        // cached-plan fast path (which reads published versions) is
-        // skipped until COMMIT/ROLLBACK.
+        // plan cache (whose plans read the Latest cut) is not consulted
+        // until COMMIT/ROLLBACK.
         let in_txn = self.txn.lock().is_some();
         if !in_txn {
-            if let Some(outcome) = self.try_cached(sql, params.as_ref(), generation, &param_sig)? {
-                return Ok(outcome);
+            let (is_explain, analyze, key) = cache::split_explain(cache::normalize_sql(sql));
+            let lookup = self
+                .db
+                .plan_cache
+                .lock()
+                .lookup(key, generation, &param_sig);
+            match lookup {
+                CacheLookup::Hit(entry) => {
+                    self.metrics.add(Metric::plan_cache_hits, 1);
+                    // Re-pin exactly the tables the plan touches. A table
+                    // dropped since the fill surfaces here as a typed
+                    // NotFound (the racing DROP also bumped the
+                    // generation, so the entry dies on its next lookup).
+                    let set = TableSet::read_only(&self.db.registry.read(), &entry.tables)?;
+                    let ctx = self.statement_ctx(params.as_ref());
+                    let render = Render::of(is_explain, analyze);
+                    let source = PlanSource::Cached(entry);
+                    let outcome =
+                        self.run_select(sql, &set, ReadCut::Latest, source, &ctx, render)?;
+                    self.metrics.record_statement(if is_explain {
+                        StatementKind::Explain
+                    } else {
+                        StatementKind::Select
+                    });
+                    return Ok(outcome);
+                }
+                CacheLookup::Stale => self.metrics.add(Metric::plan_cache_invalidations, 1),
+                CacheLookup::Absent => {}
             }
         }
         let stmt = parse_statement(sql)?;
@@ -1360,23 +1376,26 @@ impl Session {
         // acquired, so registry writers (DDL) are never queued behind a
         // long statement and vice versa.
         let table_set = TableSet::for_statement(&self.db.registry.read(), &stmt);
+        // EXPLAIN [ANALYZE] SELECT runs the SELECT, rendered differently
+        // (outside a transaction: inside one it is refused below).
+        let (stmt, render) = match stmt {
+            Statement::Explain { inner, analyze }
+                if !in_txn && matches!(*inner, Statement::Select(_)) =>
+            {
+                (*inner, Render::of(true, analyze))
+            }
+            stmt => (stmt, Render::Rows),
+        };
         let outcome = match stmt {
             Statement::Begin => self.txn_begin(),
             Statement::Commit => self.txn_commit(),
             Statement::Rollback => self.txn_rollback(),
-            // In-transaction routing: default-snapshot SELECTs and DML
-            // run against the private workspace. An AS OF SELECT falls
-            // through to the historical path below — time travel reads
-            // committed history, never uncommitted workspace state.
-            Statement::Select(ref sel) if in_txn && sel.as_of.is_none() => {
-                self.txn_select(&table_set, sel, sql, params_map, ctx)
-            }
             ref s @ (Statement::Insert { .. }
             | Statement::Update { .. }
             | Statement::Delete { .. }) => {
                 let started = Instant::now();
                 let (plan, n) = if in_txn {
-                    self.txn_dml(&table_set, s, params_map, &ctx)?
+                    self.txn_dml(table_set, s, params_map, &ctx)?
                 } else {
                     self.run_dml(&table_set, s, params_map, &ctx)?
                 };
@@ -1396,50 +1415,15 @@ impl Session {
                      COMMIT or ROLLBACK first",
                 ))
             }
-            Statement::Select(ref sel) if sel.as_of.is_some() => {
-                self.run_select_as_of(&table_set, sel, sql, params_map, ctx)
-            }
             Statement::Select(sel) => {
-                let started = Instant::now();
-                self.metrics.add(Metric::plan_cache_misses, 1);
-                let cache_tables = self
-                    .cacheable(&sel, &table_set)
-                    .then(|| table_set.table_keys());
-                // Pin a snapshot (registering with the GC floor), then
-                // resolve each table's version at that sequence — no
-                // table lock taken at all, so writers never block this
-                // read and vice versa.
-                let snap = self.db.pin_snapshot();
-                let pinned = table_set.pin_at(snap.seq());
-                self.record_pin(&pinned);
-                let catalog = self.db.catalog.read();
-                // Deferred binding keeps `:name` slots in the plan, so
-                // the same plan serves later parameter values.
-                let planner = Planner::new_deferred(&catalog, &pinned, params_map, ctx.clone());
-                let planned = planner.plan_select(&sel)?;
-                // Access-path accounting only — no per-row timing cost.
-                let prof = OpProfile::paths_only(&planned.plan);
-                let rows = exec::execute_with(&planned.plan, &pinned, &ctx, Some(&prof))?;
-                prof.charge_scans(&self.metrics);
-                // Release locks before the slow-query hook: it is user
-                // code and may open its own statements.
-                drop(pinned);
-                drop(catalog);
-                self.observe_select(sql, &planned.plan, rows.len() as u64, started.elapsed());
-                let columns = planned.columns;
-                if let Some(tables) = cache_tables {
-                    self.db.plan_cache_insert(
-                        cache::normalize_sql(sql).to_owned(),
-                        CachedPlan {
-                            plan: planned.plan,
-                            columns: columns.clone(),
-                            param_sig,
-                            tables,
-                            generation,
-                        },
-                    );
-                }
-                Ok(StatementOutcome::Rows(QueryResult { columns, rows }))
+                let cut = self.read_cut(&sel, in_txn, params_map, &ctx)?;
+                let source = PlanSource::Fresh {
+                    sel: &sel,
+                    params: params_map,
+                    param_sig,
+                    generation,
+                };
+                self.run_select(sql, &table_set, cut, source, &ctx, render)
             }
             Statement::CreateTable { name, columns } => {
                 let catalog = self.db.catalog.read();
@@ -1494,8 +1478,7 @@ impl Session {
                 // The collector pinned the target table for writing; no
                 // other table (and not the registry) is blocked while
                 // the index backfills.
-                let mut pinned = table_set.pin();
-                self.record_pin(&pinned);
+                let mut pinned = self.pin_cut(&table_set, ReadCut::Latest)?;
                 let catalog = self.db.catalog.read();
                 let t = pinned.table_mut(&table)?;
                 let col = t
@@ -1588,8 +1571,7 @@ impl Session {
                 // pinned base tables before storing the text. The pins are
                 // dropped before the registry write lock is taken.
                 {
-                    let pinned = table_set.pin();
-                    self.record_pin(&pinned);
+                    let pinned = self.pin_cut(&table_set, ReadCut::Latest)?;
                     let catalog = self.db.catalog.read();
                     let planner = Planner::new(&catalog, &pinned, params_map, ctx);
                     planner.plan_select(&query)?;
@@ -1641,74 +1623,13 @@ impl Session {
                     Ok(StatementOutcome::Done)
                 }
             }
-            Statement::Explain { inner, .. } if !matches!(*inner, Statement::Select(_)) => {
+            Statement::Explain { inner, .. } => {
                 // The parser admits only UPDATE and DELETE here, never
                 // under ANALYZE: that would execute the write.
-                let pinned = table_set.pin();
-                self.record_pin(&pinned);
+                let pinned = self.pin_cut(&table_set, ReadCut::Latest)?;
                 let catalog = self.db.catalog.read();
                 let planner = Planner::new_deferred(&catalog, &pinned, params_map, ctx);
-                let plan = planner.plan_dml(&inner)?.describe();
-                Ok(StatementOutcome::Rows(QueryResult {
-                    columns: vec![("plan".to_owned(), DataType::Str)],
-                    rows: vec![vec![Value::Str(plan)]],
-                }))
-            }
-            Statement::Explain { inner, analyze } => {
-                let Statement::Select(sel) = *inner else {
-                    return Err(DbError::exec("EXPLAIN supports SELECT statements"));
-                };
-                let started = Instant::now();
-                self.metrics.add(Metric::plan_cache_misses, 1);
-                let cache_tables = self
-                    .cacheable(&sel, &table_set)
-                    .then(|| table_set.table_keys());
-                let pinned = table_set.pin();
-                self.record_pin(&pinned);
-                let catalog = self.db.catalog.read();
-                let planner = Planner::new_deferred(&catalog, &pinned, params_map, ctx.clone());
-                let planned = planner.plan_select(&sel)?;
-                let rows = if analyze {
-                    // Execute under full instrumentation and report the
-                    // plan tree annotated with per-operator stats.
-                    let prof = OpProfile::timed(&planned.plan);
-                    let produced = exec::execute_with(&planned.plan, &pinned, &ctx, Some(&prof))?;
-                    prof.charge_scans(&self.metrics);
-                    self.metrics
-                        .record_select(produced.len() as u64, started.elapsed());
-                    let mut lines = prof.render();
-                    lines.push(format!(
-                        "returned {} row(s) in {:.1?} [pinned {} table(s), lock-wait {:.1?}] [plan: fresh]",
-                        produced.len(),
-                        started.elapsed(),
-                        pinned.tables_pinned(),
-                        pinned.lock_wait()
-                    ));
-                    lines
-                } else {
-                    vec![planned.plan.describe()]
-                };
-                drop(pinned);
-                drop(catalog);
-                // EXPLAIN keys the cache by the *inner* SELECT text, so
-                // it warms (and reads) the same entry as the bare query.
-                if let Some(tables) = cache_tables {
-                    let (_, _, key) = cache::split_explain(cache::normalize_sql(sql));
-                    self.db.plan_cache_insert(
-                        key.to_owned(),
-                        CachedPlan {
-                            plan: planned.plan,
-                            columns: planned.columns,
-                            param_sig,
-                            tables,
-                            generation,
-                        },
-                    );
-                }
-                Ok(StatementOutcome::Rows(QueryResult {
-                    columns: vec![("plan".to_owned(), DataType::Str)],
-                    rows: rows.into_iter().map(|l| vec![Value::Str(l)]).collect(),
-                }))
+                Ok(plan_lines(vec![planner.plan_dml(&inner)?.describe()]))
             }
             Statement::ShowStats => {
                 let rows = self
@@ -1737,86 +1658,172 @@ impl Session {
         outcome
     }
 
-    /// Probes the database-wide plan cache and, on a hit, executes the
-    /// cached plan without touching the SQL front end. Returns
-    /// `Ok(None)` on a miss (the caller runs the fresh path).
-    fn try_cached(
+    /// The one read path: pins `set` at `cut`, takes the cached plan or
+    /// plans the statement, executes it, and renders the result rows, the
+    /// plan, or the EXPLAIN ANALYZE profile. A fresh plan at the Latest
+    /// cut counts a plan-cache miss and, if cacheable, fills the cache
+    /// once it has run.
+    fn run_select(
         &self,
         sql: &str,
-        params: Option<&Arc<HashMap<String, Value>>>,
-        generation: u64,
-        param_sig: &[(String, DataType)],
-    ) -> DbResult<Option<StatementOutcome>> {
-        let (is_explain, analyze, key) = cache::split_explain(cache::normalize_sql(sql));
-        let entry = match self.db.plan_cache_lookup(key, generation, param_sig) {
-            CacheLookup::Hit(e) => e,
-            CacheLookup::Stale => {
-                self.metrics.add(Metric::plan_cache_invalidations, 1);
-                return Ok(None);
-            }
-            CacheLookup::Absent => return Ok(None),
-        };
-        self.metrics.add(Metric::plan_cache_hits, 1);
-        if is_explain && !analyze {
-            // Plain EXPLAIN of a cached plan: describe, don't execute.
-            self.metrics.record_statement(StatementKind::Explain);
-            return Ok(Some(StatementOutcome::Rows(QueryResult {
-                columns: vec![("plan".to_owned(), DataType::Str)],
-                rows: vec![vec![Value::Str(entry.plan.describe())]],
-            })));
-        }
+        set: &TableSet,
+        cut: ReadCut,
+        source: PlanSource<'_>,
+        ctx: &ExecCtx,
+        render: Render,
+    ) -> DbResult<StatementOutcome> {
         let started = Instant::now();
-        let ctx = self.statement_ctx(params);
-        // Re-pin exactly the tables the plan touches. A table dropped
-        // since the fill surfaces here as a typed NotFound (the racing
-        // DROP also bumped the generation, so the entry dies on its
-        // next lookup).
-        let table_set = TableSet::read_only(&self.db.registry.read(), &entry.tables)?;
-        // Same snapshot protocol as the fresh SELECT path: lock-free.
-        let snap = self.db.pin_snapshot();
-        let pinned = table_set.pin_at(snap.seq());
-        self.record_pin(&pinned);
-        if is_explain {
-            // EXPLAIN ANALYZE from cache: same instrumentation as the
-            // fresh path, with the provenance trailer flipped.
-            let prof = OpProfile::timed(&entry.plan);
-            let produced = exec::execute_with(&entry.plan, &pinned, &ctx, Some(&prof))?;
+        let pinned = self.pin_cut(set, cut)?;
+        let fresh = matches!(source, PlanSource::Fresh { .. });
+        let (entry, fill) = match source {
+            PlanSource::Cached(entry) => (entry, false),
+            PlanSource::Fresh {
+                sel,
+                params,
+                param_sig,
+                generation,
+            } => {
+                let latest = matches!(cut, ReadCut::Latest);
+                if latest {
+                    self.metrics.add(Metric::plan_cache_misses, 1);
+                }
+                // Deferred binding keeps `:name` slots in the plan, so
+                // the same plan serves later parameter values.
+                let catalog = self.db.catalog.read();
+                let planner = Planner::new_deferred(&catalog, &pinned, params, ctx.clone());
+                let planned = planner.plan_select(sel)?;
+                // Only plain SELECT over base tables is cached: the
+                // planner freezes subqueries to *values*, and a view's
+                // text can change under the same name.
+                let fill = latest && !set.uses_views() && !select_has_subquery(sel);
+                let entry = Arc::new(CachedPlan {
+                    plan: planned.plan,
+                    columns: planned.columns,
+                    param_sig,
+                    tables: set.table_keys(),
+                    generation,
+                });
+                (entry, fill)
+            }
+        };
+        let plan = &entry.plan;
+        let mut rows = Vec::new();
+        let mut lines = Vec::new();
+        if render == Render::Plan {
+            lines.push(plan.describe());
+        } else {
+            // Access-path accounting only, unless EXPLAIN ANALYZE asks
+            // for per-operator timing.
+            let prof = match render {
+                Render::Profile => OpProfile::timed(plan),
+                _ => OpProfile::paths_only(plan),
+            };
+            rows = exec::execute_with(plan, &pinned, ctx, Some(&prof))?;
             prof.charge_scans(&self.metrics);
             self.metrics
-                .record_select(produced.len() as u64, started.elapsed());
-            let mut lines = prof.render();
-            lines.push(format!(
-                "returned {} row(s) in {:.1?} [pinned {} table(s), lock-wait {:.1?}] [plan: cached]",
-                produced.len(),
-                started.elapsed(),
-                pinned.tables_pinned(),
-                pinned.lock_wait()
-            ));
-            self.metrics.record_statement(StatementKind::Explain);
-            return Ok(Some(StatementOutcome::Rows(QueryResult {
-                columns: vec![("plan".to_owned(), DataType::Str)],
-                rows: lines.into_iter().map(|l| vec![Value::Str(l)]).collect(),
-            })));
+                .record_select(rows.len() as u64, started.elapsed());
+            if render == Render::Profile {
+                lines = prof.render();
+                lines.push(format!(
+                    "returned {} row(s) in {:.1?} [pinned {} table(s), lock-wait {:.1?}] [plan: {}]",
+                    rows.len(),
+                    started.elapsed(),
+                    pinned.tables_pinned(),
+                    pinned.lock_wait(),
+                    if fresh { "fresh" } else { "cached" }
+                ));
+            }
         }
-        let prof = OpProfile::paths_only(&entry.plan);
-        let rows = exec::execute_with(&entry.plan, &pinned, &ctx, Some(&prof))?;
-        prof.charge_scans(&self.metrics);
+        // Release the pin before the slow-query hook: it is user code and
+        // may open its own statements.
         drop(pinned);
-        self.observe_select(sql, &entry.plan, rows.len() as u64, started.elapsed());
-        self.metrics.record_statement(StatementKind::Select);
-        Ok(Some(StatementOutcome::Rows(QueryResult {
-            columns: entry.columns.clone(),
-            rows,
-        })))
+        let outcome = if render == Render::Rows {
+            self.observe_slow(sql, rows.len() as u64, started.elapsed(), || {
+                plan.describe()
+            });
+            StatementOutcome::Rows(QueryResult {
+                columns: entry.columns.clone(),
+                rows,
+            })
+        } else {
+            plan_lines(lines)
+        };
+        if fill {
+            // EXPLAIN keys the cache by the *inner* SELECT text, so it
+            // warms (and reads) the same entry as the bare query.
+            let (_, _, key) = cache::split_explain(cache::normalize_sql(sql));
+            self.db.plan_cache.lock().insert(key.to_owned(), entry);
+        }
+        Ok(outcome)
     }
 
-    /// Whether a SELECT's plan may enter the cache: no subqueries
-    /// anywhere in the AST (the planner freezes them to *values* at plan
-    /// time) and no views (a view body may itself contain subqueries,
-    /// and its text can change under the same name — a deliberate
-    /// non-caching choice, not a correctness limit).
-    fn cacheable(&self, sel: &SelectStmt, table_set: &TableSet) -> bool {
-        !table_set.uses_views() && sel.as_of.is_none() && !select_has_subquery(sel)
+    /// The cut a SELECT reads at: its `AS OF` clause, else the open
+    /// transaction, else the latest commit.
+    fn read_cut(
+        &self,
+        sel: &SelectStmt,
+        in_txn: bool,
+        params: &HashMap<String, Value>,
+        ctx: &ExecCtx,
+    ) -> DbResult<ReadCut> {
+        let Some(as_of) = &sel.as_of else {
+            return Ok(if in_txn {
+                ReadCut::Txn
+            } else {
+                ReadCut::Latest
+            });
+        };
+        // The operand is a table-free scalar: bind it against no tables.
+        let catalog = self.db.catalog.read();
+        let no_tables = TableSet::default();
+        let no_tables = no_tables.pin_with(None, |key, _| Err(table_not_found(key)))?;
+        let planner = Planner::new(&catalog, &no_tables, params, ctx.clone());
+        let eval = |e: &Expr| -> DbResult<Value> {
+            let e = planner.resolve_subqueries(e)?;
+            let bound = planner.binder.bind(&e, &crate::binder::Scope::default())?;
+            bound.eval(ctx, &[])
+        };
+        match as_of {
+            AsOf::Commit(e) => {
+                let n = eval(e)?.as_int().ok_or_else(|| {
+                    DbError::type_err("AS OF COMMIT expects an integer commit sequence")
+                })?;
+                let n = u64::try_from(n).map_err(|_| {
+                    DbError::type_err("AS OF COMMIT expects a non-negative commit sequence")
+                })?;
+                Ok(ReadCut::Commit(n))
+            }
+            AsOf::Instant(e) => Ok(ReadCut::Instant(instant_of(&catalog, &eval(e)?)?)),
+        }
+    }
+
+    /// Resolves a read cut into the statement's pinned tables and folds
+    /// the pin into the lock-wait counters. An `AS OF`
+    /// cut reads committed history only: a table with no version at the
+    /// point (not created yet, or collected past the retention window)
+    /// is `NotFound`, and an open transaction's workspace stays invisible.
+    fn pin_cut<'s>(&self, set: &'s TableSet, cut: ReadCut) -> DbResult<PinnedTables<'s>> {
+        let pinned = match cut {
+            ReadCut::Latest => self.db.pin_latest(set),
+            ReadCut::Txn => {
+                let txn = self.txn.lock();
+                txn.as_ref().expect("caller checked txn").pin(set)?
+            }
+            ReadCut::Commit(n) => set.pin_with(Some(self.db.pin_snapshot_at(n)), |key, cell| {
+                cell.snapshot_at(n).ok_or_else(|| table_not_found(key))
+            })?,
+            // An instant does not know its sequence, so the statement pins
+            // the whole chain for its duration.
+            ReadCut::Instant(t) => {
+                set.pin_with(Some(self.db.pin_snapshot_at(0)), |key, cell| {
+                    cell.snapshot_at_instant(t)
+                        .ok_or_else(|| table_not_found(key))
+                })?
+            }
+        };
+        self.metrics
+            .record_lock_wait(pinned.tables_pinned() as u64, pinned.lock_wait());
+        Ok(pinned)
     }
 
     /// Executes a statement expected to return rows.
@@ -1855,8 +1862,7 @@ impl Session {
         params: &HashMap<String, Value>,
         ctx: &ExecCtx,
     ) -> DbResult<(String, usize)> {
-        let mut pinned = set.pin();
-        self.record_pin(&pinned);
+        let mut pinned = self.pin_cut(set, ReadCut::Latest)?;
         let catalog = self.db.catalog.read();
         let (plan, changes) = self.statement_changes(stmt, &catalog, &pinned, params, ctx)?;
         let t = pinned.table_mut(dml_target(stmt))?;
@@ -2066,43 +2072,12 @@ impl Session {
         Ok(key)
     }
 
-    /// SELECT inside an open transaction: reads the workspace overlay
-    /// (own uncommitted writes) over the transaction snapshot, with no
-    /// table locks.
-    fn txn_select(
-        &self,
-        table_set: &TableSet,
-        sel: &SelectStmt,
-        sql: &str,
-        params: &HashMap<String, Value>,
-        ctx: ExecCtx,
-    ) -> DbResult<StatementOutcome> {
-        let started = Instant::now();
-        let frozen = {
-            let guard = self.txn.lock();
-            let txn = guard.as_ref().expect("caller checked txn");
-            frozen_for_txn(table_set, txn)?
-        };
-        let catalog = self.db.catalog.read();
-        let planner = Planner::new(&catalog, &frozen, params, ctx.clone());
-        let planned = planner.plan_select(sel)?;
-        let prof = OpProfile::paths_only(&planned.plan);
-        let rows = exec::execute_with(&planned.plan, &frozen, &ctx, Some(&prof))?;
-        prof.charge_scans(&self.metrics);
-        drop(catalog);
-        self.observe_select(sql, &planned.plan, rows.len() as u64, started.elapsed());
-        Ok(StatementOutcome::Rows(QueryResult {
-            columns: planned.columns,
-            rows,
-        }))
-    }
-
     /// INSERT, UPDATE or DELETE inside a transaction: the change set is
     /// computed against the workspace and applied to it; COMMIT logs it.
     /// Returns the plan rendering and the affected-row count.
     fn txn_dml(
         &self,
-        set: &TableSet,
+        mut set: TableSet,
         stmt: &Statement,
         params: &HashMap<String, Value>,
         ctx: &ExecCtx,
@@ -2110,9 +2085,13 @@ impl Session {
         let mut guard = self.txn.lock();
         let txn = guard.as_mut().expect("caller checked txn");
         let key = self.txn_touch(txn, dml_target(stmt))?;
+        // The statement reads every table, its target included, at the
+        // transaction cut.
+        set.demote_writes();
+        let pinned = txn.pin(&set)?;
         let catalog = self.db.catalog.read();
-        let frozen = frozen_for_txn(set, txn)?;
-        let (plan, changes) = self.statement_changes(stmt, &catalog, &frozen, params, ctx)?;
+        let (plan, changes) = self.statement_changes(stmt, &catalog, &pinned, params, ctx)?;
+        drop(pinned);
         let n = changes.len();
         let tt = txn.tables.get_mut(&key).expect("touched above");
         for c in changes {
@@ -2121,121 +2100,84 @@ impl Session {
         }
         Ok((plan, n))
     }
-
-    /// `SELECT … AS OF`: time travel against committed history only —
-    /// an open transaction's workspace is deliberately invisible here.
-    fn run_select_as_of(
-        &self,
-        table_set: &TableSet,
-        sel: &SelectStmt,
-        sql: &str,
-        params: &HashMap<String, Value>,
-        ctx: ExecCtx,
-    ) -> DbResult<StatementOutcome> {
-        let started = Instant::now();
-        let catalog = self.db.catalog.read();
-        let as_of = sel.as_of.as_ref().expect("caller checked as_of");
-        let point = eval_as_of_point(&catalog, as_of, params, &ctx)?;
-        // Pin the target sequence so GC cannot collect the versions out
-        // from under the scan. Instants don't know their sequence, so
-        // they pin the whole chain for the statement's duration.
-        let _pin = match point {
-            TimePoint::Seq(n) => self.db.pin_snapshot_at(n),
-            TimePoint::Instant(_) => self.db.pin_snapshot_at(0),
-        };
-        let frozen = frozen_at_point(table_set, point)?;
-        let planner = Planner::new(&catalog, &frozen, params, ctx.clone());
-        let planned = planner.plan_select(sel)?;
-        let prof = OpProfile::paths_only(&planned.plan);
-        let rows = exec::execute_with(&planned.plan, &frozen, &ctx, Some(&prof))?;
-        prof.charge_scans(&self.metrics);
-        drop(catalog);
-        self.observe_select(sql, &planned.plan, rows.len() as u64, started.elapsed());
-        Ok(StatementOutcome::Rows(QueryResult {
-            columns: planned.columns,
-            rows,
-        }))
-    }
 }
 
-// ----- Transaction & AS OF helpers -----------------------------------
+// ----- Read cuts -----------------------------------------------------
 
-/// A resolved `AS OF` target: a commit sequence or a wall-clock
-/// instant.
+/// The point in time a SELECT reads at.
 #[derive(Clone, Copy)]
-enum TimePoint {
-    Seq(u64),
+enum ReadCut {
+    /// The newest commit, pinned once for the whole statement.
+    Latest,
+    /// The open transaction: its workspace over its snapshot.
+    Txn,
+    /// `AS OF COMMIT n`.
+    Commit(u64),
+    /// `AS OF <instant>`: the newest commit at or before it.
     Instant(i64),
 }
 
-/// Freezes the statement's table set at the transaction snapshot, with
-/// workspace overlays for tables the transaction has already touched.
-fn frozen_for_txn(set: &TableSet, txn: &TxnState) -> DbResult<FrozenTables> {
-    let mut tables = Vec::with_capacity(set.len());
-    for (key, cell) in set.entries() {
-        let snap = match txn.tables.get(key) {
-            Some(tt) => Arc::new(tt.work.share()),
-            None => cell.snapshot_at(txn.pin.seq()).ok_or(DbError::NotFound {
-                kind: "table",
-                name: key.to_owned(),
-            })?,
-        };
-        tables.push((key.to_owned(), snap));
-    }
-    Ok(FrozenTables::new(tables, set.views().clone()))
+/// Where a SELECT's plan comes from.
+enum PlanSource<'q> {
+    /// A plan-cache hit.
+    Cached(Arc<CachedPlan>),
+    /// The parsed statement, to be planned against the pinned tables;
+    /// the parameter signature and generation stamp a cache fill.
+    Fresh {
+        sel: &'q SelectStmt,
+        params: &'q HashMap<String, Value>,
+        param_sig: Vec<(String, DataType)>,
+        generation: u64,
+    },
 }
 
-/// Freezes the statement's table set at an explicit time-travel point.
-/// A table with no version at the point (not created yet, or its
-/// history was garbage-collected past the retention window) reports
-/// `NotFound`.
-fn frozen_at_point(set: &TableSet, point: TimePoint) -> DbResult<FrozenTables> {
-    let mut tables = Vec::with_capacity(set.len());
-    for (key, cell) in set.entries() {
-        let snap = match point {
-            TimePoint::Seq(n) => cell.snapshot_at(n),
-            TimePoint::Instant(t) => cell.snapshot_at_instant(t),
-        };
-        let snap = snap.ok_or(DbError::NotFound {
-            kind: "table",
-            name: key.to_owned(),
-        })?;
-        tables.push((key.to_owned(), snap));
-    }
-    Ok(FrozenTables::new(tables, set.views().clone()))
+/// What a SELECT statement returns.
+#[derive(Clone, Copy, PartialEq)]
+enum Render {
+    /// The result rows.
+    Rows,
+    /// `EXPLAIN`: the plan, not executed.
+    Plan,
+    /// `EXPLAIN ANALYZE`: the executed plan's per-operator profile.
+    Profile,
 }
 
-/// Evaluates the `AS OF` operand — a table-free scalar expression —
-/// into a [`TimePoint`].
-fn eval_as_of_point(
-    catalog: &Catalog,
-    as_of: &AsOf,
-    params: &HashMap<String, Value>,
-    ctx: &ExecCtx,
-) -> DbResult<TimePoint> {
-    let empty = FrozenTables::new(Vec::new(), HashMap::new());
-    let planner = Planner::new(catalog, &empty, params, ctx.clone());
-    let scope = crate::binder::Scope::default();
-    let eval = |e: &Expr| -> DbResult<Value> {
-        let e = planner.resolve_subqueries(e)?;
-        let bound = planner.binder.bind(&e, &scope)?;
-        bound.eval(ctx, &[])
-    };
-    match as_of {
-        AsOf::Commit(e) => {
-            let v = eval(e)?;
-            let n = v.as_int().ok_or_else(|| {
-                DbError::type_err("AS OF COMMIT expects an integer commit sequence")
-            })?;
-            if n < 0 {
-                return Err(DbError::type_err(
-                    "AS OF COMMIT expects a non-negative commit sequence",
-                ));
-            }
-            Ok(TimePoint::Seq(n as u64))
+impl Render {
+    fn of(explain: bool, analyze: bool) -> Render {
+        match (explain, analyze) {
+            (false, _) => Render::Rows,
+            (true, false) => Render::Plan,
+            (true, true) => Render::Profile,
         }
-        AsOf::Instant(e) => Ok(TimePoint::Instant(instant_of(catalog, &eval(e)?)?)),
     }
+}
+
+impl TxnState {
+    /// Pins `set` at the transaction cut: a table the transaction has
+    /// touched reads its workspace, any other its version at the
+    /// transaction's snapshot.
+    fn pin<'s>(&self, set: &'s TableSet) -> DbResult<PinnedTables<'s>> {
+        let seq = self.pin.seq();
+        set.pin_with(None, |key, cell| match self.tables.get(key) {
+            Some(tt) => Ok(Arc::new(tt.work.share())),
+            None => cell.snapshot_at(seq).ok_or_else(|| table_not_found(key)),
+        })
+    }
+}
+
+fn table_not_found(key: &str) -> DbError {
+    DbError::NotFound {
+        kind: "table",
+        name: key.to_owned(),
+    }
+}
+
+/// A one-column `plan` result: what EXPLAIN returns.
+fn plan_lines(lines: Vec<String>) -> StatementOutcome {
+    StatementOutcome::Rows(QueryResult {
+        columns: vec![("plan".to_owned(), DataType::Str)],
+        rows: lines.into_iter().map(|l| vec![Value::Str(l)]).collect(),
+    })
 }
 
 /// Coerces an evaluated `AS OF` operand into Unix seconds: a plain

@@ -4,8 +4,10 @@
 
 #![allow(dead_code)] // each test crate uses its own subset
 
-use minidb::catalog::{Blade, Catalog, FunctionOverload, UdtTypeDef};
-use minidb::{DataType, DbError, DbResult, UdtObject, UdtValue, Value};
+use minidb::catalog::{
+    AggregateOverload, AggregateState, Blade, Catalog, ExecCtx, FunctionOverload, UdtTypeDef,
+};
+use minidb::{DataType, DbError, DbResult, UdtId, UdtObject, UdtValue, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -49,8 +51,8 @@ impl Blade for ValidityBlade {
 
 /// Registers the same payload as the *unordered* type `Interval`, which
 /// `CREATE INDEX` gives an interval index — as it does the TIP blade's
-/// Element — and an `overlaps(Interval, Interval)` routine that index
-/// answers.
+/// Element — an `overlaps(Interval, Interval)` routine that index
+/// answers, and a `group_union(Interval)` aggregate.
 pub struct IntervalBlade;
 
 impl Blade for IntervalBlade {
@@ -77,7 +79,39 @@ impl Blade for IntervalBlade {
                     Ok(Value::Bool(alo <= bhi && blo <= ahi))
                 }),
             },
+        )?;
+        let DataType::Udt(id) = ty else {
+            unreachable!("register_validity returns a UDT")
+        };
+        catalog.register_aggregate(
+            "group_union",
+            AggregateOverload {
+                param: ty,
+                ret: ty,
+                factory: Arc::new(move || Box::new(Hull(id, None))),
+            },
         )
+    }
+}
+
+/// `group_union` over `Interval`s: one interval has no gaps, so the union
+/// is coarsened to the smallest interval covering every input.
+struct Hull(UdtId, Option<Validity>);
+
+impl AggregateState for Hull {
+    fn step(&mut self, _: &ExecCtx, v: &Value) -> DbResult<()> {
+        let v = *v
+            .as_udt()
+            .and_then(|u| u.downcast::<Validity>())
+            .expect("Interval argument");
+        self.1 = Some(self.1.map_or(v, |h| Validity(h.0.min(v.0), h.1.max(v.1))));
+        Ok(())
+    }
+
+    fn finish(self: Box<Self>, _: &ExecCtx) -> DbResult<Value> {
+        Ok(self.1.map_or(Value::Null, |h| {
+            Value::Udt(UdtValue::new(self.0, Arc::new(h)))
+        }))
     }
 }
 

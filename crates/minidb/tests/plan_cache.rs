@@ -2,7 +2,9 @@
 //! DDL invalidates lazily, and cached plans never return stale results —
 //! the prepare-once/execute-many contract DESIGN.md commits to.
 
-use minidb::{Database, DbError, Value};
+mod common;
+
+use minidb::{DataType, Database, DbError, UdtValue, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -292,4 +294,89 @@ fn repeated_trailing_semicolons_normalize_to_one_cache_entry() {
     let m = s.metrics().snapshot();
     assert_eq!((m.plan_cache_misses, m.plan_cache_hits), (1, 2));
     assert_eq!(db.plan_cache_len(), 1);
+}
+
+/// An `Interval` value (the test blade's interval-indexed type).
+fn interval(db: &Database, lo: i64, hi: i64) -> Value {
+    match db.with_catalog(|c| c.lookup_type_name("Interval")) {
+        Ok(DataType::Udt(id)) => Value::Udt(UdtValue::new(id, Arc::new(common::Validity(lo, hi)))),
+        other => panic!("Interval resolved to {other:?}"),
+    }
+}
+
+/// The five read cuts a SELECT can run at — a fresh plan, the cached
+/// plan, EXPLAIN ANALYZE, an open transaction with no writes, and
+/// `AS OF COMMIT` the latest commit — return the same rows for every
+/// plan shape. An uncommitted UPDATE then shows in the transaction's
+/// reads and never in AS OF.
+#[test]
+fn every_read_cut_returns_the_same_rows() {
+    let db = Database::new();
+    db.install_blade(&common::IntervalBlade).unwrap();
+    let s = db.session();
+    s.execute("CREATE TABLE p (id INT, patient INT, valid Interval)")
+        .unwrap();
+    s.execute("CREATE INDEX ix_patient ON p(patient)").unwrap();
+    s.execute("CREATE INDEX ix_valid ON p(valid)").unwrap();
+    s.execute("CREATE TABLE d (patient INT, name CHAR(10))")
+        .unwrap();
+    for i in 0..40 {
+        let row = [
+            ("id", Value::Int(i)),
+            ("p", Value::Int(i % 5)),
+            ("v", interval(&db, i * 10, i * 10 + 25)),
+        ];
+        s.execute_with_params("INSERT INTO p VALUES (:id, :p, :v)", &row)
+            .unwrap();
+    }
+    for k in 0..5 {
+        s.execute(&format!("INSERT INTO d VALUES ({k}, 'doc{k}')"))
+            .unwrap();
+    }
+    let shapes = [
+        "SELECT id FROM p WHERE patient = 3 ORDER BY id",
+        "SELECT id FROM p WHERE overlaps(valid, :w) ORDER BY id",
+        "SELECT p.id, d.name FROM p, d WHERE p.patient = d.patient AND p.id < 12 ORDER BY p.id",
+        "SELECT patient, group_union(valid) FROM p GROUP BY patient ORDER BY patient",
+        "SELECT id FROM p ORDER BY id LIMIT 7",
+    ];
+    let w = [("w", interval(&db, 100, 160))];
+    let run = |sql: &str| s.query_with_params(sql, &w).unwrap().rows;
+    let hits = || s.metrics().snapshot().plan_cache_hits;
+    let mut before = Vec::new();
+    for q in shapes {
+        let fresh = run(q);
+        assert!(!fresh.is_empty(), "{q}");
+        let h = hits();
+        let cached = run(q);
+        assert!(hits() > h, "{q}: the second run reads the cache");
+        let profile = run(&format!("EXPLAIN ANALYZE {q}"));
+        let trailer = profile.last().unwrap()[0].as_str().unwrap().to_owned();
+        let returned = format!("returned {} row(s)", fresh.len());
+        assert!(trailer.starts_with(&returned), "{q}: {trailer}");
+        s.execute("BEGIN").unwrap();
+        let in_txn = run(q);
+        s.execute("COMMIT").unwrap();
+        let as_of = run(&format!("{q} AS OF COMMIT {}", db.commit_seq()));
+        assert_eq!(cached, fresh, "{q}: cached");
+        assert_eq!(in_txn, fresh, "{q}: in a transaction");
+        assert_eq!(as_of, fresh, "{q}: AS OF");
+        before.push(fresh);
+    }
+
+    // Row 0 moves in every shape: a new id, patient and validity.
+    let seq = db.commit_seq();
+    s.execute("BEGIN").unwrap();
+    s.execute_with_params(
+        "UPDATE p SET id = 100, patient = 3, valid = :v WHERE id = 0",
+        &[("v", interval(&db, 120, 130))],
+    )
+    .unwrap();
+    for (q, before) in shapes.iter().zip(&before) {
+        let in_txn = run(q);
+        let as_of = run(&format!("{q} AS OF COMMIT {seq}"));
+        assert_ne!(&in_txn, before, "{q}: the transaction sees its write");
+        assert_eq!(&as_of, before, "{q}: AS OF sees committed history only");
+    }
+    s.execute("ROLLBACK").unwrap();
 }
