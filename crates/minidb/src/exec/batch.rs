@@ -13,6 +13,8 @@
 use crate::binder::{BoundExpr, BoundKind};
 use crate::catalog::ExecCtx;
 use crate::error::{DbError, DbResult};
+use crate::obs::{AccessPath, OpProfile};
+use crate::storage::{RowBatch, RowCursor};
 use crate::value::{GroupKey, Row, Value};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -22,17 +24,20 @@ use super::vector_ops::Bitmap;
 /// Target number of rows per batch.
 pub const BATCH_ROWS: usize = 1024;
 
-/// One column of a batch: either a materialized vector or a constant
-/// broadcast to every lane (literals and parameters stay constants all
-/// the way through evaluation, so a constant probe — e.g. the window
-/// Element of an OVERLAPS selection — is resolved once per batch, not
-/// once per row).
+/// One column of a batch: a constant broadcast to every lane (literals
+/// and parameters stay constants all the way through evaluation, so a
+/// constant probe — e.g. the window Element of an OVERLAPS selection —
+/// is resolved once per batch, not once per row), a computed vector, or
+/// a column of the stored rows a scan pulled, read in place.
 #[derive(Clone)]
 pub enum Vector {
     /// The same value in every lane.
     Const(Value),
     /// One value per lane.
     Vals(Arc<Vec<Value>>),
+    /// Column `.1` of the stored rows a scan pulled, one per lane: the
+    /// values themselves, copied only when a lane leaves the engine.
+    Rows(Arc<RowBatch>, usize),
 }
 
 impl Vector {
@@ -46,6 +51,7 @@ impl Vector {
         match self {
             Vector::Const(v) => v,
             Vector::Vals(v) => &v[i],
+            Vector::Rows(rows, col) => rows.get(i, *col),
         }
     }
 }
@@ -108,13 +114,18 @@ impl Batch {
                         }
                     }
                 },
+                Vector::Rows(stored, c) => {
+                    for (k, &i) in idxs.iter().enumerate() {
+                        rows[k].push(stored.get(i, c).clone());
+                    }
+                }
             }
         }
         rows
     }
 
     /// Clones one lane out as a row.
-    fn gather(&self, lane: usize) -> Row {
+    pub(super) fn gather(&self, lane: usize) -> Row {
         self.cols.iter().map(|c| c.get(lane).clone()).collect()
     }
 }
@@ -322,45 +333,60 @@ fn apply_pred(pred: &BoundExpr, ctx: &ExecCtx, batch: &mut Batch) -> DbResult<()
 
 // ----- batch operators ------------------------------------------------------
 
-/// Scan source fed column-at-a-time by
-/// [`crate::storage::Table::scan_columns`] — every live row, or the rows
-/// an index probe selected: the storage layer clones the referenced
-/// columns straight out of the version slots, so no per-row `Vec` is
-/// ever materialized. Batches move values out of the column vectors
-/// (pointer-bump iteration, no second copy) and apply the residual
-/// filter.
+/// A scan node: each pull reads at most [`BATCH_ROWS`] candidate rows
+/// from the pinned version's [`RowCursor`] — every live row, or the rows
+/// an index probe selected — and every output column is a
+/// [`Vector::Rows`] view of them, so the residual filter runs before any
+/// value is copied. The rows read are counted into the scan's profile
+/// node as they are read.
 pub(super) struct ColumnScan<'a> {
-    cols: Vec<std::vec::IntoIter<Value>>,
-    remaining: usize,
+    rows: RowCursor<'a>,
+    /// The table column behind each output column; `None` for all.
+    project: Option<&'a [usize]>,
+    arity: usize,
     filter: &'a Option<BoundExpr>,
     ctx: &'a ExecCtx,
+    scanned: Option<(&'a OpProfile, AccessPath)>,
+    /// The rowid of each lane of the batch last returned.
+    pub rowids: Vec<usize>,
 }
 
 impl<'a> ColumnScan<'a> {
     pub fn new(
-        count: usize,
-        cols: Vec<Vec<Value>>,
+        rows: RowCursor<'a>,
+        project: Option<&'a [usize]>,
+        arity: usize,
         filter: &'a Option<BoundExpr>,
         ctx: &'a ExecCtx,
+        scanned: Option<(&'a OpProfile, AccessPath)>,
     ) -> ColumnScan<'a> {
+        // The access path counts even when no row is ever pulled.
+        if let Some((p, path)) = scanned {
+            p.record_scan(path, 0);
+        }
         ColumnScan {
-            cols: cols.into_iter().map(Vec::into_iter).collect(),
-            remaining: count,
+            rows,
+            project,
+            arity,
             filter,
             ctx,
+            scanned,
+            rowids: Vec::new(),
         }
     }
 }
 
 impl BatchStream for ColumnScan<'_> {
     fn next_batch(&mut self) -> DbResult<Option<Batch>> {
-        while self.remaining > 0 {
-            let n = self.remaining.min(BATCH_ROWS);
-            self.remaining -= n;
-            let cols = self
-                .cols
-                .iter_mut()
-                .map(|c| Vector::vals(c.by_ref().take(n).collect()))
+        while let Some(mut rows) = self.rows.next_batch(BATCH_ROWS)? {
+            self.rowids = std::mem::take(&mut rows.rowids);
+            let n = self.rowids.len();
+            if let Some((p, path)) = self.scanned {
+                p.record_scan(path, n as u64);
+            }
+            let rows = Arc::new(rows);
+            let cols = (0..self.arity)
+                .map(|c| Vector::Rows(Arc::clone(&rows), self.project.map_or(c, |p| p[c])))
                 .collect();
             let mut batch = Batch {
                 cols,
@@ -765,35 +791,6 @@ impl BatchStream for BatchHashJoin<'_> {
             return Ok(None);
         }
         Ok(Some(Batch::from_rows(&mut out, self.arity)))
-    }
-}
-
-/// Feeds a batch stream into a row consumer.
-pub(super) struct BatchToRow<'a> {
-    pub input: Box<dyn BatchStream + 'a>,
-    pub buffer: std::vec::IntoIter<Row>,
-}
-
-impl<'a> BatchToRow<'a> {
-    pub fn new(input: Box<dyn BatchStream + 'a>) -> BatchToRow<'a> {
-        BatchToRow {
-            input,
-            buffer: Vec::new().into_iter(),
-        }
-    }
-}
-
-impl super::RowStream for BatchToRow<'_> {
-    fn next_row(&mut self) -> DbResult<Option<Row>> {
-        loop {
-            if let Some(r) = self.buffer.next() {
-                return Ok(Some(r));
-            }
-            match self.input.next_batch()? {
-                Some(batch) => self.buffer = batch.into_rows().into_iter(),
-                None => return Ok(None),
-            }
-        }
     }
 }
 

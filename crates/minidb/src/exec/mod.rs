@@ -5,6 +5,15 @@
 //! blade registered, else the scalar behind [`elementwise`] — so there
 //! is one executor and no capability check in front of it.
 //!
+//! Scans are lazy: each pull reads at most one batch of live rows from
+//! the table version the statement pinned, and operators read their
+//! values where they are stored. So the contract is the pin's, not the
+//! stream's: the statement's pin keeps the version alive for as long as
+//! a stream borrows it (`src` outlives every stream opened on it), and
+//! every consumer drains its stream before it mutates — DML returns its
+//! victims before they are applied, and `INSERT … SELECT` runs its SELECT
+//! to completion first.
+//!
 //! [`execute_rows`] runs the same plans on the Volcano row interpreter
 //! in `row_fallback`. That interpreter is the reference semantics the
 //! batch engine must match byte for byte (the parity tests and the
@@ -23,13 +32,14 @@ use crate::error::{DbError, DbResult};
 use crate::obs::{AccessPath, OpProfile};
 use crate::pin::TableSource;
 use crate::plan::{DmlPlan, Plan};
-use crate::value::{GroupKey, Row, Value};
+use crate::storage::RowCursor;
+use crate::value::{GroupKey, Row};
 use std::collections::HashMap;
 use std::time::Instant;
 
 use batch::{
     aggregate_rows, distinct_rows, drain_rows, eval_vec, sort_rows, BatchChain, BatchFilter,
-    BatchHashJoin, BatchLimit, BatchOffset, BatchProject, BatchTake, BatchToRow, ColumnScan,
+    BatchHashJoin, BatchLimit, BatchOffset, BatchProject, BatchTake, ColumnScan,
     MaterializedBatches,
 };
 
@@ -69,40 +79,20 @@ pub fn execute_rows(
     row_fallback::execute(plan, src, ctx, prof)
 }
 
-/// Opens a plan into a row stream over the batch engine. Scans snapshot
-/// their table at open time, so DML against the same table during
-/// iteration cannot corrupt the stream.
-pub fn open<'a>(
-    plan: &'a Plan,
-    src: &dyn TableSource,
-    ctx: &'a ExecCtx,
-) -> DbResult<Box<dyn RowStream + 'a>> {
-    open_with(plan, src, ctx, None)
-}
-
-/// [`open`] with an optional operator profile. Scan nodes record their
-/// access path and rows touched into the matching profile node and every
-/// operator counts its pulls, batches and rows; when the profile is
-/// timed (`EXPLAIN ANALYZE`), inclusive wall time is recorded as well.
-pub fn open_with<'a>(
-    plan: &'a Plan,
-    src: &dyn TableSource,
-    ctx: &'a ExecCtx,
-    prof: Option<&'a OpProfile>,
-) -> DbResult<Box<dyn RowStream + 'a>> {
-    Ok(Box::new(BatchToRow::new(open_batch(plan, src, ctx, prof)?)))
-}
-
 /// Opens one plan node, and recursively its children, as a batch stream.
+/// With a profile, scan nodes record their access path and rows read
+/// into the matching profile node and every operator counts its pulls,
+/// batches and rows; when the profile is timed (`EXPLAIN ANALYZE`),
+/// inclusive wall time is recorded as well.
 fn open_batch<'a>(
     plan: &'a Plan,
-    src: &dyn TableSource,
+    src: &'a dyn TableSource,
     ctx: &'a ExecCtx,
     prof: Option<&'a OpProfile>,
 ) -> DbResult<Box<dyn BatchStream + 'a>> {
-    // Open-time work (scan materialization, hash build, aggregation) is
-    // charged to this node; child opens record their own share, keeping
-    // all reported times inclusive.
+    // Open-time work (index probe, hash build, aggregation) is charged
+    // to this node; child opens record their own share, keeping all
+    // reported times inclusive.
     let t0 = match prof {
         Some(p) if p.is_timed() => Some(Instant::now()),
         _ => None,
@@ -111,9 +101,16 @@ fn open_batch<'a>(
     let stream: Box<dyn BatchStream + 'a> = match plan {
         // One row of no columns: `SELECT 1` projects its constants over it.
         Plan::Nothing => Box::new(MaterializedBatches::new(vec![Vec::new()], 0)),
-        Plan::Scan { filter, .. } => {
-            let (rowids, cols) = scan_candidates(plan, src, ctx, prof)?;
-            Box::new(ColumnScan::new(rowids.len(), cols, filter, ctx))
+        Plan::Scan {
+            filter,
+            project,
+            arity,
+            ..
+        } => {
+            let (rows, path) = scan_cursor(plan, src, ctx)?;
+            let scanned = prof.map(|p| (p, path));
+            let project = project.as_deref();
+            Box::new(ColumnScan::new(rows, project, *arity, filter, ctx, scanned))
         }
         Plan::Filter { input, pred } => Box::new(BatchFilter {
             input: child(input, 0)?,
@@ -230,7 +227,8 @@ fn open_batch<'a>(
 /// surviving lanes. Returns each victim's rowid with its new row (`None`
 /// for a DELETE), in rowid order: the order the changes are logged and
 /// applied in, whichever path found them. Only victims are gathered
-/// back into rows.
+/// back into rows, and the scan is drained before the caller applies
+/// anything.
 pub(crate) fn execute_dml(
     dml: &DmlPlan,
     src: &dyn TableSource,
@@ -248,20 +246,14 @@ pub(crate) fn execute_dml(
             "a DML plan must read through a full-width scan",
         ));
     };
-    let (rowids, mut cols) = scan_candidates(&dml.scan, src, ctx, prof)?;
-    // The rowids ride as one trailing column, past every column the
-    // filter and the SET expressions can reference.
-    let count = rowids.len();
-    cols.push(rowids.into_iter().map(|id| Value::Int(id as i64)).collect());
-    let mut victims = ColumnScan::new(count, cols, filter, ctx);
+    let (rows, path) = scan_cursor(&dml.scan, src, ctx)?;
+    let scanned = prof.map(|p| (p, path));
+    let mut victims = ColumnScan::new(rows, None, *arity, filter, ctx, scanned);
     let mut out = Vec::new();
     while let Some(batch) = victims.next_batch()? {
-        let rowid = |lane: usize| {
-            let id = batch.cols[*arity].get(lane).as_int();
-            id.expect("the trailing column holds rowids") as usize
-        };
+        let rowids = &victims.rowids;
         let Some(sets) = &dml.sets else {
-            out.extend(batch.sel.iter().map(|lane| (rowid(lane), None)));
+            out.extend(batch.sel.iter().map(|lane| (rowids[lane], None)));
             continue;
         };
         let mut new_vals = Vec::with_capacity(sets.len());
@@ -269,30 +261,26 @@ pub(crate) fn execute_dml(
             new_vals.push(eval_vec(e, ctx, &batch, &batch.sel)?);
         }
         for lane in batch.sel.iter() {
-            let mut row: Row = batch.cols[..*arity]
-                .iter()
-                .map(|c| c.get(lane).clone())
-                .collect();
+            let mut row = batch.gather(lane);
             for ((col, _), v) in sets.iter().zip(&new_vals) {
                 row[*col] = v.get(lane).clone();
             }
-            out.push((rowid(lane), Some(row)));
+            out.push((rowids[lane], Some(row)));
         }
     }
     out.sort_unstable_by_key(|(rowid, _)| *rowid);
     Ok(out)
 }
 
-/// A scan node's candidate rows, column-major: what its access path
-/// selects, before the residual filter, with the rowid of each. Only the
-/// pushed-down projection's columns are read. Records the access path
-/// actually taken and the rows it touched into `prof`.
-fn scan_candidates(
-    scan: &Plan,
-    src: &dyn TableSource,
+/// A scan node's candidate rows — what its access path selects, before
+/// the residual filter — as a lazy cursor over the pinned version that
+/// decodes only the pushed-down projection's columns of a cold row, with
+/// the access path actually taken.
+fn scan_cursor<'a>(
+    scan: &'a Plan,
+    src: &'a dyn TableSource,
     ctx: &ExecCtx,
-    prof: Option<&OpProfile>,
-) -> DbResult<(Vec<usize>, Vec<Vec<Value>>)> {
+) -> DbResult<(RowCursor<'a>, AccessPath)> {
     let Plan::Scan {
         table,
         index_eq,
@@ -306,11 +294,7 @@ fn scan_candidates(
     };
     let t = src.table(table)?;
     let (hits, path) = probe(t, table, index_eq, index_overlap, index_range, ctx)?;
-    let candidates = t.scan_columns(hits.as_deref(), project.as_deref())?;
-    if let Some(p) = prof {
-        p.record_scan(path, candidates.0.len() as u64);
-    }
-    Ok(candidates)
+    Ok((t.cursor(hits, project.as_deref()), path))
 }
 
 /// Resolves a scan's planned index probe to the rowids it selects, or
@@ -374,23 +358,30 @@ fn probe(
     }
 }
 
-/// The row interpreter's scan source: [`scan_candidates`] turned back
-/// into rows.
+/// The row interpreter's scan source: every row of [`scan_cursor`],
+/// copied out and narrowed to the pushed-down projection.
 fn materialize_scan(
     scan: &Plan,
     src: &dyn TableSource,
     ctx: &ExecCtx,
     prof: Option<&OpProfile>,
 ) -> DbResult<Vec<Row>> {
-    let (rowids, cols) = scan_candidates(scan, src, ctx, prof)?;
-    let mut rows: Vec<Row> = rowids
-        .iter()
-        .map(|_| Vec::with_capacity(cols.len()))
-        .collect();
-    for col in cols {
-        for (row, v) in rows.iter_mut().zip(col) {
-            row.push(v);
+    let (mut cursor, path) = scan_cursor(scan, src, ctx)?;
+    let column = |c: usize| match scan {
+        Plan::Scan {
+            project: Some(p), ..
+        } => p[c],
+        _ => c,
+    };
+    let mut rows = Vec::new();
+    while let Some(stored) = cursor.next_batch(BATCH_ROWS)? {
+        for lane in 0..stored.rowids.len() {
+            let row = (0..scan.arity()).map(|c| stored.get(lane, column(c)).clone());
+            rows.push(row.collect());
         }
+    }
+    if let Some(p) = prof {
+        p.record_scan(path, rows.len() as u64);
     }
     Ok(rows)
 }

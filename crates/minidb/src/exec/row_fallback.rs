@@ -3,8 +3,8 @@
 //! are the reference; the batch engine must match them byte for byte.
 //! The only entry is [`execute`] (public as `exec::execute_rows`), and the
 //! only code shared with the batch engine is the scan's candidate
-//! resolution (`materialize_scan`), so a bug in a batch operator or kernel
-//! cannot hide in both.
+//! resolution (`scan_cursor`, via `materialize_scan`), so a bug in a batch
+//! operator or kernel cannot hide in both.
 
 use crate::binder::BoundExpr;
 use crate::catalog::{AggregateState, ExecCtx};

@@ -14,7 +14,7 @@ pub mod pages;
 use crate::catalog::{Catalog, UdtDecodeFn, UdtEncodeFn, UdtIntervalKeyFn};
 use crate::error::{DbError, DbResult};
 use crate::types::DataType;
-use crate::value::{Row, Value};
+use crate::value::{Row, UdtValue, Value};
 use bytes::{Buf, BufMut};
 use pages::{ColdRef, PagedStore};
 use parking_lot::{Mutex, RwLock};
@@ -109,108 +109,47 @@ pub fn encode_cold_row(codecs: &[ColdCodec], row: &Row) -> DbResult<Vec<u8>> {
     debug_assert_eq!(codecs.len(), row.len());
     let mut out = Vec::with_capacity(16 * row.len());
     for (v, codec) in row.iter().zip(codecs) {
-        match v {
-            Value::Null => out.put_u8(0),
-            Value::Bool(b) => {
-                out.put_u8(1);
-                out.put_u8(*b as u8);
-            }
-            Value::Int(i) => {
-                out.put_u8(2);
-                out.put_i64_le(*i);
-            }
-            Value::Float(f) => {
-                out.put_u8(3);
-                out.put_f64_le(*f);
-            }
-            Value::Str(s) => {
-                out.put_u8(4);
-                put_str(&mut out, s);
-            }
-            Value::Udt(u) => {
-                let ColdCodec::Udt { encode, .. } = codec else {
-                    return Err(DbError::Persist {
-                        message: "UDT value in a non-UDT column".into(),
-                    });
-                };
-                out.put_u8(5);
-                let mut payload = Vec::new();
-                encode(u, &mut payload);
-                out.put_u32_le(payload.len() as u32);
-                out.put_slice(&payload);
-            }
-        }
+        encode_tagged(v, &mut out, |u, out| {
+            let ColdCodec::Udt { encode, .. } = codec else {
+                return Err(DbError::Persist {
+                    message: "UDT value in a non-UDT column".into(),
+                });
+            };
+            put_udt(out, u, encode);
+            Ok(())
+        })?;
     }
     Ok(out)
 }
 
-/// Decodes a cold record back into a row.
-pub fn decode_cold_row(codecs: &[ColdCodec], mut buf: &[u8]) -> DbResult<Row> {
+/// Decodes a cold record back into a row. With `project`, only those
+/// columns are decoded and every other one reads NULL; the skipped
+/// fields' tags and lengths are still walked, so a truncated or
+/// malformed record is an error whichever columns are kept.
+pub fn decode_cold_row(
+    codecs: &[ColdCodec],
+    mut buf: &[u8],
+    project: Option<&[usize]>,
+) -> DbResult<Row> {
     let mut row = Vec::with_capacity(codecs.len());
-    for codec in codecs {
-        if buf.remaining() < 1 {
-            return Err(DbError::Persist {
-                message: "truncated cold record".into(),
-            });
-        }
-        let v = match buf.get_u8() {
-            0 => Value::Null,
-            1 => {
-                if buf.remaining() < 1 {
-                    return Err(DbError::Persist {
-                        message: "truncated cold bool".into(),
-                    });
-                }
-                Value::Bool(buf.get_u8() != 0)
-            }
-            2 => {
-                if buf.remaining() < 8 {
-                    return Err(DbError::Persist {
-                        message: "truncated cold int".into(),
-                    });
-                }
-                Value::Int(buf.get_i64_le())
-            }
-            3 => {
-                if buf.remaining() < 8 {
-                    return Err(DbError::Persist {
-                        message: "truncated cold float".into(),
-                    });
-                }
-                Value::Float(buf.get_f64_le())
-            }
-            4 => Value::Str(get_str(&mut buf)?),
-            5 => {
-                let ColdCodec::Udt { decode, .. } = codec else {
-                    return Err(DbError::Persist {
-                        message: "UDT tag in a non-UDT column".into(),
-                    });
-                };
-                if buf.remaining() < 4 {
-                    return Err(DbError::Persist {
-                        message: "truncated cold udt length".into(),
-                    });
-                }
-                let n = buf.get_u32_le() as usize;
-                if buf.remaining() < n {
-                    return Err(DbError::Persist {
-                        message: "truncated cold udt payload".into(),
-                    });
-                }
-                let mut payload = &buf[..n];
-                let u = decode(&mut payload).map_err(|e| DbError::Persist {
-                    message: format!("cold udt decode: {e}"),
-                })?;
-                buf.advance(n);
-                Value::Udt(u)
-            }
-            t => {
+    for (col, codec) in codecs.iter().enumerate() {
+        let keep = project.is_none_or(|p| p.contains(&col));
+        row.push(decode_tagged(&mut buf, keep, |buf| {
+            let ColdCodec::Udt { decode, .. } = codec else {
                 return Err(DbError::Persist {
-                    message: format!("unknown cold value tag {t}"),
-                })
+                    message: "UDT tag in a non-UDT column".into(),
+                });
+            };
+            let mut payload = get_prefixed(buf, "cold udt")?;
+            if !keep {
+                return Ok(Value::Null);
             }
-        };
-        row.push(v);
+            decode(&mut payload)
+                .map(Value::Udt)
+                .map_err(|e| DbError::Persist {
+                    message: format!("cold udt decode: {e}"),
+                })
+        })?);
     }
     if buf.has_remaining() {
         return Err(DbError::Persist {
@@ -748,15 +687,16 @@ impl Table {
         })
     }
 
-    /// Faults one cold record back into a row.
-    fn fault(&self, cref: ColdRef) -> DbResult<Arc<Row>> {
+    /// Faults one cold record back into a row, decoding only the
+    /// `project` columns when given (see [`decode_cold_row`]).
+    fn fault(&self, cref: ColdRef, project: Option<&[usize]>) -> DbResult<Arc<Row>> {
         let Some(att) = &self.cold else {
             return Err(DbError::Persist {
                 message: "cold row reference without an attached page store".into(),
             });
         };
         let bytes = att.store.read(cref)?;
-        Ok(Arc::new(decode_cold_row(&att.codecs, &bytes)?))
+        Ok(Arc::new(decode_cold_row(&att.codecs, &bytes, project)?))
     }
 
     /// Takes the row out of a slot for mutation: a resident row is
@@ -767,7 +707,7 @@ impl Table {
             Some(Slot::Mem(r)) => r.clone(),
             Some(Slot::Cold(c)) => {
                 let c = *c;
-                let row = self.fault(c)?;
+                let row = self.fault(c, None)?;
                 if let Some(att) = &self.cold {
                     att.store.free_slot(c);
                 }
@@ -878,67 +818,28 @@ impl Table {
     pub fn get(&self, rowid: usize) -> DbResult<Option<Arc<Row>>> {
         match self.slot(rowid) {
             Some(Slot::Mem(r)) => Ok(Some(r.clone())),
-            Some(Slot::Cold(c)) => Ok(Some(self.fault(*c)?)),
+            Some(Slot::Cold(c)) => Ok(Some(self.fault(*c, None)?)),
             _ => Ok(None),
         }
     }
 
-    /// Columnar snapshot of live rows: the rowids read plus one value
-    /// vector per requested column (all columns when `project` is
-    /// `None`). `at` restricts the read to those rowids, in that order,
-    /// skipping dead ones and ones past this version's end; without it
-    /// every live row is read in storage order. This feeds the
-    /// vectorized scan directly from the version slots without
-    /// materializing a per-row `Vec` for every tuple. Cold rows are
-    /// faulted (and immediately dropped again) as the read crosses their
-    /// pages, so memory stays bounded by the pool.
-    pub fn scan_columns(
-        &self,
-        at: Option<&[usize]>,
-        project: Option<&[usize]>,
-    ) -> DbResult<(Vec<usize>, Vec<Vec<Value>>)> {
-        let all: Vec<usize>;
-        let cols: &[usize] = match project {
-            Some(p) => p,
-            None => {
-                all = (0..self.schema.columns.len()).collect();
-                &all
-            }
-        };
-        let cap = at.map_or(self.live, <[usize]>::len);
-        let mut rowids = Vec::with_capacity(cap);
-        let mut out: Vec<Vec<Value>> = cols.iter().map(|_| Vec::with_capacity(cap)).collect();
-        let mut read = |rowid: usize, slot: &Slot| -> DbResult<()> {
-            let faulted;
-            let r: &Row = match slot {
-                Slot::Empty(_) => return Ok(()),
-                Slot::Mem(r) => r,
-                Slot::Cold(c) => {
-                    faulted = self.fault(*c)?;
-                    &faulted
-                }
-            };
-            rowids.push(rowid);
-            for (o, &c) in out.iter_mut().zip(cols) {
-                o.push(r[c].clone());
-            }
-            Ok(())
-        };
-        match at {
-            Some(ids) => {
-                for &rowid in ids {
-                    if let Some(slot) = self.slot(rowid) {
-                        read(rowid, slot)?;
-                    }
-                }
-            }
-            None => {
-                for (rowid, slot) in self.slots().enumerate() {
-                    read(rowid, slot)?;
-                }
-            }
+    /// A cursor reading this version's live rows a batch at a time:
+    /// those of `at`, in that order, skipping dead ones and ones past
+    /// this version's end, or else every live row in storage order. A
+    /// resident row is read where it is stored; a cold row is faulted
+    /// with only the `project` columns decoded (NULL in the rest), so a
+    /// reader holds one batch of faulted rows, not the table.
+    pub fn cursor<'a>(
+        &'a self,
+        at: Option<Vec<usize>>,
+        project: Option<&'a [usize]>,
+    ) -> RowCursor<'a> {
+        RowCursor {
+            table: self,
+            probed: at.map(Vec::into_iter),
+            slots: 0..self.nslots,
+            project,
         }
-        Ok((rowids, out))
     }
 
     /// The rowids the next `n` [`Table::insert`] calls will allocate,
@@ -988,7 +889,7 @@ impl Table {
             let row = match slot {
                 Slot::Empty(_) => continue,
                 Slot::Mem(r) => r.clone(),
-                Slot::Cold(c) => self.fault(*c)?,
+                Slot::Cold(c) => self.fault(*c, None)?,
             };
             ix.insert(&row[ix.column], rowid);
         }
@@ -1042,6 +943,87 @@ impl Table {
         *self.slot_mut(rowid) = Slot::Mem(row);
         self.live += 1;
         Ok(())
+    }
+}
+
+/// The live rows of one table version, read lazily: see [`Table::cursor`].
+pub struct RowCursor<'a> {
+    table: &'a Table,
+    /// The probed rowids still to read, if an index chose them.
+    probed: Option<std::vec::IntoIter<usize>>,
+    /// Otherwise, the slots still to read.
+    slots: std::ops::Range<usize>,
+    project: Option<&'a [usize]>,
+}
+
+impl RowCursor<'_> {
+    /// The next at most `max` live rows, or `None` when none are left.
+    /// Buffers are sized to the rows that can be left, so a probe of four
+    /// rowids allocates four lanes.
+    pub fn next_batch(&mut self, max: usize) -> DbResult<Option<RowBatch>> {
+        let left = self
+            .probed
+            .as_ref()
+            .map_or(self.slots.len(), |ids| ids.len());
+        let cap = left.min(self.table.live).min(max);
+        let mut b = RowBatch {
+            rowids: Vec::with_capacity(cap),
+            lanes: Vec::with_capacity(cap),
+            chunks: Vec::new(),
+        };
+        while b.lanes.len() < max {
+            let next = match &mut self.probed {
+                Some(ids) => ids.next(),
+                None => self.slots.next(),
+            };
+            let Some(rowid) = next else { break };
+            match self.table.slot(rowid) {
+                Some(Slot::Mem(_)) => {
+                    let chunk = &self.table.chunks[rowid / CHUNK];
+                    if !b.chunks.last().is_some_and(|c| Arc::ptr_eq(c, chunk)) {
+                        b.chunks.push(Arc::clone(chunk));
+                    }
+                    b.lanes.push(Lane::Mem(b.chunks.len() - 1, rowid % CHUNK));
+                }
+                Some(Slot::Cold(c)) => b
+                    .lanes
+                    .push(Lane::Cold(self.table.fault(*c, self.project)?)),
+                _ => continue,
+            }
+            b.rowids.push(rowid);
+        }
+        Ok((!b.rowids.is_empty()).then_some(b))
+    }
+}
+
+/// One batch of a [`RowCursor`]: each lane's rowid and stored row. A
+/// resident row is read in place through the version's slot chunk, which
+/// the batch holds: one reference count per 64 slots, not one per row.
+pub struct RowBatch {
+    pub rowids: Vec<usize>,
+    lanes: Vec<Lane>,
+    chunks: Vec<Arc<Chunk>>,
+}
+
+enum Lane {
+    /// Slot `.1` of the batch's chunk `.0`.
+    Mem(usize, usize),
+    /// A row this batch faulted.
+    Cold(Arc<Row>),
+}
+
+impl RowBatch {
+    /// Column `col` of the row in `lane`.
+    pub(crate) fn get(&self, lane: usize, col: usize) -> &Value {
+        match &self.lanes[lane] {
+            // A held chunk is shared, so a writer copies it rather than
+            // changing it, and the cursor points lanes only at rows.
+            Lane::Mem(chunk, slot) => match &self.chunks[*chunk][*slot] {
+                Slot::Mem(row) => &row[col],
+                _ => unreachable!("a batch lane points at a resident row"),
+            },
+            Lane::Cold(row) => &row[col],
+        }
     }
 }
 
@@ -1374,25 +1356,49 @@ pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
 }
 
 pub(crate) fn get_str(buf: &mut &[u8]) -> DbResult<String> {
+    utf8(get_prefixed(buf, "string")?)
+}
+
+/// Takes a u32-length-prefixed byte string off the front of `buf`.
+fn get_prefixed<'b>(buf: &mut &'b [u8], what: &str) -> DbResult<&'b [u8]> {
     if buf.remaining() < 4 {
         return Err(DbError::Persist {
-            message: "truncated string length".into(),
+            message: format!("truncated {what} length"),
         });
     }
     let n = buf.get_u32_le() as usize;
     if buf.remaining() < n {
         return Err(DbError::Persist {
-            message: "truncated string body".into(),
+            message: format!("truncated {what} body"),
         });
     }
-    let s = String::from_utf8(buf[..n].to_vec()).map_err(|e| DbError::Persist {
+    let (body, rest) = buf.split_at(n);
+    *buf = rest;
+    Ok(body)
+}
+
+fn utf8(bytes: &[u8]) -> DbResult<String> {
+    String::from_utf8(bytes.to_vec()).map_err(|e| DbError::Persist {
         message: format!("bad utf8: {e}"),
-    })?;
-    buf.advance(n);
-    Ok(s)
+    })
 }
 
 pub(crate) fn encode_value(cat: &Catalog, v: &Value, out: &mut Vec<u8>) -> DbResult<()> {
+    encode_tagged(v, out, |u, out| {
+        let def = cat.type_def(u.type_id())?;
+        put_str(out, &def.name);
+        put_udt(out, u, &def.encode);
+        Ok(())
+    })
+}
+
+/// Encodes one value in the tag format [`decode_tagged`] reads, with
+/// `udt` writing what follows a UDT tag.
+fn encode_tagged(
+    v: &Value,
+    out: &mut Vec<u8>,
+    udt: impl FnOnce(&UdtValue, &mut Vec<u8>) -> DbResult<()>,
+) -> DbResult<()> {
     match v {
         Value::Null => out.put_u8(0),
         Value::Bool(b) => {
@@ -1413,85 +1419,83 @@ pub(crate) fn encode_value(cat: &Catalog, v: &Value, out: &mut Vec<u8>) -> DbRes
         }
         Value::Udt(u) => {
             out.put_u8(5);
-            let def = cat.type_def(u.type_id())?;
-            put_str(out, &def.name);
-            let mut payload = Vec::new();
-            (def.encode)(u, &mut payload);
-            out.put_u32_le(payload.len() as u32);
-            out.put_slice(&payload);
+            udt(u, out)?;
         }
     }
     Ok(())
 }
 
+/// A UDT's binary payload, length-prefixed.
+fn put_udt(out: &mut Vec<u8>, u: &UdtValue, encode: &UdtEncodeFn) {
+    let mut payload = Vec::new();
+    encode(u, &mut payload);
+    out.put_u32_le(payload.len() as u32);
+    out.put_slice(&payload);
+}
+
 pub(crate) fn decode_value(cat: &Catalog, buf: &mut &[u8]) -> DbResult<Value> {
-    if buf.remaining() < 1 {
-        return Err(DbError::Persist {
-            message: "truncated value tag".into(),
-        });
-    }
-    match buf.get_u8() {
-        0 => Ok(Value::Null),
-        1 => {
-            if buf.remaining() < 1 {
-                return Err(DbError::Persist {
-                    message: "truncated bool".into(),
-                });
-            }
-            Ok(Value::Bool(buf.get_u8() != 0))
-        }
-        2 => {
-            if buf.remaining() < 8 {
-                return Err(DbError::Persist {
-                    message: "truncated int".into(),
-                });
-            }
-            Ok(Value::Int(buf.get_i64_le()))
-        }
-        3 => {
-            if buf.remaining() < 8 {
-                return Err(DbError::Persist {
-                    message: "truncated float".into(),
-                });
-            }
-            Ok(Value::Float(buf.get_f64_le()))
-        }
-        4 => Ok(Value::Str(get_str(buf)?)),
-        5 => {
-            let type_name = get_str(buf)?;
-            let ty = cat
-                .lookup_type_name(&type_name)
-                .map_err(|_| DbError::Persist {
-                    message: format!("snapshot references unregistered type {type_name:?}"),
-                })?;
-            let DataType::Udt(id) = ty else {
-                return Err(DbError::Persist {
-                    message: format!("{type_name:?} is not a UDT"),
-                });
-            };
-            let def = cat.type_def(id)?;
-            if buf.remaining() < 4 {
-                return Err(DbError::Persist {
-                    message: "truncated udt length".into(),
-                });
-            }
-            let n = buf.get_u32_le() as usize;
-            if buf.remaining() < n {
-                return Err(DbError::Persist {
-                    message: "truncated udt payload".into(),
-                });
-            }
-            let mut payload = &buf[..n];
-            let u = (def.decode)(&mut payload).map_err(|e| DbError::Persist {
-                message: format!("udt decode: {e}"),
+    decode_tagged(buf, true, |buf| {
+        let type_name = get_str(buf)?;
+        let ty = cat
+            .lookup_type_name(&type_name)
+            .map_err(|_| DbError::Persist {
+                message: format!("snapshot references unregistered type {type_name:?}"),
             })?;
-            buf.advance(n);
-            Ok(Value::Udt(u))
-        }
-        t => Err(DbError::Persist {
-            message: format!("unknown value tag {t}"),
-        }),
+        let DataType::Udt(id) = ty else {
+            return Err(DbError::Persist {
+                message: format!("{type_name:?} is not a UDT"),
+            });
+        };
+        let def = cat.type_def(id)?;
+        let mut payload = get_prefixed(buf, "udt")?;
+        (def.decode)(&mut payload)
+            .map(Value::Udt)
+            .map_err(|e| DbError::Persist {
+                message: format!("udt decode: {e}"),
+            })
+    })
+}
+
+/// Decodes one value of the tag format the WAL, the snapshot and cold
+/// records share (0 NULL, 1 bool, 2 int, 3 float, 4 str, 5 UDT), with
+/// `udt` reading what follows a UDT tag. A value not to `keep` is walked,
+/// its length checked, and read as NULL; `udt` may skip decoding it.
+fn decode_tagged(
+    buf: &mut &[u8],
+    keep: bool,
+    udt: impl FnOnce(&mut &[u8]) -> DbResult<Value>,
+) -> DbResult<Value> {
+    let truncated = |what: &str| {
+        Err(DbError::Persist {
+            message: format!("truncated {what}"),
+        })
+    };
+    if buf.remaining() < 1 {
+        return truncated("value tag");
     }
+    let v = match buf.get_u8() {
+        0 => Value::Null,
+        1 if buf.remaining() < 1 => return truncated("bool"),
+        1 => Value::Bool(buf.get_u8() != 0),
+        2 if buf.remaining() < 8 => return truncated("int"),
+        2 => Value::Int(buf.get_i64_le()),
+        3 if buf.remaining() < 8 => return truncated("float"),
+        3 => Value::Float(buf.get_f64_le()),
+        4 => {
+            let body = get_prefixed(buf, "string")?;
+            if !keep {
+                return Ok(Value::Null);
+            }
+            Value::Str(utf8(body)?)
+        }
+        5 => udt(buf)?,
+        t => {
+            return Err(DbError::Persist {
+                message: format!("unknown value tag {t}"),
+            })
+        }
+    };
+    Ok(if keep { v } else { Value::Null })
 }
 
 fn type_to_persist_name(cat: &Catalog, ty: DataType) -> String {
@@ -1562,7 +1566,7 @@ pub fn save_snapshot_with(
                     out.put_u16_le(c.slot);
                 }
                 Slot::Cold(c) => {
-                    let row = t.fault(*c)?;
+                    let row = t.fault(*c, None)?;
                     out.put_u8(1);
                     for v in row.iter() {
                         encode_value(cat, v, &mut out)?;
@@ -1865,9 +1869,13 @@ mod tests {
         assert!(t.delete(r0).unwrap());
         assert!(!t.delete(r0).unwrap());
         assert_eq!(t.len(), 1);
-        let (rowids, cols) = t.scan_columns(None, None).unwrap();
-        assert_eq!(rowids, vec![r1]);
-        assert_eq!(cols[0], vec![Value::Int(2)]);
+        let rows = t
+            .cursor(None, None)
+            .next_batch(usize::MAX)
+            .unwrap()
+            .unwrap();
+        assert_eq!(rows.rowids, vec![r1]);
+        assert_eq!(rows.get(0, 0), &Value::Int(2));
     }
 
     #[test]
@@ -2012,8 +2020,16 @@ mod tests {
         let shared = restored.shared_table("t").unwrap();
         let mut t = shared.write();
         assert_eq!(t.len(), 2);
-        let (rowids, _) = t.scan_columns(None, None).unwrap();
-        assert_eq!(rowids, vec![0, 2], "live rowids survive the round trip");
+        let rows = t
+            .cursor(None, None)
+            .next_batch(usize::MAX)
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            rows.rowids,
+            vec![0, 2],
+            "live rowids survive the round trip"
+        );
         // The freed middle slot is the next allocation, as in the live db.
         assert_eq!(t.insert(row(4, "d")), 1);
         // And a re-snapshot is byte-identical modulo the new row — i.e.
@@ -2142,9 +2158,13 @@ mod tests {
             assert!(t.has_cold());
             // Reads fault the cold row back transparently.
             assert_eq!(t.get(r0).unwrap().unwrap()[1].as_str(), Some("cold"));
-            let (ids, cols) = t.scan_columns(None, None).unwrap();
-            assert_eq!(ids, vec![r0, r0 + 1]);
-            assert_eq!(cols[0][0].as_int(), Some(1));
+            let rows = t
+                .cursor(None, None)
+                .next_batch(usize::MAX)
+                .unwrap()
+                .unwrap();
+            assert_eq!(rows.rowids, vec![r0, r0 + 1]);
+            assert_eq!(rows.get(0, 0).as_int(), Some(1));
         }
         // A storage with cold slots snapshots as v3 (page references)…
         let bytes = save_snapshot(&cat, &s).unwrap();
@@ -2165,6 +2185,65 @@ mod tests {
             Some("cold")
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn projected_cold_decode_is_the_full_decode_restricted_and_rejects_damage() {
+        use crate::value::tests::{tag, Tag};
+        let udt = || ColdCodec::Udt {
+            encode: Arc::new(|u, out| out.put_i64_le(u.downcast::<Tag>().expect("a Tag").0)),
+            decode: Arc::new(|buf| {
+                if buf.remaining() < 8 {
+                    return Err(DbError::exec("short Tag payload"));
+                }
+                Ok(tag(buf.get_i64_le()).as_udt().expect("a UDT").clone())
+            }),
+        };
+        let b = || ColdCodec::Builtin;
+        let codecs = [b(), b(), b(), udt(), b(), udt(), b()];
+        let row = vec![
+            Value::Int(7),
+            Value::Str("héllo".into()),
+            Value::Null,
+            tag(42),
+            Value::Str(String::new()),
+            Value::Null,
+            Value::Int(-1),
+        ];
+        let bytes = encode_cold_row(&codecs, &row).unwrap();
+        let full = decode_cold_row(&codecs, &bytes, None).unwrap();
+        assert_eq!(full, row);
+        // The last field is an INT: its tag byte, then eight bytes.
+        let last_tag = bytes.len() - 9;
+        for mask in 0u32..1 << codecs.len() {
+            let keep: Vec<usize> = (0..codecs.len()).filter(|c| mask >> c & 1 == 1).collect();
+            let got = decode_cold_row(&codecs, &bytes, Some(&keep)).unwrap();
+            for (c, v) in got.iter().enumerate() {
+                let want = if keep.contains(&c) {
+                    &full[c]
+                } else {
+                    &Value::Null
+                };
+                assert_eq!(v, want, "column {c}, keep {keep:?}");
+            }
+            let persist_err = |b: &[u8]| {
+                matches!(
+                    decode_cold_row(&codecs, b, Some(&keep)),
+                    Err(DbError::Persist { .. })
+                )
+            };
+            for cut in 0..bytes.len() {
+                assert!(persist_err(&bytes[..cut]), "cut at {cut}, keep {keep:?}");
+            }
+            for at in [0, last_tag] {
+                let mut bad = bytes.clone();
+                bad[at] = 9;
+                assert!(persist_err(&bad), "unknown tag at {at}, keep {keep:?}");
+            }
+            let mut long = bytes.clone();
+            long.push(0);
+            assert!(persist_err(&long), "trailing byte, keep {keep:?}");
+        }
     }
 
     #[test]

@@ -216,12 +216,12 @@ impl Hash for GroupKey {
 pub type Row = Vec<Value>;
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::collections::hash_map::DefaultHasher;
 
     #[derive(Debug, PartialEq)]
-    struct Tag(i64);
+    pub(crate) struct Tag(pub(crate) i64);
     impl UdtObject for Tag {
         fn as_any(&self) -> &dyn Any {
             self
@@ -243,7 +243,7 @@ mod tests {
         }
     }
 
-    fn tag(v: i64) -> Value {
+    pub(crate) fn tag(v: i64) -> Value {
         Value::Udt(UdtValue::new(UdtId(1), Arc::new(Tag(v))))
     }
 

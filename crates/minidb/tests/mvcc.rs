@@ -553,7 +553,8 @@ fn a_reader_outliving_gc_of_its_version_still_probes_its_rows() {
             s.execute("UPDATE t SET id = id WHERE id < 0").unwrap();
         }
         let hits = t.index_on(1).unwrap().lookup_eq(&Value::Int(7));
-        let (rowids, _) = t.scan_columns(Some(&hits), None).unwrap();
+        let rows = t.cursor(Some(hits), None).next_batch(usize::MAX).unwrap();
+        let rowids = rows.unwrap().rowids;
         assert_eq!(rowids, vec![0, 1, 2, 3]);
     });
     // The reader is gone: the next commit's GC purges the entries.

@@ -417,3 +417,38 @@ fn keyed_dml_faults_only_its_own_pages() {
     assert_eq!(r.rows[0][0], Value::Int(199));
     db.close().unwrap();
 }
+
+/// Scans that read a few columns of spilled rows decode only those
+/// columns, and still answer exactly what a never-spilled resident copy
+/// answers, with the pool inside its frames after every query.
+#[test]
+fn projected_scans_over_cold_rows_match_a_resident_copy() {
+    let dir = scratch("projected-parity");
+    let (db, _) = open(&dir, cfg_small_pool());
+    let resident = Database::new();
+    resident.install_blade(&ValidityBlade).unwrap();
+    for d in [&db, &resident] {
+        create_padded_table(d);
+        for i in 0..150 {
+            let hi = if i % 10 == 0 { OPEN_HI } else { (i % 40) + 1 };
+            insert_row(d, i, hi);
+        }
+    }
+    assert_eq!(db.spill_cold(CLOSED_HI_MAX).unwrap(), 135);
+    let (live, _, _) = db.paged_store().unwrap().page_counts();
+    assert!(live > 8, "the cold rows overflow the 8-frame pool: {live}");
+    for sql in [
+        "SELECT COUNT(*), SUM(id) FROM t",
+        "SELECT v FROM t WHERE id >= 40 AND id < 90",
+        "SELECT * FROM t",
+    ] {
+        let want = resident.session().query(sql).unwrap().rows;
+        let got = db.session().query(sql).unwrap().rows;
+        assert!(!want.is_empty(), "{sql}");
+        assert_eq!(got, want, "{sql}");
+        let stats = db.bufpool_stats();
+        assert!(stats.misses > 0, "{sql}: the scan faults cold pages");
+        assert!(stats.pages <= 8, "{sql}: pool over its frames: {stats:?}");
+    }
+    db.close().unwrap();
+}
