@@ -107,9 +107,9 @@ fn open_batch<'a>(
             arity,
             ..
         } => {
-            let (rows, path) = scan_cursor(plan, src, ctx)?;
-            let scanned = prof.map(|p| (p, path));
             let project = project.as_deref();
+            let (rows, path) = scan_cursor(plan, src, ctx, project)?;
+            let scanned = prof.map(|p| (p, path));
             Box::new(ColumnScan::new(rows, project, *arity, filter, ctx, scanned))
         }
         Plan::Filter { input, pred } => Box::new(BatchFilter {
@@ -246,7 +246,13 @@ pub(crate) fn execute_dml(
             "a DML plan must read through a full-width scan",
         ));
     };
-    let (rows, path) = scan_cursor(&dml.scan, src, ctx)?;
+    // A DELETE reads only its WHERE's columns: a cold row decodes no other.
+    let mut read = Vec::new();
+    if let (None, Some(f)) = (&dml.sets, filter) {
+        f.collect_columns(&mut read);
+    }
+    let decode = dml.sets.is_none().then_some(read.as_slice());
+    let (rows, path) = scan_cursor(&dml.scan, src, ctx, decode)?;
     let scanned = prof.map(|p| (p, path));
     let mut victims = ColumnScan::new(rows, None, *arity, filter, ctx, scanned);
     let mut out = Vec::new();
@@ -274,19 +280,19 @@ pub(crate) fn execute_dml(
 
 /// A scan node's candidate rows — what its access path selects, before
 /// the residual filter — as a lazy cursor over the pinned version that
-/// decodes only the pushed-down projection's columns of a cold row, with
-/// the access path actually taken.
+/// decodes only the `decode` columns of a cold row (all when `None`),
+/// with the access path actually taken.
 fn scan_cursor<'a>(
     scan: &'a Plan,
     src: &'a dyn TableSource,
     ctx: &ExecCtx,
+    decode: Option<&'a [usize]>,
 ) -> DbResult<(RowCursor<'a>, AccessPath)> {
     let Plan::Scan {
         table,
         index_eq,
         index_overlap,
         index_range,
-        project,
         ..
     } = scan
     else {
@@ -294,7 +300,7 @@ fn scan_cursor<'a>(
     };
     let t = src.table(table)?;
     let (hits, path) = probe(t, table, index_eq, index_overlap, index_range, ctx)?;
-    Ok((t.cursor(hits, project.as_deref()), path))
+    Ok((t.cursor(hits, decode), path))
 }
 
 /// Resolves a scan's planned index probe to the rowids it selects, or
@@ -366,13 +372,12 @@ fn materialize_scan(
     ctx: &ExecCtx,
     prof: Option<&OpProfile>,
 ) -> DbResult<Vec<Row>> {
-    let (mut cursor, path) = scan_cursor(scan, src, ctx)?;
-    let column = |c: usize| match scan {
-        Plan::Scan {
-            project: Some(p), ..
-        } => p[c],
-        _ => c,
+    let project = match scan {
+        Plan::Scan { project, .. } => project.as_deref(),
+        _ => None,
     };
+    let (mut cursor, path) = scan_cursor(scan, src, ctx, project)?;
+    let column = |c: usize| project.map_or(c, |p| p[c]);
     let mut rows = Vec::new();
     while let Some(stored) = cursor.next_batch(BATCH_ROWS)? {
         for lane in 0..stored.rowids.len() {

@@ -16,7 +16,7 @@ use crate::error::{DbError, DbResult};
 use crate::types::DataType;
 use crate::value::{Row, UdtValue, Value};
 use bytes::{Buf, BufMut};
-use pages::{ColdRef, PagedStore};
+use pages::{ColdRef, Page, PagedStore};
 use parking_lot::{Mutex, RwLock};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -122,19 +122,19 @@ pub fn encode_cold_row(codecs: &[ColdCodec], row: &Row) -> DbResult<Vec<u8>> {
     Ok(out)
 }
 
-/// Decodes a cold record back into a row. With `project`, only those
-/// columns are decoded and every other one reads NULL; the skipped
+/// Decodes a cold record, appending its columns to `out` in column
+/// order: every column, or with `project` only those. The skipped
 /// fields' tags and lengths are still walked, so a truncated or
 /// malformed record is an error whichever columns are kept.
 pub fn decode_cold_row(
     codecs: &[ColdCodec],
     mut buf: &[u8],
     project: Option<&[usize]>,
-) -> DbResult<Row> {
-    let mut row = Vec::with_capacity(codecs.len());
+    out: &mut Vec<Value>,
+) -> DbResult<()> {
     for (col, codec) in codecs.iter().enumerate() {
         let keep = project.is_none_or(|p| p.contains(&col));
-        row.push(decode_tagged(&mut buf, keep, |buf| {
+        let v = decode_tagged(&mut buf, keep, |buf| {
             let ColdCodec::Udt { decode, .. } = codec else {
                 return Err(DbError::Persist {
                     message: "UDT tag in a non-UDT column".into(),
@@ -149,14 +149,17 @@ pub fn decode_cold_row(
                 .map_err(|e| DbError::Persist {
                     message: format!("cold udt decode: {e}"),
                 })
-        })?);
+        })?;
+        if keep {
+            out.push(v);
+        }
     }
     if buf.has_remaining() {
         return Err(DbError::Persist {
             message: "trailing bytes in cold record".into(),
         });
     }
-    Ok(row)
+    Ok(())
 }
 
 /// A column definition.
@@ -687,16 +690,19 @@ impl Table {
         })
     }
 
-    /// Faults one cold record back into a row, decoding only the
-    /// `project` columns when given (see [`decode_cold_row`]).
-    fn fault(&self, cref: ColdRef, project: Option<&[usize]>) -> DbResult<Arc<Row>> {
-        let Some(att) = &self.cold else {
-            return Err(DbError::Persist {
-                message: "cold row reference without an attached page store".into(),
-            });
-        };
-        let bytes = att.store.read(cref)?;
-        Ok(Arc::new(decode_cold_row(&att.codecs, &bytes, project)?))
+    fn cold(&self) -> DbResult<&ColdAttach> {
+        self.cold.as_ref().ok_or_else(|| DbError::Persist {
+            message: "cold row reference without an attached page store".into(),
+        })
+    }
+
+    /// Faults one cold record back into a row.
+    fn fault(&self, cref: ColdRef) -> DbResult<Arc<Row>> {
+        let att = self.cold()?;
+        let mut row = Vec::with_capacity(att.codecs.len());
+        let page = att.store.page(cref.page)?;
+        decode_cold_row(&att.codecs, page.record(cref.slot)?, None, &mut row)?;
+        Ok(Arc::new(row))
     }
 
     /// Takes the row out of a slot for mutation: a resident row is
@@ -707,7 +713,7 @@ impl Table {
             Some(Slot::Mem(r)) => r.clone(),
             Some(Slot::Cold(c)) => {
                 let c = *c;
-                let row = self.fault(c, None)?;
+                let row = self.fault(c)?;
                 if let Some(att) = &self.cold {
                     att.store.free_slot(c);
                 }
@@ -818,7 +824,7 @@ impl Table {
     pub fn get(&self, rowid: usize) -> DbResult<Option<Arc<Row>>> {
         match self.slot(rowid) {
             Some(Slot::Mem(r)) => Ok(Some(r.clone())),
-            Some(Slot::Cold(c)) => Ok(Some(self.fault(*c, None)?)),
+            Some(Slot::Cold(c)) => Ok(Some(self.fault(*c)?)),
             _ => Ok(None),
         }
     }
@@ -826,19 +832,29 @@ impl Table {
     /// A cursor reading this version's live rows a batch at a time:
     /// those of `at`, in that order, skipping dead ones and ones past
     /// this version's end, or else every live row in storage order. A
-    /// resident row is read where it is stored; a cold row is faulted
-    /// with only the `project` columns decoded (NULL in the rest), so a
-    /// reader holds one batch of faulted rows, not the table.
+    /// resident row is read where it is stored. A cold row is decoded
+    /// into the batch, only its `project` columns (NULL in the rest),
+    /// from a page the cursor visits the pool for once per run of rows
+    /// on it; so a reader holds one batch of faulted rows, not the table.
     pub fn cursor<'a>(
         &'a self,
         at: Option<Vec<usize>>,
         project: Option<&'a [usize]>,
     ) -> RowCursor<'a> {
+        let cold_pos = self.has_cold().then(|| {
+            let mut kept = 0..;
+            let keep = |c: &usize| project.is_none_or(|p| p.contains(c));
+            (0..self.schema.columns.len())
+                .map(|c| keep(&c).then(|| kept.next().expect("unbounded")))
+                .collect()
+        });
         RowCursor {
             table: self,
             probed: at.map(Vec::into_iter),
             slots: 0..self.nslots,
             project,
+            cold_pos,
+            page: None,
         }
     }
 
@@ -889,7 +905,7 @@ impl Table {
             let row = match slot {
                 Slot::Empty(_) => continue,
                 Slot::Mem(r) => r.clone(),
-                Slot::Cold(c) => self.fault(*c, None)?,
+                Slot::Cold(c) => self.fault(*c)?,
             };
             ix.insert(&row[ix.column], rowid);
         }
@@ -954,6 +970,11 @@ pub struct RowCursor<'a> {
     /// Otherwise, the slots still to read.
     slots: std::ops::Range<usize>,
     project: Option<&'a [usize]>,
+    /// Where each column of a decoded cold row sits in the batch (`None`:
+    /// not decoded); `None` when the table has no cold rows.
+    cold_pos: Option<Arc<[Option<usize>]>>,
+    /// The page the last cold row came from.
+    page: Option<Page>,
 }
 
 impl RowCursor<'_> {
@@ -970,6 +991,8 @@ impl RowCursor<'_> {
             rowids: Vec::with_capacity(cap),
             lanes: Vec::with_capacity(cap),
             chunks: Vec::new(),
+            cold: Vec::new(),
+            cold_pos: self.cold_pos.clone(),
         };
         while b.lanes.len() < max {
             let next = match &mut self.probed {
@@ -985,9 +1008,21 @@ impl RowCursor<'_> {
                     }
                     b.lanes.push(Lane::Mem(b.chunks.len() - 1, rowid % CHUNK));
                 }
-                Some(Slot::Cold(c)) => b
-                    .lanes
-                    .push(Lane::Cold(self.table.fault(*c, self.project)?)),
+                Some(Slot::Cold(c)) => {
+                    let att = self.table.cold()?;
+                    if self.page.as_ref().is_none_or(|p| p.no() != c.page) {
+                        self.page = Some(att.store.page(c.page)?);
+                    }
+                    let record = self.page.as_ref().expect("visited").record(c.slot)?;
+                    let at = b.cold.len();
+                    decode_cold_row(&att.codecs, record, self.project, &mut b.cold)?;
+                    if at == 0 {
+                        // The batch's first cold row: room for the rest.
+                        let rest = cap.saturating_sub(b.lanes.len() + 1);
+                        b.cold.reserve(b.cold.len() * rest);
+                    }
+                    b.lanes.push(Lane::Cold(at));
+                }
                 _ => continue,
             }
             b.rowids.push(rowid);
@@ -998,18 +1033,22 @@ impl RowCursor<'_> {
 
 /// One batch of a [`RowCursor`]: each lane's rowid and stored row. A
 /// resident row is read in place through the version's slot chunk, which
-/// the batch holds: one reference count per 64 slots, not one per row.
+/// the batch holds: one reference count per 64 slots, not one per row. A
+/// cold row's decoded columns sit in the batch's own buffer.
 pub struct RowBatch {
     pub rowids: Vec<usize>,
     lanes: Vec<Lane>,
     chunks: Vec<Arc<Chunk>>,
+    /// The decoded columns of the cold lanes, one row after another.
+    cold: Vec<Value>,
+    cold_pos: Option<Arc<[Option<usize>]>>,
 }
 
 enum Lane {
     /// Slot `.1` of the batch's chunk `.0`.
     Mem(usize, usize),
-    /// A row this batch faulted.
-    Cold(Arc<Row>),
+    /// A cold row, decoded into the batch from this offset.
+    Cold(usize),
 }
 
 impl RowBatch {
@@ -1022,7 +1061,10 @@ impl RowBatch {
                 Slot::Mem(row) => &row[col],
                 _ => unreachable!("a batch lane points at a resident row"),
             },
-            Lane::Cold(row) => &row[col],
+            Lane::Cold(at) => match self.cold_pos.as_ref().and_then(|p| p[col]) {
+                Some(pos) => &self.cold[at + pos],
+                None => &Value::Null,
+            },
         }
     }
 }
@@ -1361,20 +1403,31 @@ pub(crate) fn get_str(buf: &mut &[u8]) -> DbResult<String> {
 
 /// Takes a u32-length-prefixed byte string off the front of `buf`.
 fn get_prefixed<'b>(buf: &mut &'b [u8], what: &str) -> DbResult<&'b [u8]> {
-    if buf.remaining() < 4 {
-        return Err(DbError::Persist {
-            message: format!("truncated {what} length"),
-        });
-    }
-    let n = buf.get_u32_le() as usize;
-    if buf.remaining() < n {
-        return Err(DbError::Persist {
-            message: format!("truncated {what} body"),
-        });
+    let len = take::<4>(buf).ok_or_else(|| truncated(what, " length"))?;
+    let n = u32::from_le_bytes(len) as usize;
+    if buf.len() < n {
+        return Err(truncated(what, " body"));
     }
     let (body, rest) = buf.split_at(n);
     *buf = rest;
     Ok(body)
+}
+
+/// Takes `N` bytes off the front of `buf`, if it holds that many.
+#[inline]
+fn take<const N: usize>(buf: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = buf.split_first_chunk::<N>()?;
+    *buf = rest;
+    Some(*head)
+}
+
+/// The error for a record that ends inside `what`; kept off the decode
+/// loop's hot path.
+#[cold]
+fn truncated(what: &str, part: &str) -> DbError {
+    DbError::Persist {
+        message: format!("truncated {what}{part}"),
+    }
 }
 
 fn utf8(bytes: &[u8]) -> DbResult<String> {
@@ -1460,27 +1513,24 @@ pub(crate) fn decode_value(cat: &Catalog, buf: &mut &[u8]) -> DbResult<Value> {
 /// records share (0 NULL, 1 bool, 2 int, 3 float, 4 str, 5 UDT), with
 /// `udt` reading what follows a UDT tag. A value not to `keep` is walked,
 /// its length checked, and read as NULL; `udt` may skip decoding it.
+/// Inlined into each caller: walking a 7-field cold record that keeps
+/// nothing took ~75 ns called, ~40 ns inlined.
+#[inline(always)]
 fn decode_tagged(
     buf: &mut &[u8],
     keep: bool,
     udt: impl FnOnce(&mut &[u8]) -> DbResult<Value>,
 ) -> DbResult<Value> {
-    let truncated = |what: &str| {
-        Err(DbError::Persist {
-            message: format!("truncated {what}"),
-        })
-    };
-    if buf.remaining() < 1 {
-        return truncated("value tag");
-    }
-    let v = match buf.get_u8() {
+    let [tag] = take(buf).ok_or_else(|| truncated("value tag", ""))?;
+    let v = match tag {
         0 => Value::Null,
-        1 if buf.remaining() < 1 => return truncated("bool"),
-        1 => Value::Bool(buf.get_u8() != 0),
-        2 if buf.remaining() < 8 => return truncated("int"),
-        2 => Value::Int(buf.get_i64_le()),
-        3 if buf.remaining() < 8 => return truncated("float"),
-        3 => Value::Float(buf.get_f64_le()),
+        1 => Value::Bool(take::<1>(buf).ok_or_else(|| truncated("bool", ""))?[0] != 0),
+        2 => Value::Int(i64::from_le_bytes(
+            take(buf).ok_or_else(|| truncated("int", ""))?,
+        )),
+        3 => Value::Float(f64::from_le_bytes(
+            take(buf).ok_or_else(|| truncated("float", ""))?,
+        )),
         4 => {
             let body = get_prefixed(buf, "string")?;
             if !keep {
@@ -1566,7 +1616,7 @@ pub fn save_snapshot_with(
                     out.put_u16_le(c.slot);
                 }
                 Slot::Cold(c) => {
-                    let row = t.fault(*c, None)?;
+                    let row = t.fault(*c)?;
                     out.put_u8(1);
                     for v in row.iter() {
                         encode_value(cat, v, &mut out)?;
@@ -2211,27 +2261,21 @@ mod tests {
             Value::Int(-1),
         ];
         let bytes = encode_cold_row(&codecs, &row).unwrap();
-        let full = decode_cold_row(&codecs, &bytes, None).unwrap();
+        // Decoding appends after what the buffer already holds.
+        let decode = |b: &[u8], keep: Option<&[usize]>| {
+            let mut out = vec![Value::Int(99)];
+            decode_cold_row(&codecs, b, keep, &mut out).map(|()| out.split_off(1))
+        };
+        let full = decode(&bytes, None).unwrap();
         assert_eq!(full, row);
         // The last field is an INT: its tag byte, then eight bytes.
         let last_tag = bytes.len() - 9;
         for mask in 0u32..1 << codecs.len() {
             let keep: Vec<usize> = (0..codecs.len()).filter(|c| mask >> c & 1 == 1).collect();
-            let got = decode_cold_row(&codecs, &bytes, Some(&keep)).unwrap();
-            for (c, v) in got.iter().enumerate() {
-                let want = if keep.contains(&c) {
-                    &full[c]
-                } else {
-                    &Value::Null
-                };
-                assert_eq!(v, want, "column {c}, keep {keep:?}");
-            }
-            let persist_err = |b: &[u8]| {
-                matches!(
-                    decode_cold_row(&codecs, b, Some(&keep)),
-                    Err(DbError::Persist { .. })
-                )
-            };
+            let want: Vec<Value> = keep.iter().map(|&c| full[c].clone()).collect();
+            assert_eq!(decode(&bytes, Some(&keep)).unwrap(), want, "keep {keep:?}");
+            let persist_err =
+                |b: &[u8]| matches!(decode(b, Some(&keep)), Err(DbError::Persist { .. }));
             for cut in 0..bytes.len() {
                 assert!(persist_err(&bytes[..cut]), "cut at {cut}, keep {keep:?}");
             }

@@ -22,7 +22,7 @@
 //! surfaces as a typed [`DbError::Persist`], never as garbage rows.
 
 use crate::error::{DbError, DbResult};
-use crate::wal::record::crc32;
+use crate::wal::record::{crc32, crc32_update};
 
 /// Fixed header length.
 pub const HDR_LEN: usize = 24;
@@ -195,12 +195,12 @@ pub fn seal_crc(buf: &mut [u8]) {
     buf[8..12].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Verifies the stored CRC; `false` means a torn or corrupt page.
+/// Verifies the stored CRC in place (the CRC field reads as zeros);
+/// `false` means a torn or corrupt page.
 pub fn verify_crc(buf: &[u8]) -> bool {
     let stored = u32::from_le_bytes(buf[8..12].try_into().expect("4 bytes"));
-    let mut copy = buf.to_vec();
-    copy[8..12].fill(0);
-    crc32(&copy) == stored
+    let c = crc32_update(crc32_update(!0, &buf[..8]), &[0; 4]);
+    !crc32_update(c, &buf[12..]) == stored
 }
 
 #[cfg(test)]
@@ -258,6 +258,29 @@ mod tests {
         let mut torn = p.clone();
         torn[100] ^= 0xFF;
         assert!(!verify_crc(&torn));
+    }
+
+    /// The in-place check agrees with sealing a zeroed-field copy, leaves
+    /// the page untouched, and catches a flipped byte anywhere, the CRC
+    /// field included.
+    #[test]
+    fn verify_crc_in_place_catches_a_flip_at_every_byte() {
+        let mut p = vec![0u8; MIN_PAGE_SIZE];
+        init_page(&mut p, FLAG_COLD);
+        insert_slot(&mut p, b"every byte counts").unwrap();
+        set_page_lsn(&mut p, 7);
+        seal_crc(&mut p);
+        let mut copy = p.clone();
+        copy[8..12].fill(0);
+        assert_eq!(crc32(&copy).to_le_bytes(), p[8..12]);
+        let sealed = p.clone();
+        assert!(verify_crc(&p));
+        assert_eq!(p, sealed, "verification must not write the page");
+        for at in 0..p.len() {
+            p[at] ^= 0x40;
+            assert!(!verify_crc(&p), "flip at byte {at}");
+            p[at] ^= 0x40;
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod pool;
 
 pub use disk::{DiskManager, PAGE_FILE};
 pub use layout::{DEFAULT_PAGE_SIZE, FLAG_COLD, MAX_PAGE_SIZE, MIN_PAGE_SIZE};
-pub use pool::{BufferPool, FlushBarrier, PageGuard, PoolStatsSnapshot};
+pub use pool::{BufferPool, FlushBarrier, PoolStatsSnapshot};
 
 use crate::error::{DbError, DbResult};
 use parking_lot::Mutex;
@@ -53,6 +53,29 @@ use std::sync::Arc;
 pub struct ColdRef {
     pub page: u32,
     pub slot: u16,
+}
+
+/// One page's bytes from one pool visit (see [`PagedStore::page`]):
+/// every record a reader wants from the page is read from this handle.
+pub struct Page {
+    no: u32,
+    bytes: Arc<Vec<u8>>,
+}
+
+impl Page {
+    /// The page number.
+    pub fn no(&self) -> u32 {
+        self.no
+    }
+
+    /// The bytes of record `slot`. A tombstoned slot is a typed error: a
+    /// table holds the only reference to its records, so a dangling one
+    /// is corruption.
+    pub fn record(&self, slot: u16) -> DbResult<&[u8]> {
+        layout::read_slot(&self.bytes, slot)?.ok_or_else(|| DbError::Persist {
+            message: format!("page {} slot {slot} is tombstoned", self.no),
+        })
+    }
 }
 
 #[derive(Default)]
@@ -137,12 +160,6 @@ impl PagedStore {
         self.pool.contains(page)
     }
 
-    /// Pins a page resident (tests exercise eviction-under-pinning
-    /// through this).
-    pub fn pin_page(&self, page: u32) -> DbResult<PageGuard> {
-        self.pool.pin_page(page)
-    }
-
     /// Appends a record, returning its address. Only pages outside the
     /// durable epoch are written (see the module docs), so a crash
     /// before the next snapshot rename can never corrupt what the
@@ -209,10 +226,19 @@ impl PagedStore {
         }
     }
 
-    /// Copies one record's bytes out, faulting its page in (and
-    /// CRC-checking it) as needed.
+    /// Page `page_no`, faulted in (and CRC-checked) as needed. The bytes
+    /// are shared with the pool frame, not copied, and stay valid after
+    /// the frame is evicted.
+    pub fn page(&self, page_no: u32) -> DbResult<Page> {
+        Ok(Page {
+            no: page_no,
+            bytes: self.pool.page(page_no)?,
+        })
+    }
+
+    /// Copies one record's bytes out.
     pub fn read(&self, cref: ColdRef) -> DbResult<Vec<u8>> {
-        self.pool.read_slot(cref.page, cref.slot)
+        Ok(self.page(cref.page)?.record(cref.slot)?.to_vec())
     }
 
     /// Writes every dirty page (WAL barrier first) and fsyncs the page

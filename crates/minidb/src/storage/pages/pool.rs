@@ -1,10 +1,11 @@
 //! Evicting buffer pool: a bounded frame table over the disk manager.
 //!
 //! The pool core (frame table + clock hand + disk manager) lives under
-//! one mutex — faults, reads, and mutations are short critical sections
-//! that copy record bytes in or out, so the single lock is simpler and
-//! safe: a pin can only be taken under the same lock the eviction scan
-//! holds, closing the pin/evict race by construction.
+//! one mutex — faults, reads, and mutations are short critical sections,
+//! so the single lock is simpler and safe: a pin can only be taken under
+//! the same lock the eviction scan holds, closing the pin/evict race by
+//! construction. A read takes a shared handle on the frame's bytes and
+//! decodes outside the lock; writes copy a frame a reader still holds.
 //!
 //! Eviction is CLOCK over unpinned frames (a referenced bit grants one
 //! lap of grace). Evicting a dirty frame honors the WAL rule: the
@@ -46,7 +47,9 @@ pub struct PoolStatsSnapshot {
 }
 
 struct Frame {
-    data: Vec<u8>,
+    /// Shared with the readers [`BufferPool::page`] handed it to; a
+    /// write copies it first if any still hold it.
+    data: Arc<Vec<u8>>,
     pin: u32,
     dirty: bool,
     ref_bit: bool,
@@ -128,7 +131,7 @@ impl BufferPool {
         if let Some(barrier) = self.flush_barrier.get() {
             barrier(layout::page_lsn(&frame.data))?;
         }
-        layout::seal_crc(&mut frame.data);
+        layout::seal_crc(Arc::make_mut(&mut frame.data).as_mut_slice());
         disk.write_page(page_no, &frame.data)?;
         frame.dirty = false;
         self.stats.writebacks.fetch_add(1, Ordering::Relaxed);
@@ -202,7 +205,7 @@ impl BufferPool {
             core.frames.insert(
                 page_no,
                 Frame {
-                    data,
+                    data: Arc::new(data),
                     pin: 0,
                     dirty: false,
                     ref_bit: false,
@@ -221,21 +224,21 @@ impl BufferPool {
     /// Installs a brand-new empty page (never read from disk), dirty
     /// from birth. The caller owns page-number allocation; reusing a
     /// reclaimed page number whose stale frame is still resident
-    /// reinitializes that frame in place (the epoch life cycle
-    /// guarantees no reader can still want the old bytes).
+    /// replaces that frame's bytes (the epoch life cycle guarantees no
+    /// reader can still want the old ones).
     pub fn create_page(&self, page_no: u32, flags: u8, lsn: u64) -> DbResult<()> {
         let mut core = self.core.lock();
+        let mut data = vec![0u8; self.page_size];
+        layout::init_page(&mut data, flags);
+        layout::set_page_lsn(&mut data, lsn);
+        let data = Arc::new(data);
         if let Some(f) = core.frames.get_mut(&page_no) {
-            layout::init_page(&mut f.data, flags);
-            layout::set_page_lsn(&mut f.data, lsn);
+            f.data = data;
             f.dirty = true;
             f.ref_bit = true;
             return Ok(());
         }
         self.make_room(&mut core)?;
-        let mut data = vec![0u8; self.page_size];
-        layout::init_page(&mut data, flags);
-        layout::set_page_lsn(&mut data, lsn);
         core.frames.insert(
             page_no,
             Frame {
@@ -252,18 +255,14 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Copies the record bytes of a live slot out of the page (faulting
-    /// it in as needed). A tombstoned slot is a typed error — the caller
-    /// holds the only mapping, so a dangling reference is corruption.
-    pub fn read_slot(&self, page_no: u32, slot: u16) -> DbResult<Vec<u8>> {
+    /// The bytes of `page_no`, faulting it in as needed: one pool visit
+    /// serves every record a reader wants from the page. The bytes are
+    /// shared with the frame, never copied; a later write to the frame
+    /// copies it instead, so they do not change under the reader, who may
+    /// keep them past the frame's eviction.
+    pub fn page(&self, page_no: u32) -> DbResult<Arc<Vec<u8>>> {
         let mut core = self.core.lock();
-        let frame = self.frame_mut(&mut core, page_no)?;
-        match layout::read_slot(&frame.data, slot)? {
-            Some(bytes) => Ok(bytes.to_vec()),
-            None => Err(DbError::Persist {
-                message: format!("page {page_no} slot {slot} is tombstoned"),
-            }),
-        }
+        Ok(Arc::clone(&self.frame_mut(&mut core, page_no)?.data))
     }
 
     /// Appends a record to the page, stamping the page LSN; returns the
@@ -271,26 +270,14 @@ impl BufferPool {
     pub fn insert_slot(&self, page_no: u32, bytes: &[u8], lsn: u64) -> DbResult<Option<u16>> {
         let mut core = self.core.lock();
         let frame = self.frame_mut(&mut core, page_no)?;
-        match layout::insert_slot(&mut frame.data, bytes) {
+        let data = Arc::make_mut(&mut frame.data);
+        match layout::insert_slot(data, bytes) {
             Some(slot) => {
-                layout::set_page_lsn(&mut frame.data, lsn);
+                layout::set_page_lsn(data, lsn);
                 frame.dirty = true;
                 Ok(Some(slot))
             }
             None => Ok(None),
-        }
-    }
-
-    /// Tombstones a slot, stamping the page LSN; `true` when it was live.
-    pub fn free_slot(&self, page_no: u32, slot: u16, lsn: u64) -> DbResult<bool> {
-        let mut core = self.core.lock();
-        let frame = self.frame_mut(&mut core, page_no)?;
-        if layout::delete_slot(&mut frame.data, slot) {
-            layout::set_page_lsn(&mut frame.data, lsn);
-            frame.dirty = true;
-            Ok(true)
-        } else {
-            Ok(false)
         }
     }
 
@@ -371,6 +358,12 @@ mod tests {
         Arc::new(BufferPool::new(disk, capacity))
     }
 
+    /// Slot 0 of a page, read through one pool visit.
+    fn first_record(p: &BufferPool, page_no: u32) -> Vec<u8> {
+        let page = p.page(page_no).unwrap();
+        layout::read_slot(&page, 0).unwrap().unwrap().to_vec()
+    }
+
     #[test]
     fn spill_and_fault_round_trip() {
         let dir = scratch();
@@ -389,12 +382,34 @@ mod tests {
         assert!(s.pages <= 2);
         // Every record still reads back, faulting from disk as needed.
         for page in 1..=3u32 {
-            assert_eq!(
-                p.read_slot(page, 0).unwrap(),
-                format!("rec-{page}").into_bytes()
-            );
+            assert_eq!(first_record(&p, page), format!("rec-{page}").into_bytes());
         }
         assert!(p.stats().misses >= 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A reader's page handle is a stable image: a later append to the
+    /// frame copies it, and evicting the frame does not free it.
+    #[test]
+    fn a_page_handle_outlives_writes_and_eviction() {
+        let dir = scratch();
+        let p = pool(&dir, 1);
+        p.create_page(1, layout::FLAG_COLD, 1).unwrap();
+        p.insert_slot(1, b"first", 1).unwrap();
+        let held = p.page(1).unwrap();
+        p.insert_slot(1, b"second", 2).unwrap();
+        assert_eq!(layout::slot_count(&held), 1, "the append copied the frame");
+        assert_eq!(layout::slot_count(&p.page(1).unwrap()), 2);
+        // A second page in a one-frame pool evicts (and writes back) page 1.
+        p.create_page(2, layout::FLAG_COLD, 3).unwrap();
+        assert!(!p.contains(1));
+        assert_eq!(layout::read_slot(&held, 0).unwrap(), Some(&b"first"[..]));
+        assert_eq!(
+            layout::read_slot(&p.page(1).unwrap(), 1).unwrap(),
+            Some(&b"second"[..])
+        );
+        let s = p.stats();
+        assert_eq!((s.pages, s.writebacks), (1, 2), "{s:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -440,7 +455,7 @@ mod tests {
         assert_eq!(barrier_lsn.load(Ordering::SeqCst), 77);
         assert_eq!(p.stats().writebacks, 1);
         // The evicted page reads back from disk intact.
-        assert_eq!(p.read_slot(1, 0).unwrap(), b"dirty");
+        assert_eq!(first_record(&p, 1), b"dirty");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -458,7 +473,7 @@ mod tests {
         // A fresh pool over the same file sees the data.
         let p2 = pool(&dir, 4);
         for page in 1..=3u32 {
-            assert_eq!(p2.read_slot(page, 0).unwrap(), b"keep");
+            assert_eq!(first_record(&p2, page), b"keep");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

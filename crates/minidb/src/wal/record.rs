@@ -83,8 +83,11 @@ pub enum WalRecord {
 // CRC32 (IEEE 802.3, reflected, poly 0xEDB88320)
 // ---------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slice-by-16 tables: `T[0]` is the byte-at-a-time table, and `T[k][b]`
+/// is the register after byte `b` and then `k` zero bytes, so sixteen
+/// table lookups fold a 16-byte block.
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -97,21 +100,42 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
 
 /// CRC32 (IEEE) of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    !crc32_update(!0, data)
+}
+
+/// Folds `data` into a running CRC32 register (start from `!0`, invert
+/// at the end), sixteen bytes per step, so a checksum can span pieces.
+pub fn crc32_update(mut c: u32, data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let (blocks, tail) = data.as_chunks::<16>();
+    for block in blocks {
+        let x = u128::from_le_bytes(*block) ^ c as u128;
+        c = (0..16).fold(0, |acc, i| acc ^ t[15 - i][(x >> (8 * i)) as u8 as usize]);
     }
-    c ^ 0xFFFF_FFFF
+    for &b in tail {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
 }
 
 // ---------------------------------------------------------------------
@@ -435,6 +459,35 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"hello"), 0x3610_A686);
+    }
+
+    /// The word-wide CRC equals the bitwise definition at every length
+    /// and split point (every remainder length, pieces across words).
+    #[test]
+    fn crc32_word_steps_match_the_bitwise_definition() {
+        let bitwise = |data: &[u8]| {
+            let mut c = !0u32;
+            for &b in data {
+                c ^= b as u32;
+                for _ in 0..8 {
+                    c = if c & 1 != 0 {
+                        0xEDB8_8320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    };
+                }
+            }
+            !c
+        };
+        let data: Vec<u8> = (0..67u32).map(|i| (i * 151 + 7) as u8).collect();
+        for n in 0..=data.len() {
+            let want = bitwise(&data[..n]);
+            assert_eq!(crc32(&data[..n]), want, "length {n}");
+            for cut in 0..=n {
+                let c = crc32_update(crc32_update(!0, &data[..cut]), &data[cut..n]);
+                assert_eq!(!c, want, "length {n} split at {cut}");
+            }
+        }
     }
 
     #[test]

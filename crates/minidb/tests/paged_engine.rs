@@ -452,3 +452,54 @@ fn projected_scans_over_cold_rows_match_a_resident_copy() {
     }
     db.close().unwrap();
 }
+
+/// A scan over spilled rows visits the buffer pool once per page, not
+/// once per row: a full scan makes exactly one pool visit (hit or miss)
+/// per cold page, and an index range probe one per page its rows sit on.
+#[test]
+fn a_cold_scan_visits_the_pool_once_per_page() {
+    let dir = scratch("page-visits");
+    let (db, _) = open(&dir, cfg_small_pool());
+    create_padded_table(&db);
+    for i in 0..200 {
+        insert_row(&db, i, 10);
+    }
+    db.session().execute("CREATE INDEX ix_id ON t(id)").unwrap();
+    assert_eq!(db.spill_cold(CLOSED_HI_MAX).unwrap(), 200);
+    // Row i sits in slot i: the table never deleted a row.
+    let page_of: Vec<u32> = db.with_tables(|t| {
+        use minidb::TableSource;
+        let t = t.table("t").unwrap();
+        t.cold_slots().map(|(_, cref)| cref.page).collect()
+    });
+    let pages = |ids: std::ops::Range<usize>| {
+        let mut p = page_of[ids].to_vec();
+        p.dedup();
+        p.len() as u64
+    };
+    assert!(pages(0..200) > 8, "the rows overflow the 8-frame pool");
+    let s = db.session();
+    for (sql, rows, want_visits) in [
+        ("SELECT COUNT(*), SUM(id) FROM t", 0..200, pages(0..200)),
+        (
+            "SELECT pad FROM t WHERE id >= 40 AND id < 75",
+            40..75,
+            pages(40..75),
+        ),
+    ] {
+        let before = db.bufpool_stats();
+        let r = s.query(sql).unwrap();
+        let after = db.bufpool_stats();
+        let visits = (after.hits + after.misses) - (before.hits + before.misses);
+        assert_eq!(visits, want_visits, "{sql}: pool visits vs pages");
+        assert!(after.misses > before.misses, "{sql}: the scan faults pages");
+        let n = rows.len() as i64;
+        if sql.contains("COUNT") {
+            assert_eq!(r.rows, [vec![Value::Int(n), Value::Int(n * (n - 1) / 2)]]);
+        } else {
+            assert_eq!(r.rows.len(), rows.len(), "{sql}");
+        }
+        assert!(after.pages <= 8, "{sql}: pool over its frames: {after:?}");
+    }
+    db.close().unwrap();
+}
