@@ -36,9 +36,9 @@
 //! ```
 
 mod aggs;
-mod batch;
 mod casts;
 mod ops;
+mod predicates;
 mod routines;
 pub mod types;
 
@@ -95,11 +95,8 @@ impl Blade for TipBlade {
         casts::register(catalog, t, &text)?;
         ops::register(catalog, t)?;
         routines::register(catalog, t)?;
-        aggs::register(catalog, t)?;
-        // Hot-path batch kernels ride on top of the scalar routines;
-        // routines left without a kernel run on the row fallback.
-        batch::register(catalog, t);
-        Ok(())
+        predicates::register(catalog, t)?;
+        aggs::register(catalog, t)
     }
 }
 

@@ -11,12 +11,13 @@
 //! "the result of comparing a Chronon to a NOW-relative Instant may
 //! change as time advances."
 
-use crate::types::{as_chronon, as_instant, as_span, now_chronon, TipTypes};
+use crate::predicates::predicate;
+use crate::routines::{terr, want_chronon, want_instant, want_span};
+use crate::types::{now_chronon, TipTypes};
 use minidb::catalog::{BinaryOp, Catalog, OperatorOverload};
 use minidb::{DataType, DbError, DbResult, ExecCtx, Value};
-use std::cmp::Ordering;
 use std::sync::Arc;
-use tip_core::Instant;
+use tip_core::{Element, Instant, Period};
 
 fn op(
     cat: &mut Catalog,
@@ -27,28 +28,8 @@ fn op(
     now_dependent: bool,
     f: impl Fn(&ExecCtx, &[Value]) -> DbResult<Value> + Send + Sync + 'static,
 ) -> DbResult<()> {
-    cat.register_operator(
-        o,
-        OperatorOverload {
-            lhs,
-            rhs,
-            ret,
-            now_dependent,
-            f: Arc::new(f),
-        },
-    )
-}
-
-fn cmp_value(o: BinaryOp, ord: Ordering) -> Value {
-    Value::Bool(match o {
-        BinaryOp::Eq => ord == Ordering::Equal,
-        BinaryOp::Ne => ord != Ordering::Equal,
-        BinaryOp::Lt => ord == Ordering::Less,
-        BinaryOp::Le => ord != Ordering::Greater,
-        BinaryOp::Gt => ord == Ordering::Greater,
-        BinaryOp::Ge => ord != Ordering::Less,
-        _ => unreachable!("not a comparison"),
-    })
+    let ov = OperatorOverload::new(lhs, rhs, ret, now_dependent, Arc::new(f));
+    cat.register_operator(o, ov)
 }
 
 const COMPARISONS: [BinaryOp; 6] = [
@@ -59,18 +40,6 @@ const COMPARISONS: [BinaryOp; 6] = [
     BinaryOp::Gt,
     BinaryOp::Ge,
 ];
-
-fn want_chronon(v: &Value) -> DbResult<tip_core::Chronon> {
-    as_chronon(v).ok_or_else(|| DbError::exec("expected Chronon"))
-}
-
-fn want_span(v: &Value) -> DbResult<tip_core::Span> {
-    as_span(v).ok_or_else(|| DbError::exec("expected Span"))
-}
-
-fn want_instant(v: &Value) -> DbResult<Instant> {
-    as_instant(v).ok_or_else(|| DbError::exec("expected Instant"))
-}
 
 /// Registers every TIP operator overload.
 pub(crate) fn register(cat: &mut Catalog, t: TipTypes) -> DbResult<()> {
@@ -91,33 +60,33 @@ pub(crate) fn register(cat: &mut Catalog, t: TipTypes) -> DbResult<()> {
         want_chronon(&a[0])?
             .checked_add(want_span(&a[1])?)
             .map(|c| t.chronon(c))
-            .map_err(|e| DbError::exec(e.to_string()))
+            .map_err(terr)
     })?;
     op(cat, BinaryOp::Sub, chr, spn, chr, false, move |_, a| {
         want_chronon(&a[0])?
             .checked_sub(want_span(&a[1])?)
             .map(|c| t.chronon(c))
-            .map_err(|e| DbError::exec(e.to_string()))
+            .map_err(terr)
     })?;
     // Span + Chronon = Chronon (commutative convenience).
     op(cat, BinaryOp::Add, spn, chr, chr, false, move |_, a| {
         want_chronon(&a[1])?
             .checked_add(want_span(&a[0])?)
             .map(|c| t.chronon(c))
-            .map_err(|e| DbError::exec(e.to_string()))
+            .map_err(terr)
     })?;
     // Span ± Span = Span.
     op(cat, BinaryOp::Add, spn, spn, spn, false, move |_, a| {
         want_span(&a[0])?
             .checked_add(want_span(&a[1])?)
             .map(|s| t.span(s))
-            .map_err(|e| DbError::exec(e.to_string()))
+            .map_err(terr)
     })?;
     op(cat, BinaryOp::Sub, spn, spn, spn, false, move |_, a| {
         want_span(&a[0])?
             .checked_sub(want_span(&a[1])?)
             .map(|s| t.span(s))
-            .map_err(|e| DbError::exec(e.to_string()))
+            .map_err(terr)
     })?;
     // Span * INT and INT * Span (the paper's `'7'::Span * :w`).
     op(
@@ -132,7 +101,7 @@ pub(crate) fn register(cat: &mut Catalog, t: TipTypes) -> DbResult<()> {
             want_span(&a[0])?
                 .checked_mul(k)
                 .map(|s| t.span(s))
-                .map_err(|e| DbError::exec(e.to_string()))
+                .map_err(terr)
         },
     )?;
     op(
@@ -147,7 +116,7 @@ pub(crate) fn register(cat: &mut Catalog, t: TipTypes) -> DbResult<()> {
             want_span(&a[1])?
                 .checked_mul(k)
                 .map(|s| t.span(s))
-                .map_err(|e| DbError::exec(e.to_string()))
+                .map_err(terr)
         },
     )?;
     // Span / INT = Span, Span / Span = FLOAT ratio.
@@ -163,7 +132,7 @@ pub(crate) fn register(cat: &mut Catalog, t: TipTypes) -> DbResult<()> {
             want_span(&a[0])?
                 .checked_div(k)
                 .map(|s| t.span(s))
-                .map_err(|e| DbError::exec(e.to_string()))
+                .map_err(terr)
         },
     )?;
     op(
@@ -177,7 +146,7 @@ pub(crate) fn register(cat: &mut Catalog, t: TipTypes) -> DbResult<()> {
             want_span(&a[0])?
                 .ratio(want_span(&a[1])?)
                 .map(Value::Float)
-                .map_err(|e| DbError::exec(e.to_string()))
+                .map_err(terr)
         },
     )?;
     // Instant ± Span = Instant (shifts, preserving NOW-relativity).
@@ -185,26 +154,20 @@ pub(crate) fn register(cat: &mut Catalog, t: TipTypes) -> DbResult<()> {
         want_instant(&a[0])?
             .shift(want_span(&a[1])?)
             .map(|i| t.instant(i))
-            .map_err(|e| DbError::exec(e.to_string()))
+            .map_err(terr)
     })?;
     op(cat, BinaryOp::Sub, ins, spn, ins, false, move |_, a| {
-        let by = want_span(&a[1])?
-            .checked_neg()
-            .map_err(|e| DbError::exec(e.to_string()))?;
+        let by = want_span(&a[1])?.checked_neg().map_err(terr)?;
         want_instant(&a[0])?
             .shift(by)
             .map(|i| t.instant(i))
-            .map_err(|e| DbError::exec(e.to_string()))
+            .map_err(terr)
     })?;
     // Instant - Instant = Span, evaluated at transaction time.
     op(cat, BinaryOp::Sub, ins, ins, spn, true, move |ctx, a| {
         let now = now_chronon(ctx.txn_time_unix);
-        let x = want_instant(&a[0])?
-            .resolve(now)
-            .map_err(|e| DbError::exec(e.to_string()))?;
-        let y = want_instant(&a[1])?
-            .resolve(now)
-            .map_err(|e| DbError::exec(e.to_string()))?;
+        let x = want_instant(&a[0])?.resolve(now).map_err(terr)?;
+        let y = want_instant(&a[1])?.resolve(now).map_err(terr)?;
         Ok(t.span(x - y))
     })?;
 
@@ -213,64 +176,57 @@ pub(crate) fn register(cat: &mut Catalog, t: TipTypes) -> DbResult<()> {
     for o in COMPARISONS {
         // Chronon vs Chronon: fixed, not now-dependent.
         op(cat, o, chr, chr, DataType::Bool, false, move |_, a| {
-            Ok(cmp_value(
-                o,
-                want_chronon(&a[0])?.cmp(&want_chronon(&a[1])?),
+            Ok(Value::Bool(
+                o.holds(want_chronon(&a[0])?.cmp(&want_chronon(&a[1])?)),
             ))
         })?;
         // Span vs Span.
         op(cat, o, spn, spn, DataType::Bool, false, move |_, a| {
-            Ok(cmp_value(o, want_span(&a[0])?.cmp(&want_span(&a[1])?)))
+            Ok(Value::Bool(
+                o.holds(want_span(&a[0])?.cmp(&want_span(&a[1])?)),
+            ))
         })?;
         // Instant vs Instant: evaluated under the transaction time.
         op(cat, o, ins, ins, DataType::Bool, true, move |ctx, a| {
             let now = now_chronon(ctx.txn_time_unix);
-            Ok(cmp_value(
-                o,
-                want_instant(&a[0])?.cmp_at(want_instant(&a[1])?, now),
-            ))
+            let ord = want_instant(&a[0])?.cmp_at(want_instant(&a[1])?, now);
+            Ok(Value::Bool(o.holds(ord)))
         })?;
         // Chronon vs Instant and Instant vs Chronon (now-dependent).
         op(cat, o, chr, ins, DataType::Bool, true, move |ctx, a| {
             let now = now_chronon(ctx.txn_time_unix);
             let l = Instant::Fixed(want_chronon(&a[0])?);
-            Ok(cmp_value(o, l.cmp_at(want_instant(&a[1])?, now)))
+            Ok(Value::Bool(o.holds(l.cmp_at(want_instant(&a[1])?, now))))
         })?;
         op(cat, o, ins, chr, DataType::Bool, true, move |ctx, a| {
             let now = now_chronon(ctx.txn_time_unix);
             let r = Instant::Fixed(want_chronon(&a[1])?);
-            Ok(cmp_value(o, want_instant(&a[0])?.cmp_at(r, now)))
+            Ok(Value::Bool(o.holds(want_instant(&a[0])?.cmp_at(r, now))))
         })?;
     }
 
     // Element and Period equality (set semantics at transaction time).
+    let (ele, per) = (DataType::Udt(t.element), DataType::Udt(t.period));
     for o in [BinaryOp::Eq, BinaryOp::Ne] {
-        let ele = DataType::Udt(t.element);
-        let per = DataType::Udt(t.period);
-        op(cat, o, ele, ele, DataType::Bool, true, move |ctx, a| {
-            let now = now_chronon(ctx.txn_time_unix);
-            let x = crate::types::as_element(&a[0])
-                .ok_or_else(|| DbError::exec("expected Element"))?
-                .resolve(now)
-                .map_err(|e| DbError::exec(e.to_string()))?;
-            let y = crate::types::as_element(&a[1])
-                .ok_or_else(|| DbError::exec("expected Element"))?
-                .resolve(now)
-                .map_err(|e| DbError::exec(e.to_string()))?;
-            Ok(Value::Bool((x == y) == (o == BinaryOp::Eq)))
-        })?;
-        op(cat, o, per, per, DataType::Bool, true, move |ctx, a| {
-            let now = now_chronon(ctx.txn_time_unix);
-            let x = crate::types::as_period(&a[0])
-                .ok_or_else(|| DbError::exec("expected Period"))?
-                .resolve(now)
-                .map_err(|e| DbError::exec(e.to_string()))?;
-            let y = crate::types::as_period(&a[1])
-                .ok_or_else(|| DbError::exec("expected Period"))?
-                .resolve(now)
-                .map_err(|e| DbError::exec(e.to_string()))?;
-            Ok(Value::Bool((x == y) == (o == BinaryOp::Eq)))
-        })?;
+        let eq = o == BinaryOp::Eq;
+        let forms = [
+            (
+                ele,
+                predicate::<Element, Element>(move |x, y| (x == y) == eq),
+            ),
+            (per, predicate::<Period, Period>(move |x, y| (x == y) == eq)),
+        ];
+        for (ty, (f, batch)) in forms {
+            let ov = OperatorOverload {
+                lhs: ty,
+                rhs: ty,
+                ret: DataType::Bool,
+                now_dependent: true,
+                f,
+                batch,
+            };
+            cat.register_operator(o, ov)?;
+        }
     }
 
     Ok(())

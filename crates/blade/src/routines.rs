@@ -6,6 +6,7 @@
 //! Routines that resolve `NOW` against the transaction time are
 //! registered as now-dependent so the optimizer never folds them.
 
+use crate::predicates::Operand;
 use crate::types::{as_chronon, as_element, as_instant, as_period, as_span, now_chronon, TipTypes};
 use minidb::catalog::{Catalog, FunctionOverload};
 use minidb::{DataType, DbError, DbResult, ExecCtx, Value};
@@ -22,12 +23,7 @@ fn func(
 ) -> DbResult<()> {
     cat.register_function(
         name,
-        FunctionOverload {
-            params,
-            ret,
-            now_dependent,
-            f: Arc::new(f),
-        },
+        FunctionOverload::new(params, ret, now_dependent, Arc::new(f)),
     )
 }
 
@@ -47,24 +43,20 @@ pub(crate) fn want_chronon(v: &Value) -> DbResult<Chronon> {
     as_chronon(v).ok_or_else(|| DbError::exec("expected Chronon"))
 }
 
-fn want_span(v: &Value) -> DbResult<Span> {
+pub(crate) fn want_span(v: &Value) -> DbResult<Span> {
     as_span(v).ok_or_else(|| DbError::exec("expected Span"))
 }
 
-fn want_instant(v: &Value) -> DbResult<Instant> {
+pub(crate) fn want_instant(v: &Value) -> DbResult<Instant> {
     as_instant(v).ok_or_else(|| DbError::exec("expected Instant"))
 }
 
 fn resolve_el(v: &Value, ctx: &ExecCtx) -> DbResult<ResolvedElement> {
-    want_element(v)?
-        .resolve(now_chronon(ctx.txn_time_unix))
-        .map_err(terr)
+    <Element as Operand>::resolve(v, now_chronon(ctx.txn_time_unix))
 }
 
 fn resolve_p(v: &Value, ctx: &ExecCtx) -> DbResult<Option<ResolvedPeriod>> {
-    want_period(v)?
-        .resolve(now_chronon(ctx.txn_time_unix))
-        .map_err(terr)
+    <Period as Operand>::resolve(v, now_chronon(ctx.txn_time_unix))
 }
 
 fn need_p(v: &Value, ctx: &ExecCtx) -> DbResult<ResolvedPeriod> {
@@ -96,11 +88,13 @@ pub(crate) fn register(cat: &mut Catalog, t: TipTypes) -> DbResult<()> {
     })?;
     // datetime(y, m, d) -> Chronon.
     func(cat, "datetime", vec![i, i, i], chr, false, move |_, a| {
-        let (y, mo, d) = (
-            a[0].as_int().unwrap_or(0) as i32,
-            a[1].as_int().unwrap_or(0) as u32,
-            a[2].as_int().unwrap_or(0) as u32,
-        );
+        let [y, mo, d] = [0, 1, 2].map(|k| a[k].as_int().unwrap_or(0));
+        // A field no civil date can hold errors; it must not wrap.
+        let (Ok(y), Ok(mo), Ok(d)) = (i32::try_from(y), u32::try_from(mo), u32::try_from(d)) else {
+            return Err(DbError::exec(format!(
+                "invalid civil date {y:04}-{mo:02}-{d:02}"
+            )));
+        };
         Chronon::from_ymd(y, mo, d)
             .map(|c| t.chronon(c))
             .map_err(terr)
@@ -280,48 +274,6 @@ pub(crate) fn register(cat: &mut Catalog, t: TipTypes) -> DbResult<()> {
         Ok(t.element(resolve_el(&a[0], ctx)?.gaps().into()))
     })?;
 
-    // overlaps: do the two operands share a chronon? (Reflexive — the
-    // paper's temporal self-join predicate.)
-    func(cat, "overlaps", vec![ele, ele], b, true, move |ctx, a| {
-        Ok(Value::Bool(
-            resolve_el(&a[0], ctx)?.overlaps(&resolve_el(&a[1], ctx)?),
-        ))
-    })?;
-    func(cat, "overlaps", vec![per, per], b, true, move |ctx, a| {
-        Ok(Value::Bool(
-            match (resolve_p(&a[0], ctx)?, resolve_p(&a[1], ctx)?) {
-                (Some(x), Some(y)) => x.overlaps(y),
-                _ => false,
-            },
-        ))
-    })?;
-
-    // contains: Element ⊇ Element / Period / Chronon.
-    func(cat, "contains", vec![ele, ele], b, true, move |ctx, a| {
-        Ok(Value::Bool(
-            resolve_el(&a[0], ctx)?.contains_element(&resolve_el(&a[1], ctx)?),
-        ))
-    })?;
-    func(cat, "contains", vec![ele, chr], b, true, move |ctx, a| {
-        Ok(Value::Bool(
-            resolve_el(&a[0], ctx)?.contains_chronon(want_chronon(&a[1])?),
-        ))
-    })?;
-    func(cat, "contains", vec![per, chr], b, true, move |ctx, a| {
-        let c = want_chronon(&a[1])?;
-        Ok(Value::Bool(
-            resolve_p(&a[0], ctx)?.is_some_and(|p| p.contains_chronon(c)),
-        ))
-    })?;
-    func(cat, "contains", vec![per, per], b, true, move |ctx, a| {
-        Ok(Value::Bool(
-            match (resolve_p(&a[0], ctx)?, resolve_p(&a[1], ctx)?) {
-                (Some(x), Some(y)) => x.contains_period(y),
-                _ => false,
-            },
-        ))
-    })?;
-
     // window restriction and morphology.
     func(cat, "restrict", vec![ele, per], ele, true, move |ctx, a| {
         let e = resolve_el(&a[0], ctx)?;
@@ -348,41 +300,8 @@ pub(crate) fn register(cat: &mut Catalog, t: TipTypes) -> DbResult<()> {
 
     // ---- Allen's operators on Periods --------------------------------------
 
-    macro_rules! allen_pred {
-        ($name:literal, $f:path) => {
-            func(cat, $name, vec![per, per], b, true, move |ctx, a| {
-                Ok(Value::Bool(
-                    match (resolve_p(&a[0], ctx)?, resolve_p(&a[1], ctx)?) {
-                        (Some(x), Some(y)) => $f(x, y),
-                        _ => false,
-                    },
-                ))
-            })?;
-        };
-    }
-    allen_pred!("before", allen::before);
-    allen_pred!("meets", allen::meets);
-    allen_pred!("overlaps_strict", allen::overlaps);
-    allen_pred!("starts", allen::starts);
-    allen_pred!("during", allen::during);
-    allen_pred!("finishes", allen::finishes);
-    func(cat, "after", vec![per, per], b, true, move |ctx, a| {
-        Ok(Value::Bool(
-            match (resolve_p(&a[0], ctx)?, resolve_p(&a[1], ctx)?) {
-                (Some(x), Some(y)) => allen::before(y, x),
-                _ => false,
-            },
-        ))
-    })?;
-    func(cat, "met_by", vec![per, per], b, true, move |ctx, a| {
-        Ok(Value::Bool(
-            match (resolve_p(&a[0], ctx)?, resolve_p(&a[1], ctx)?) {
-                (Some(x), Some(y)) => allen::meets(y, x),
-                _ => false,
-            },
-        ))
-    })?;
-    // allen(p, q) -> the relation name, e.g. 'overlapped_by'.
+    // allen(p, q) -> the relation name, e.g. 'overlapped_by'. The
+    // predicates (`before`, `meets`, ...) are in `crate::predicates`.
     func(
         cat,
         "allen",

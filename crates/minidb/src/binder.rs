@@ -71,9 +71,8 @@ pub enum BoundKind {
     /// Strict scalar routine or operator application.
     Apply {
         f: ScalarFnImpl,
-        /// Vectorized kernel for the resolved overload: the one the
-        /// catalog has registered for it, else `f` behind
-        /// [`crate::exec::elementwise`].
+        /// The resolved overload's batch form (its kernel, or `f` run
+        /// lane by lane).
         batch: BatchFnImpl,
         args: Vec<BoundExpr>,
     },
@@ -689,21 +688,14 @@ impl<'a> Binder<'a> {
                     });
                 }
                 let ov = self.catalog.resolve_operator(cat_op, l.ty, r.ty)?;
-                let (ov_lhs, ov_rhs, ov_ret, ov_now, ov_f) =
-                    (ov.lhs, ov.rhs, ov.ret, ov.now_dependent, ov.f.clone());
-                let batch = self
-                    .catalog
-                    .operator_batch_kernel(cat_op, ov_lhs, ov_rhs)
-                    .unwrap_or_else(|| crate::exec::elementwise(ov_f.clone()));
-                let l = self.coerce(l, ov_lhs, false)?;
-                let r = self.coerce(r, ov_rhs, false)?;
-                let now_dep = ov_now || l.now_dep || r.now_dep;
+                let l = self.coerce(l, ov.lhs, false)?;
+                let r = self.coerce(r, ov.rhs, false)?;
                 Ok(BoundExpr {
-                    ty: ov_ret,
-                    now_dep,
+                    ty: ov.ret,
+                    now_dep: ov.now_dependent || l.now_dep || r.now_dep,
                     kind: BoundKind::Apply {
-                        f: ov_f,
-                        batch,
+                        f: ov.f.clone(),
+                        batch: ov.batch.clone(),
                         args: vec![l, r],
                     },
                 })
@@ -715,24 +707,19 @@ impl<'a> Binder<'a> {
     pub fn bind_call(&self, name: &str, args: Vec<BoundExpr>) -> DbResult<BoundExpr> {
         let arg_types: Vec<DataType> = args.iter().map(|a| a.ty).collect();
         let ov = self.catalog.resolve_function(name, &arg_types)?;
-        let (params, ret, ov_now, f) = (ov.params.clone(), ov.ret, ov.now_dependent, ov.f.clone());
-        let batch = self
-            .catalog
-            .function_batch_kernel(name, &params)
-            .unwrap_or_else(|| crate::exec::elementwise(f.clone()));
         let mut coerced = Vec::with_capacity(args.len());
-        let mut now_dep = ov_now;
-        for (a, &p) in args.into_iter().zip(&params) {
+        let mut now_dep = ov.now_dependent;
+        for (a, &p) in args.into_iter().zip(&ov.params) {
             let a = self.coerce(a, p, false)?;
             now_dep |= a.now_dep;
             coerced.push(a);
         }
         Ok(BoundExpr {
-            ty: ret,
+            ty: ov.ret,
             now_dep,
             kind: BoundKind::Apply {
-                f,
-                batch,
+                f: ov.f.clone(),
+                batch: ov.batch.clone(),
                 args: coerced,
             },
         })

@@ -22,17 +22,8 @@ fn op(
     ret: DataType,
     f: impl Fn(&ExecCtx, &[Value]) -> DbResult<Value> + Send + Sync + 'static,
 ) {
-    cat.register_operator(
-        o,
-        OperatorOverload {
-            lhs,
-            rhs,
-            ret,
-            now_dependent: false,
-            f: Arc::new(f),
-        },
-    )
-    .expect("builtin operator registration");
+    cat.register_operator(o, OperatorOverload::new(lhs, rhs, ret, false, Arc::new(f)))
+        .expect("builtin operator registration");
 }
 
 fn func(
@@ -42,16 +33,8 @@ fn func(
     ret: DataType,
     f: impl Fn(&ExecCtx, &[Value]) -> DbResult<Value> + Send + Sync + 'static,
 ) {
-    cat.register_function(
-        name,
-        FunctionOverload {
-            params,
-            ret,
-            now_dependent: false,
-            f: Arc::new(f),
-        },
-    )
-    .expect("builtin function registration");
+    cat.register_function(name, FunctionOverload::new(params, ret, false, Arc::new(f)))
+        .expect("builtin function registration");
 }
 
 fn num2(args: &[Value]) -> DbResult<(f64, f64)> {
@@ -185,19 +168,6 @@ fn register_arithmetic(cat: &mut Catalog) {
     );
 }
 
-fn cmp_result(o: BinaryOp, ord: Ordering) -> Value {
-    let b = match o {
-        BinaryOp::Eq => ord == Ordering::Equal,
-        BinaryOp::Ne => ord != Ordering::Equal,
-        BinaryOp::Lt => ord == Ordering::Less,
-        BinaryOp::Le => ord != Ordering::Greater,
-        BinaryOp::Gt => ord == Ordering::Greater,
-        BinaryOp::Ge => ord != Ordering::Less,
-        _ => unreachable!("not a comparison"),
-    };
-    Value::Bool(b)
-}
-
 fn register_comparisons(cat: &mut Catalog) {
     let comparisons = [
         BinaryOp::Eq,
@@ -217,17 +187,27 @@ fn register_comparisons(cat: &mut Catalog) {
     ];
     for o in comparisons {
         for (l, r) in pairings {
-            op(cat, o, l, r, DataType::Bool, move |_, a| {
-                Ok(cmp_result(o, a[0].cmp_ordering(&a[1])))
-            });
-            cat.register_operator_batch(o, l, r, crate::exec::vector_ops::cmp_kernel(o));
+            let ov = OperatorOverload {
+                lhs: l,
+                rhs: r,
+                ret: DataType::Bool,
+                now_dependent: false,
+                f: Arc::new(move |_, a| Ok(V::Bool(o.holds(a[0].cmp_ordering(&a[1]))))),
+                batch: crate::exec::vector_ops::cmp_kernel(o),
+            };
+            cat.register_operator(o, ov)
+                .expect("builtin operator registration");
         }
     }
 }
 
 fn register_functions(cat: &mut Catalog) {
     func(cat, "abs", vec![DataType::Int], DataType::Int, |_, a| {
-        Ok(V::Int(a[0].as_int().unwrap_or(0).abs()))
+        a[0].as_int()
+            .unwrap_or(0)
+            .checked_abs()
+            .map(V::Int)
+            .ok_or_else(|| DbError::exec("integer overflow in abs"))
     });
     func(
         cat,

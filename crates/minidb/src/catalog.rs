@@ -12,6 +12,7 @@
 use crate::error::{DbError, DbResult};
 use crate::types::{DataType, UdtId};
 use crate::value::{UdtValue, Value};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -143,6 +144,29 @@ pub struct FunctionOverload {
     /// The implementation. Routines are *strict*: the engine returns
     /// `NULL` without calling the routine when any argument is `NULL`.
     pub f: ScalarFnImpl,
+    /// The same routine over a batch: a hand-written kernel, or `f` run
+    /// lane by lane ([`crate::exec::elementwise`], what [`Self::new`]
+    /// builds).
+    pub batch: BatchFnImpl,
+}
+
+impl FunctionOverload {
+    /// An overload whose batch form is `f` run lane by lane.
+    pub fn new(
+        params: Vec<DataType>,
+        ret: DataType,
+        now_dependent: bool,
+        f: ScalarFnImpl,
+    ) -> FunctionOverload {
+        let batch = crate::exec::elementwise(f.clone());
+        FunctionOverload {
+            params,
+            ret,
+            now_dependent,
+            f,
+            batch,
+        }
+    }
 }
 
 impl fmt::Debug for FunctionOverload {
@@ -194,6 +218,21 @@ impl BinaryOp {
             BinaryOp::Eq | BinaryOp::Ne | BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge
         )
     }
+
+    /// The outcome of this comparison for two operands ordered `ord`.
+    /// Every comparison overload, scalar or kernel, answers through it.
+    #[inline]
+    pub fn holds(self, ord: Ordering) -> bool {
+        match self {
+            BinaryOp::Eq => ord.is_eq(),
+            BinaryOp::Ne => ord.is_ne(),
+            BinaryOp::Lt => ord.is_lt(),
+            BinaryOp::Le => ord.is_le(),
+            BinaryOp::Gt => ord.is_gt(),
+            BinaryOp::Ge => ord.is_ge(),
+            _ => unreachable!("{} is not a comparison", self.symbol()),
+        }
+    }
 }
 
 /// One overload of a binary operator.
@@ -205,6 +244,29 @@ pub struct OperatorOverload {
     pub now_dependent: bool,
     /// Called with exactly two arguments `[lhs, rhs]`.
     pub f: ScalarFnImpl,
+    /// The batch form; see [`FunctionOverload::batch`].
+    pub batch: BatchFnImpl,
+}
+
+impl OperatorOverload {
+    /// An overload whose batch form is `f` run lane by lane.
+    pub fn new(
+        lhs: DataType,
+        rhs: DataType,
+        ret: DataType,
+        now_dependent: bool,
+        f: ScalarFnImpl,
+    ) -> OperatorOverload {
+        let batch = crate::exec::elementwise(f.clone());
+        OperatorOverload {
+            lhs,
+            rhs,
+            ret,
+            now_dependent,
+            f,
+            batch,
+        }
+    }
 }
 
 impl fmt::Debug for OperatorOverload {
@@ -293,12 +355,6 @@ pub struct Catalog {
     casts: HashMap<(DataType, DataType), CastDef>,
     aggregates: HashMap<String, Vec<AggregateOverload>>,
     blades: Vec<BladeInfo>,
-    /// Hand-written batch kernels, keyed by (lowercased name, overload
-    /// parameter types). An overload without an entry runs its scalar
-    /// implementation through [`crate::exec::elementwise`].
-    fn_batch: HashMap<(String, Vec<DataType>), BatchFnImpl>,
-    /// Batch kernels for operator overloads, keyed by (op, lhs, rhs).
-    op_batch: HashMap<(BinaryOp, DataType, DataType), BatchFnImpl>,
 }
 
 impl Catalog {
@@ -429,46 +485,6 @@ impl Catalog {
         Ok(())
     }
 
-    /// Attaches (or replaces) a hand-written batch kernel for the routine
-    /// overload with exactly these parameter types. A kernel is an
-    /// optimisation, never a capability: an overload without one is
-    /// evaluated through [`crate::exec::elementwise`] by the same
-    /// executor. The overload itself need not exist yet; binding only
-    /// consults kernels for overloads it resolved.
-    pub fn register_function_batch(&mut self, name: &str, params: Vec<DataType>, k: BatchFnImpl) {
-        self.fn_batch.insert((name.to_ascii_lowercase(), params), k);
-    }
-
-    /// Attaches (or replaces) a batch kernel for an operator overload.
-    pub fn register_operator_batch(
-        &mut self,
-        op: BinaryOp,
-        lhs: DataType,
-        rhs: DataType,
-        k: BatchFnImpl,
-    ) {
-        self.op_batch.insert((op, lhs, rhs), k);
-    }
-
-    /// The batch kernel for a routine overload, if one is registered.
-    /// `params` must be the *overload's* parameter types (post overload
-    /// resolution), not the call-site argument types.
-    pub fn function_batch_kernel(&self, name: &str, params: &[DataType]) -> Option<BatchFnImpl> {
-        self.fn_batch
-            .get(&(name.to_ascii_lowercase(), params.to_vec()))
-            .cloned()
-    }
-
-    /// The batch kernel for an operator overload, if one is registered.
-    pub fn operator_batch_kernel(
-        &self,
-        op: BinaryOp,
-        lhs: DataType,
-        rhs: DataType,
-    ) -> Option<BatchFnImpl> {
-        self.op_batch.get(&(op, lhs, rhs)).cloned()
-    }
-
     /// Registers a cast.
     pub fn register_cast(&mut self, from: DataType, to: DataType, def: CastDef) -> DbResult<()> {
         if self.casts.contains_key(&(from, to)) {
@@ -550,12 +566,12 @@ impl Catalog {
                 })
                 .sum();
             match score.cmp(&best_score) {
-                std::cmp::Ordering::Less => {
+                Ordering::Less => {
                     best_score = score;
                     best = vec![(cand, params)];
                 }
-                std::cmp::Ordering::Equal => best.push((cand, params)),
-                std::cmp::Ordering::Greater => {}
+                Ordering::Equal => best.push((cand, params)),
+                Ordering::Greater => {}
             }
         }
         if best.len() > 1 {
@@ -695,12 +711,7 @@ mod tests {
     }
 
     fn simple_overload(params: Vec<DataType>, ret: DataType) -> FunctionOverload {
-        FunctionOverload {
-            params,
-            ret,
-            now_dependent: false,
-            f: dummy_fn(Value::Null),
-        }
+        FunctionOverload::new(params, ret, false, dummy_fn(Value::Null))
     }
 
     #[test]
@@ -812,17 +823,17 @@ mod tests {
         let mut cat = Catalog::new();
         cat.register_operator(
             BinaryOp::Add,
-            OperatorOverload {
-                lhs: DataType::Int,
-                rhs: DataType::Int,
-                ret: DataType::Int,
-                now_dependent: false,
-                f: Arc::new(|_, args| {
+            OperatorOverload::new(
+                DataType::Int,
+                DataType::Int,
+                DataType::Int,
+                false,
+                Arc::new(|_, args| {
                     Ok(Value::Int(
                         args[0].as_int().unwrap() + args[1].as_int().unwrap(),
                     ))
                 }),
-            },
+            ),
         )
         .unwrap();
         let ov = cat

@@ -1,9 +1,10 @@
 //! Plan execution: a vectorized batch engine over column vectors.
 //!
 //! Every plan node opens as a [`BatchStream`], and every scalar
-//! application in its expressions carries a batch kernel — the one a
-//! blade registered, else the scalar behind [`elementwise`] — so there
-//! is one executor and no capability check in front of it.
+//! application in its expressions carries the batch form of the overload
+//! it resolved to — a hand-written kernel, or the scalar behind
+//! [`elementwise`] — so there is one executor and no capability check in
+//! front of it.
 //!
 //! Scans are lazy: each pull reads at most one batch of live rows from
 //! the table version the statement pinned, and operators read their

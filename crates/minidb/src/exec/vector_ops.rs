@@ -122,9 +122,10 @@ impl Iterator for BitmapIter<'_> {
 }
 
 /// Wraps a row-at-a-time scalar into a batch kernel: strict NULL
-/// handling per lane, evaluation only on selected lanes. The binder
-/// attaches this to every overload that has no hand-written kernel, so
-/// every scalar application evaluates a column at a time.
+/// handling per lane, evaluation only on selected lanes. It is the batch
+/// form `FunctionOverload::new` and `OperatorOverload::new` give an
+/// overload that has no hand-written kernel, so every scalar application
+/// evaluates a column at a time.
 pub fn elementwise(f: ScalarFnImpl) -> BatchFnImpl {
     Arc::new(
         move |ctx: &ExecCtx, args: &[Vector], sel: &Bitmap, len: usize| {
@@ -154,27 +155,10 @@ pub(crate) fn cmp_kernel(op: BinaryOp) -> BatchFnImpl {
         move |_ctx: &ExecCtx, args: &[Vector], sel: &Bitmap, len: usize| {
             let mut out = vec![Value::Null; len];
             for i in sel.iter() {
-                let (a, b) = (args[0].get(i), args[1].get(i));
-                out[i] = match (a, b) {
-                    (Value::Int(x), Value::Int(y)) => Value::Bool(match op {
-                        BinaryOp::Eq => x == y,
-                        BinaryOp::Ne => x != y,
-                        BinaryOp::Lt => x < y,
-                        BinaryOp::Le => x <= y,
-                        BinaryOp::Gt => x > y,
-                        BinaryOp::Ge => x >= y,
-                        _ => unreachable!("not a comparison"),
-                    }),
+                out[i] = match (args[0].get(i), args[1].get(i)) {
+                    (Value::Int(x), Value::Int(y)) => Value::Bool(op.holds(x.cmp(y))),
                     (Value::Null, _) | (_, Value::Null) => Value::Null,
-                    (a, b) => Value::Bool(match op {
-                        BinaryOp::Eq => a.cmp_ordering(b).is_eq(),
-                        BinaryOp::Ne => a.cmp_ordering(b).is_ne(),
-                        BinaryOp::Lt => a.cmp_ordering(b).is_lt(),
-                        BinaryOp::Le => a.cmp_ordering(b).is_le(),
-                        BinaryOp::Gt => a.cmp_ordering(b).is_gt(),
-                        BinaryOp::Ge => a.cmp_ordering(b).is_ge(),
-                        _ => unreachable!("not a comparison"),
-                    }),
+                    (a, b) => Value::Bool(op.holds(a.cmp_ordering(b))),
                 };
             }
             Ok(Vector::vals(out))

@@ -66,11 +66,11 @@ impl Blade for IntervalBlade {
         let ty = register_validity(catalog, "Interval", false)?;
         catalog.register_function(
             "overlaps",
-            FunctionOverload {
-                params: vec![ty, ty],
-                ret: DataType::Bool,
-                now_dependent: false,
-                f: Arc::new(|_, args| {
+            FunctionOverload::new(
+                vec![ty, ty],
+                DataType::Bool,
+                false,
+                Arc::new(|_, args| {
                     let bounds = |v: &Value| {
                         let v = v.as_udt().and_then(|u| u.downcast::<Validity>());
                         v.map(|v| (v.0, v.1)).expect("Interval argument")
@@ -78,7 +78,7 @@ impl Blade for IntervalBlade {
                     let ((alo, ahi), (blo, bhi)) = (bounds(&args[0]), bounds(&args[1]));
                     Ok(Value::Bool(alo <= bhi && blo <= ahi))
                 }),
-            },
+            ),
         )?;
         let DataType::Udt(id) = ty else {
             unreachable!("register_validity returns a UDT")

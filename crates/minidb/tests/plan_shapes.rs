@@ -122,21 +122,21 @@ impl Blade for FoldProbe {
     fn register(&self, cat: &mut Catalog) -> DbResult<()> {
         cat.register_function(
             "txn_time",
-            FunctionOverload {
-                params: vec![],
-                ret: DataType::Int,
-                now_dependent: true,
-                f: Arc::new(|ctx, _| Ok(Value::Int(ctx.txn_time_unix))),
-            },
+            FunctionOverload::new(
+                vec![],
+                DataType::Int,
+                true,
+                Arc::new(|ctx, _| Ok(Value::Int(ctx.txn_time_unix))),
+            ),
         )?;
         cat.register_function(
             "pure_seven",
-            FunctionOverload {
-                params: vec![],
-                ret: DataType::Int,
-                now_dependent: false,
-                f: Arc::new(|_, _| Ok(Value::Int(7))),
-            },
+            FunctionOverload::new(
+                vec![],
+                DataType::Int,
+                false,
+                Arc::new(|_, _| Ok(Value::Int(7))),
+            ),
         )
     }
 }

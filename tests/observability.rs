@@ -318,6 +318,12 @@ fn overflowing_temporal_sql_errors_instead_of_panicking() {
     let r = conn.query("SELECT days(106751991167302)", &[]);
     assert!(r.is_err(), "days() overflow must error");
 
+    // datetime() fields past i32/u32 must not wrap to 2000-01-01.
+    let r = conn.query("SELECT datetime(2000, 4294967297, 1)", &[]);
+    assert!(r.is_err(), "datetime() month past u32 must error");
+    let r = conn.query("SELECT datetime(4294969296, 1, 1)", &[]);
+    assert!(r.is_err(), "datetime() year past i32 must error");
+
     // Chronon + Span past the end of the timeline.
     let r = conn.query("SELECT '9999-12-31'::Chronon + '10'::Span", &[]);
     assert!(r.is_err(), "chronon+span overflow must error");
@@ -338,6 +344,7 @@ fn overflowing_integer_sql_errors_instead_of_panicking() {
     assert!(conn.query(&format!("SELECT {min} / (0 - 1)"), &[]).is_err());
     assert!(conn.query(&format!("SELECT {min} % (0 - 1)"), &[]).is_err());
     assert!(conn.query("SELECT 9223372036854775807 + 1", &[]).is_err());
+    assert!(conn.query(&format!("SELECT abs({min})"), &[]).is_err());
     // Division by zero stays a clean error too.
     assert!(conn.query("SELECT 1 / 0", &[]).is_err());
 }
