@@ -40,6 +40,18 @@ pub const VERSION: u16 = 8;
 /// a malformed stream and kills the connection.
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
+/// Refuses a parameter list or result header longer than its `u16`
+/// count field can say. The encoders write `len() as u16`, so callers
+/// check here first: a wrapped count would desynchronize the stream.
+pub fn check_count(n: usize, what: &str) -> DbResult<()> {
+    if n > u16::MAX as usize {
+        return Err(DbError::Constraint {
+            message: format!("{n} {what} exceed the wire limit of {}", u16::MAX),
+        });
+    }
+    Ok(())
+}
+
 /// Client → server frame tags.
 pub mod req {
     /// Handshake: magic, version, optional NOW override.
@@ -163,8 +175,8 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>)> {
 /// Incremental, nonblocking-friendly frame decoder: feed it whatever
 /// byte runs the socket yields — split mid-length-prefix, mid-body, or
 /// with several frames coalesced into one read — and pull complete
-/// frames out as they materialize. The reactor in `tip-server` and the
-/// multiplexed `netload` driver both sit on top of this.
+/// frames out as they materialize. The reactor in `tip-server` sits on
+/// top of this.
 ///
 /// The grammar matches [`read_frame`] exactly: a zero or oversized
 /// length prefix poisons the stream (the error is sticky; the

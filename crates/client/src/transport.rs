@@ -392,6 +392,7 @@ impl RemoteTransport {
 
 impl Transport for RemoteTransport {
     fn execute(&self, sql: &str, params: &[(&str, Value)]) -> DbResult<StatementOutcome> {
+        protocol::check_count(params.len(), "parameters")?;
         self.check_live()?;
         let mut stream = self.stream.lock().expect("stream poisoned");
         self.sync_now(&mut stream)?;
@@ -418,6 +419,7 @@ impl Transport for RemoteTransport {
         _sql: &str,
         params: &[(&str, Value)],
     ) -> DbResult<StatementOutcome> {
+        protocol::check_count(params.len(), "parameters")?;
         self.check_live()?;
         let mut stream = self.stream.lock().expect("stream poisoned");
         self.sync_now(&mut stream)?;
@@ -435,6 +437,9 @@ impl Transport for RemoteTransport {
     fn execute_batch(&self, batch: &[BatchStatement]) -> DbResult<Vec<DbResult<StatementOutcome>>> {
         if batch.is_empty() {
             return Ok(Vec::new());
+        }
+        for stmt in batch {
+            protocol::check_count(stmt.params.len(), "parameters")?;
         }
         self.check_live()?;
         let mut stream = self.stream.lock().expect("stream poisoned");

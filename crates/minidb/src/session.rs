@@ -553,7 +553,9 @@ impl Database {
     /// Cleanly shuts down a durable database: final checkpoint, then
     /// stops the group-commit writer. Idempotent; a no-op on in-memory
     /// databases. Statements executed after `close` fail with a
-    /// `Persist` error instead of silently losing durability.
+    /// `Persist` error instead of silently losing durability, even when
+    /// the final checkpoint itself failed (its error is returned, and
+    /// the log it could not replace still recovers every commit).
     pub fn close(&self) -> DbResult<()> {
         let Some(d) = self.durability.get() else {
             return Ok(());
@@ -561,7 +563,7 @@ impl Database {
         if d.closed.swap(true, Ordering::AcqRel) {
             return Ok(());
         }
-        let result = {
+        let result = (|| {
             let _serial = d.checkpoint_lock.lock();
             let next = d.generation.load(Ordering::Acquire) + 1;
             if d.cfg.spill_cold {
@@ -574,7 +576,7 @@ impl Database {
             wal::recover::write_snapshot_file(&d.dir, next, &snap)?;
             d.generation.store(next, Ordering::Release);
             Ok(())
-        };
+        })();
         d.wal.close();
         result
     }

@@ -303,3 +303,88 @@ fn every_commit_mode_survives_unclean_drop_too() {
     assert_eq!(ids(&db, "t"), vec![42]);
     db.close().unwrap();
 }
+
+/// Group commit under real concurrency: eight sessions each commit 200
+/// single-row INSERTs with an fsync owed to every commit, and the log
+/// must cover some commits with one shared fsync. Every acknowledged
+/// row then survives a reopen.
+#[test]
+fn concurrent_commits_share_fsyncs() {
+    const SESSIONS: i64 = 8;
+    const COMMITS: i64 = 200;
+    let dir = scratch("group-commit");
+    let cfg = DurabilityConfig {
+        sync_mode: SyncMode::EveryCommit,
+        ..DurabilityConfig::default()
+    };
+    let (db, _) = Database::open(&dir, cfg.clone()).unwrap();
+    db.session()
+        .execute("CREATE TABLE load (id INT, payload CHAR(64))")
+        .unwrap();
+    let start = Arc::new(std::sync::Barrier::new(SESSIONS as usize));
+    let workers: Vec<_> = (0..SESSIONS)
+        .map(|t| {
+            let db = Arc::clone(&db);
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let s = db.session();
+                start.wait();
+                for i in 0..COMMITS {
+                    s.execute(&format!(
+                        "INSERT INTO load VALUES ({}, 'sixty-four-bytes-of-payload-data')",
+                        t * COMMITS + i
+                    ))
+                    .unwrap();
+                }
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().expect("committing session panicked");
+    }
+    let w = db.wal_stats();
+    assert!(
+        w.fsyncs > 0 && w.fsyncs < w.commits,
+        "commits must share fsyncs: {w:?}"
+    );
+    assert!(
+        w.group_commit_batch >= 2,
+        "no fsync ever covered two commits: {w:?}"
+    );
+    db.close().unwrap();
+    drop(db);
+
+    let (db, _) = Database::open(&dir, cfg).unwrap();
+    assert_eq!(
+        ids(&db, "load"),
+        (0..SESSIONS * COMMITS).collect::<Vec<_>>()
+    );
+    db.close().unwrap();
+}
+
+/// A `close` whose final checkpoint fails still stops the log: the
+/// error comes back once, later statements fail with `Persist`, and
+/// the commits the checkpoint could not fold in recover from the log.
+#[test]
+fn close_stops_the_log_even_when_its_checkpoint_fails() {
+    let dir = scratch("close-fails");
+    let (db, _) = Database::open(&dir, cfg_off()).unwrap();
+    let s = db.session();
+    s.execute("CREATE TABLE t (id INT)").unwrap();
+    s.execute("INSERT INTO t VALUES (1)").unwrap();
+    // A directory where the snapshot's temporary file must go.
+    std::fs::create_dir(dir.join("snapshot.tmp")).unwrap();
+    assert!(db.close().is_err(), "the final checkpoint cannot write");
+    assert!(db.close().is_ok(), "close is idempotent");
+    match s.execute("INSERT INTO t VALUES (2)") {
+        Err(minidb::DbError::Persist { .. }) => {}
+        other => panic!("a statement after close must fail with Persist, got {other:?}"),
+    }
+    drop(s);
+    drop(db);
+
+    std::fs::remove_dir(dir.join("snapshot.tmp")).unwrap();
+    let (db, _) = Database::open(&dir, cfg_off()).unwrap();
+    assert_eq!(ids(&db, "t"), vec![1]);
+    db.close().unwrap();
+}

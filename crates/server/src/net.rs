@@ -4,23 +4,24 @@
 //! handful of `extern "C"` entry points the reactor needs: `epoll` on
 //! Linux (O(ready) wakeups — the 10k-connection target makes `poll`'s
 //! O(registered) per-call scan a real cost), a `poll(2)` fallback on
-//! other Unixes, and `setrlimit` so the bench harness can lift the
-//! file-descriptor ceiling before opening tens of thousands of sockets.
+//! other Unixes, and `setrlimit` so a process serving (or opening)
+//! thousands of sockets can lift the file-descriptor ceiling first.
 //!
-//! The API is deliberately tiny: register/modify/deregister a raw fd
-//! under a `u64` token, and wait for [`Event`]s. Both the server's
-//! reactor and `netload`'s multiplexed client driver sit on top of it.
+//! The poller is deliberately tiny and private to the crate:
+//! register/modify/deregister a raw fd under a `u64` token, and wait
+//! for `Event`s. The reactor is its one user. Only
+//! [`raise_nofile_limit`] is public.
 
 /// Interest in readability.
-pub const EV_READ: u32 = 0b01;
+pub(crate) const EV_READ: u32 = 0b01;
 /// Interest in writability.
-pub const EV_WRITE: u32 = 0b10;
+pub(crate) const EV_WRITE: u32 = 0b10;
 
 /// One readiness event. `hangup` flags error/EOF conditions the OS
 /// reports regardless of registered interest; consumers usually treat
 /// it like readability (the next read returns 0 or an error).
 #[derive(Debug, Clone, Copy)]
-pub struct Event {
+pub(crate) struct Event {
     pub token: u64,
     pub readable: bool,
     pub writable: bool,
@@ -265,7 +266,7 @@ mod sys {
     }
 }
 
-pub use sys::Poller;
+pub(crate) use sys::Poller;
 
 #[repr(C)]
 struct Rlimit {
@@ -285,10 +286,10 @@ extern "C" {
 
 /// Best-effort raise of the open-file soft limit to at least `want`
 /// descriptors (also raising the hard limit when the process may).
-/// Returns the effective soft limit. A 10k-connection benchmark needs
-/// ~2 fds per connection (client + server end) plus slack; the default
-/// soft limit of 1024 on many systems would otherwise fail `accept`
-/// with EMFILE long before the interesting part.
+/// Returns the effective soft limit. A process holding both ends of
+/// many loopback connections needs ~2 fds per connection plus slack;
+/// the default soft limit of 1024 on many systems would otherwise fail
+/// `accept` with EMFILE long before the interesting part.
 pub fn raise_nofile_limit(want: u64) -> u64 {
     let mut cur = Rlimit { cur: 0, max: 0 };
     if unsafe { getrlimit(RLIMIT_NOFILE, &mut cur) } != 0 {

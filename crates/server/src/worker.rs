@@ -434,9 +434,15 @@ const FRAME_SLACK: usize = 1024;
 /// or the byte budget that keeps every frame under
 /// [`protocol::MAX_FRAME`]. A single row too large for any frame is a
 /// statement-level error (the client gets a typed ERROR mid-stream and
-/// the connection survives). Large sets spill to the outbox as they
-/// encode, so the worker-side copy stays bounded.
+/// the connection survives). So is a header wider than its `u16`
+/// column count, refused before any frame of the result is sent. Large
+/// sets spill to the outbox as they encode, so the worker-side copy
+/// stays bounded.
 fn stream_rows(shared: &Arc<Shared>, em: &mut Emitter<'_>, result: &minidb::QueryResult) {
+    if let Err(e) = protocol::check_count(result.columns.len(), "result columns") {
+        em.error(&e);
+        return;
+    }
     let display = |v: &Value| shared.db.with_catalog(|c| c.display_value(v));
     let header = protocol::encode_rows_header(&result.columns, &shared.types);
     em.frame(resp::ROWS_HEADER, &header);

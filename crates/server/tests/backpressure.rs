@@ -1,6 +1,7 @@
 //! Backpressure: a stalled client must park its connection instead of
 //! occupying a worker, and pipelined statements behind the stall must
-//! still run — in order — once the client drains.
+//! still run — in order — once the client drains. At scale, a thousand
+//! connections held open together are all admitted and all served.
 
 use minidb::{Database, Value};
 use std::io::Read;
@@ -10,7 +11,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tip_blade::{TipBlade, TipTypes};
 use tip_client::protocol::{self, req, resp, Hello};
-use tip_client::Connection;
+use tip_client::{Connection, HostValue};
 use tip_server::{Server, ServerConfig};
 
 /// Rows big enough that the full result cannot fit in loopback socket
@@ -32,8 +33,8 @@ fn big_server_with(cfg: ServerConfig) -> (Server, Arc<Database>) {
         conn.execute(
             "INSERT INTO big VALUES (:k, :v)",
             &[
-                ("k", tip_client::HostValue::Int(k as i64)),
-                ("v", tip_client::HostValue::Str(payload.clone())),
+                ("k", HostValue::Int(k as i64)),
+                ("v", HostValue::Str(payload.clone())),
             ],
         )
         .unwrap();
@@ -251,5 +252,90 @@ fn pipeline_queue_cap_pauses_reads_without_losing_statements() {
         server.stats().read_pauses >= 1,
         "flood should have paused reads: {:?}",
         server.stats()
+    );
+}
+
+/// A thousand connections held open together, each running five indexed
+/// point SELECTs in turn: every one is admitted (no BUSY below the
+/// admission cap) and every statement answers.
+#[test]
+#[ignore = "opens 2,000 sockets; run with --release -- --ignored"]
+fn a_thousand_connections_are_all_admitted_and_served() {
+    const CONNECTIONS: usize = 1000;
+    const STATEMENTS: usize = 5;
+    const KEYS: i64 = 64;
+    // This process holds both ends of every connection.
+    let limit = tip_server::net::raise_nofile_limit(2 * CONNECTIONS as u64 + 512);
+    assert!(
+        limit >= 2 * CONNECTIONS as u64 + 64,
+        "fd limit {limit} is too low for {CONNECTIONS} loopback connections"
+    );
+    let db = Database::new();
+    db.install_blade(&TipBlade).unwrap();
+    let server = Server::bind(
+        "127.0.0.1:0",
+        &db,
+        ServerConfig {
+            max_connections: CONNECTIONS + 16,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let setup = Connection::connect(server.local_addr()).unwrap();
+    setup
+        .execute("CREATE TABLE conns (id INT, x INT)", &[])
+        .unwrap();
+    for i in 0..KEYS {
+        setup
+            .execute(
+                "INSERT INTO conns VALUES (:i, :x)",
+                &[("i", HostValue::Int(i)), ("x", HostValue::Int(i * 3))],
+            )
+            .unwrap();
+    }
+    setup
+        .execute("CREATE INDEX ix_conns_id ON conns(id)", &[])
+        .unwrap();
+
+    let mut errors = Vec::new();
+    let conns: Vec<Connection> = (0..CONNECTIONS)
+        .filter_map(|c| match Connection::connect(server.local_addr()) {
+            Ok(conn) => Some(conn),
+            Err(e) => {
+                errors.push(format!("connect {c}: {e}"));
+                None
+            }
+        })
+        .collect();
+    for round in 0..STATEMENTS {
+        for (c, conn) in conns.iter().enumerate() {
+            let id = ((round * CONNECTIONS + c) as i64) % KEYS;
+            match conn.query(
+                "SELECT x FROM conns WHERE id = :i",
+                &[("i", HostValue::Int(id))],
+            ) {
+                Ok(mut rows) => {
+                    if !rows.next() || rows.get_int(0).ok() != Some(id * 3) {
+                        errors.push(format!("conn {c}: wrong answer for id {id}"));
+                    }
+                }
+                Err(e) => errors.push(format!("conn {c}: {e}")),
+            }
+        }
+    }
+    assert!(
+        errors.is_empty(),
+        "{} errors, first: {:?}",
+        errors.len(),
+        &errors[..errors.len().min(8)]
+    );
+    let stats = server.stats();
+    assert_eq!(
+        stats.busy_rejects, 0,
+        "BUSY below the admission cap: {stats:?}"
+    );
+    assert!(
+        stats.accepted >= CONNECTIONS as u64,
+        "every connection was accepted: {stats:?}"
     );
 }

@@ -4,7 +4,8 @@
 use minidb::{Database, DbError};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 use tip_blade::{TipBlade, TipTypes};
@@ -163,6 +164,92 @@ fn sixty_four_connections_with_isolated_now_overrides() {
         total += h.join().expect("worker panicked");
     }
     assert!(total > 0, "every override produced an empty result");
+}
+
+/// MVCC over the wire: readers counting a table never error and never
+/// see a partial table while writers UPDATE that same table beside them
+/// (an UPDATE keeps the row count fixed, so every count is exact).
+#[test]
+fn readers_count_a_table_while_writers_update_it() {
+    const ROWS: i64 = 50;
+    let db = Database::new();
+    db.install_blade(&TipBlade).unwrap();
+    let server = serve(
+        &db,
+        ServerConfig {
+            max_connections: 16,
+            ..Default::default()
+        },
+    );
+    let addr = server.local_addr();
+    let setup = Connection::connect(addr).unwrap();
+    setup
+        .execute("CREATE TABLE contend (id INT, v INT)", &[])
+        .unwrap();
+    for i in 0..ROWS {
+        setup
+            .execute(
+                "INSERT INTO contend VALUES (:i, :v)",
+                &[("i", HostValue::Int(i)), ("v", HostValue::Int(i % 16))],
+            )
+            .unwrap();
+    }
+
+    // Readers start only once both writers have landed an UPDATE, and
+    // writers keep going until every reader is done.
+    let (landed, first_updates) = mpsc::channel();
+    let stop = Arc::new(AtomicBool::new(false));
+    let writers: Vec<_> = (0..2)
+        .map(|w| {
+            let landed = landed.clone();
+            let stop = Arc::clone(&stop);
+            thread::spawn(move || {
+                let conn = Connection::connect(addr).unwrap();
+                let mut writes = 0i64;
+                loop {
+                    conn.execute(
+                        "UPDATE contend SET v = :v WHERE id = :i",
+                        &[
+                            ("v", HostValue::Int(w * 1_000_000 + writes)),
+                            ("i", HostValue::Int(writes % ROWS)),
+                        ],
+                    )
+                    .unwrap();
+                    writes += 1;
+                    if writes == 1 {
+                        landed.send(()).unwrap();
+                    }
+                    if stop.load(Ordering::Relaxed) {
+                        return;
+                    }
+                }
+            })
+        })
+        .collect();
+    for _ in 0..2 {
+        first_updates
+            .recv_timeout(Duration::from_secs(30))
+            .expect("a writer failed before its first UPDATE");
+    }
+    let readers: Vec<_> = (0..4)
+        .map(|_| {
+            thread::spawn(move || {
+                let conn = Connection::connect(addr).unwrap();
+                for _ in 0..50 {
+                    let mut rows = conn.query("SELECT COUNT(*) FROM contend", &[]).unwrap();
+                    assert!(rows.next());
+                    assert_eq!(rows.get_int(0).unwrap(), ROWS);
+                }
+            })
+        })
+        .collect();
+    for r in readers {
+        r.join().expect("reader failed");
+    }
+    stop.store(true, Ordering::Relaxed);
+    for w in writers {
+        w.join().expect("writer failed");
+    }
 }
 
 #[test]
@@ -645,4 +732,40 @@ fn huge_result_sets_split_frames_and_unfittable_rows_error_typed() {
     let mut rows = conn.query("SELECT COUNT(*) FROM blobs", &[]).unwrap();
     assert!(rows.next());
     assert_eq!(rows.get_int(0).unwrap(), 41);
+}
+
+/// Parameter and column counts travel as `u16`. Past 65,535 a request
+/// is refused with a typed error before anything is sent, and a result
+/// before its header; either way the connection stays usable.
+#[test]
+fn counts_past_the_wire_limit_are_typed_errors() {
+    let db = Database::new();
+    db.install_blade(&TipBlade).unwrap();
+    let server = serve(&db, ServerConfig::default());
+    let conn = Connection::connect(server.local_addr()).unwrap();
+    let n = u16::MAX as usize + 1;
+
+    let names: Vec<String> = (0..n).map(|i| format!("p{i}")).collect();
+    let params: Vec<(&str, HostValue)> = names
+        .iter()
+        .map(|name| (name.as_str(), HostValue::Int(1)))
+        .collect();
+    match conn.query("SELECT :p0", &params) {
+        Err(DbError::Constraint { message }) => {
+            assert!(message.contains("parameters"), "{message}")
+        }
+        Err(e) => panic!("expected a typed Constraint error, got {e:?}"),
+        Ok(_) => panic!("expected a typed Constraint error, got rows"),
+    }
+
+    let wide = format!("SELECT {}", vec!["1"; n].join(", "));
+    match conn.query(&wide, &[]) {
+        Err(DbError::Constraint { message }) => assert!(message.contains("columns"), "{message}"),
+        Err(e) => panic!("expected a typed Constraint error, got {e:?}"),
+        Ok(_) => panic!("expected a typed Constraint error, got rows"),
+    }
+
+    let mut rows = conn.query("SELECT 1", &[]).unwrap();
+    assert!(rows.next());
+    assert_eq!(rows.get_int(0).unwrap(), 1);
 }

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tip_blade::TipBlade;
-use tip_client::Connection;
+use tip_client::{Connection, HostValue};
 use tip_server::repl::ReplicationClient;
 use tip_server::{Server, ServerConfig};
 
@@ -183,6 +183,71 @@ fn replicated_transport_pins_open_transactions_to_primary() {
     );
 
     drop(rserver);
+    drop(pserver);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Read fan-out: four replicated connections run 100 SELECTs each
+/// against a primary with two caught-up replicas, and both replicas
+/// must serve some of those reads.
+#[test]
+fn replicated_reads_fan_out_to_every_replica() {
+    const ROWS: i64 = 100;
+    let dir = scratch("fan-out");
+    let (pdb, pserver) = durable_primary(&dir);
+    let paddr = pserver.local_addr().to_string();
+    let setup = Connection::connect(&paddr).unwrap();
+    setup
+        .execute("CREATE TABLE fan (id INT, v INT)", &[])
+        .unwrap();
+    for i in 0..ROWS {
+        setup
+            .execute(&format!("INSERT INTO fan VALUES ({i}, {})", i % 16), &[])
+            .unwrap();
+    }
+    let replicas: Vec<_> = (0..2).map(|_| replica_of(&paddr)).collect();
+    let target = pdb.wal_progress().unwrap().seq;
+    for (rdb, _, _) in &replicas {
+        wait_applied(rdb, target);
+    }
+    let raddrs: Vec<String> = replicas
+        .iter()
+        .map(|(_, server, _)| server.local_addr().to_string())
+        .collect();
+    let before: Vec<u64> = replicas
+        .iter()
+        .map(|(_, server, _)| server.metrics().selects)
+        .collect();
+
+    let readers: Vec<_> = (0..4)
+        .map(|_| {
+            let paddr = paddr.clone();
+            let raddrs = raddrs.clone();
+            std::thread::spawn(move || {
+                let refs: Vec<&str> = raddrs.iter().map(String::as_str).collect();
+                let conn = Connection::connect_replicated(&paddr, &refs).unwrap();
+                for i in 0..100 {
+                    let mut rows = conn
+                        .query(
+                            "SELECT COUNT(*) FROM fan WHERE id >= :d",
+                            &[("d", HostValue::Int(i % 7))],
+                        )
+                        .unwrap();
+                    assert!(rows.next());
+                    assert_eq!(rows.get_int(0).unwrap(), ROWS - i % 7);
+                }
+            })
+        })
+        .collect();
+    for r in readers {
+        r.join().expect("replicated reader failed");
+    }
+    for (i, ((_, server, _), before)) in replicas.iter().zip(&before).enumerate() {
+        let served = server.metrics().selects - before;
+        assert!(served > 0, "replica {i} served none of the fanned reads");
+    }
+
+    drop(replicas);
     drop(pserver);
     let _ = std::fs::remove_dir_all(&dir);
 }
