@@ -32,9 +32,9 @@ use crate::catalog::ExecCtx;
 use crate::error::{DbError, DbResult};
 use crate::obs::{AccessPath, OpProfile};
 use crate::pin::TableSource;
-use crate::plan::{DmlPlan, Plan};
+use crate::plan::{DmlOp, DmlPlan, Plan};
 use crate::storage::RowCursor;
-use crate::value::{GroupKey, Row};
+use crate::value::{GroupKey, Row, Value};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -222,26 +222,54 @@ fn open_batch<'a>(
     })
 }
 
-/// DML victim selection on the batch engine. Runs the plan's scan — the
-/// access path the planner chose, then the residual WHERE as batch
-/// predicates — and evaluates an UPDATE's `SET` expressions over the
-/// surviving lanes. Returns each victim's rowid with its new row (`None`
-/// for a DELETE), in rowid order: the order the changes are logged and
-/// applied in, whichever path found them. Only victims are gathered
-/// back into rows, and the scan is drained before the caller applies
-/// anything.
+/// A write's change set on the batch engine, computed without mutating
+/// anything: each row's rowid with its new row, `None` for a DELETE.
+/// An INSERT's rows are evaluated (or its query drained and cast) and
+/// paired with the rowids they will land on — the free list is
+/// deterministic, so the changes can be logged before they apply. An
+/// UPDATE or DELETE runs its scan — the access path the planner chose,
+/// then the residual WHERE as batch predicates — and evaluates the
+/// `SET` expressions over the surviving lanes; only victims are gathered
+/// back into rows, in rowid order: the order the changes are logged and
+/// applied in, whichever path found them.
 pub(crate) fn execute_dml(
     dml: &DmlPlan,
     src: &dyn TableSource,
     ctx: &ExecCtx,
     prof: Option<&OpProfile>,
 ) -> DbResult<Vec<(usize, Option<Row>)>> {
+    let (scan, sets) = match &dml.op {
+        DmlOp::Values(rows) => {
+            let rows = rows
+                .iter()
+                .map(|row| row.iter().map(|e| e.eval(ctx, &[])).collect())
+                .collect::<DbResult<Vec<Row>>>()?;
+            return inserts(dml, src, rows);
+        }
+        DmlOp::Query { plan, targets } => {
+            let width = src.table(&dml.table)?.schema.columns.len();
+            let mut rows = Vec::new();
+            for produced in execute_with(plan, src, ctx, prof)? {
+                let mut row: Row = vec![Value::Null; width];
+                for (v, (col, cast)) in produced.into_iter().zip(targets) {
+                    row[*col] = match (cast, v.is_null()) {
+                        (Some(f), false) => f(ctx, &v)?,
+                        _ => v,
+                    };
+                }
+                rows.push(row);
+            }
+            return inserts(dml, src, rows);
+        }
+        DmlOp::Update { scan, sets } => (scan, Some(sets)),
+        DmlOp::Delete { scan } => (scan, None),
+    };
     let Plan::Scan {
         filter,
         project: None,
         arity,
         ..
-    } = &dml.scan
+    } = scan
     else {
         return Err(DbError::exec(
             "a DML plan must read through a full-width scan",
@@ -249,17 +277,17 @@ pub(crate) fn execute_dml(
     };
     // A DELETE reads only its WHERE's columns: a cold row decodes no other.
     let mut read = Vec::new();
-    if let (None, Some(f)) = (&dml.sets, filter) {
+    if let (None, Some(f)) = (sets, filter) {
         f.collect_columns(&mut read);
     }
-    let decode = dml.sets.is_none().then_some(read.as_slice());
-    let (rows, path) = scan_cursor(&dml.scan, src, ctx, decode)?;
+    let decode = sets.is_none().then_some(read.as_slice());
+    let (rows, path) = scan_cursor(scan, src, ctx, decode)?;
     let scanned = prof.map(|p| (p, path));
     let mut victims = ColumnScan::new(rows, None, *arity, filter, ctx, scanned);
     let mut out = Vec::new();
     while let Some(batch) = victims.next_batch()? {
         let rowids = &victims.rowids;
-        let Some(sets) = &dml.sets else {
+        let Some(sets) = sets else {
             out.extend(batch.sel.iter().map(|lane| (rowids[lane], None)));
             continue;
         };
@@ -277,6 +305,16 @@ pub(crate) fn execute_dml(
     }
     out.sort_unstable_by_key(|(rowid, _)| *rowid);
     Ok(out)
+}
+
+/// Pairs an INSERT's rows with the rowids they will land on.
+fn inserts(
+    dml: &DmlPlan,
+    src: &dyn TableSource,
+    rows: Vec<Row>,
+) -> DbResult<Vec<(usize, Option<Row>)>> {
+    let rowids = src.table(&dml.table)?.planned_rowids(rows.len());
+    Ok(rowids.into_iter().zip(rows.into_iter().map(Some)).collect())
 }
 
 /// A scan node's candidate rows — what its access path selects, before

@@ -62,6 +62,8 @@ pub struct TableSet {
     /// Referenced view definitions, cloned out of the registry so the
     /// planner can inline them without re-entering the registry lock.
     views: HashMap<String, ViewDef>,
+    /// `true` when the statement holds a subquery anywhere.
+    subqueries: bool,
 }
 
 impl TableSet {
@@ -75,6 +77,7 @@ impl TableSet {
             registry,
             tables: BTreeMap::new(),
             views: HashMap::new(),
+            subqueries: false,
             depth: 0,
         };
         c.stmt(stmt);
@@ -85,6 +88,7 @@ impl TableSet {
                 .map(|(key, (shared, write))| Entry { key, shared, write })
                 .collect(),
             views: c.views,
+            subqueries: c.subqueries,
         }
     }
 
@@ -102,20 +106,26 @@ impl TableSet {
                 })
                 .collect(),
             views: registry.views_cloned(),
+            subqueries: false,
         }
     }
 
-    /// Resolves an explicit list of lowercase table keys, all as reads —
-    /// the re-pin path for a cached plan, which knows exactly which
-    /// tables it touches. Unlike [`TableSet::for_statement`], a missing
-    /// name is a hard `NotFound`: the cached plan *requires* the table.
-    pub fn read_only(registry: &Storage, keys: &[String]) -> DbResult<TableSet> {
+    /// Resolves an explicit list of lowercase table keys — the re-pin
+    /// path for a cached plan, which knows exactly which tables it
+    /// touches — as reads, but `write` (a write plan's target) for
+    /// writing. Unlike [`TableSet::for_statement`], a missing name is a
+    /// hard `NotFound`: the cached plan *requires* the table.
+    pub fn for_plan(
+        registry: &Storage,
+        keys: &[String],
+        write: Option<&str>,
+    ) -> DbResult<TableSet> {
         let mut entries = Vec::with_capacity(keys.len());
         for key in keys {
             entries.push(Entry {
                 key: key.clone(),
                 shared: registry.shared_table(key)?,
-                write: false,
+                write: write.is_some_and(|w| w.eq_ignore_ascii_case(key)),
             });
         }
         // `keys` comes from `table_keys()` and is already sorted, but a
@@ -124,6 +134,7 @@ impl TableSet {
         Ok(TableSet {
             entries,
             views: HashMap::new(),
+            subqueries: false,
         })
     }
 
@@ -132,17 +143,24 @@ impl TableSet {
         self.entries.iter().map(|e| e.key.clone()).collect()
     }
 
-    /// `true` when the statement references at least one view.
-    pub fn uses_views(&self) -> bool {
-        !self.views.is_empty()
+    /// `true` when a plan of the statement may be cached: it references
+    /// no view, whose text can change under the same name, and holds no
+    /// subquery, which the planner freezes to its *value*.
+    pub fn cacheable(&self) -> bool {
+        self.views.is_empty() && !self.subqueries
     }
 
-    /// Marks every entry a read. A transaction's DML writes its private
-    /// workspace, never a live table, so it takes no write guard.
-    pub(crate) fn demote_writes(&mut self) {
+    /// Marks every entry a read and returns the key of the one that was
+    /// a write: a transaction's DML writes its private workspace, never a
+    /// live table, so it takes no write guard.
+    pub(crate) fn demote_writes(&mut self) -> Option<String> {
+        let mut target = None;
         for e in &mut self.entries {
-            e.write = false;
+            if std::mem::take(&mut e.write) {
+                target = Some(e.key.clone());
+            }
         }
+        target
     }
 
     /// Pins the set at one read cut. Write entries acquire their write
@@ -283,6 +301,7 @@ struct Collector<'a> {
     /// acquisition order for free.
     tables: BTreeMap<String, (SharedTable, bool)>,
     views: HashMap<String, ViewDef>,
+    subqueries: bool,
     depth: usize,
 }
 
@@ -406,58 +425,13 @@ impl Collector<'_> {
 
     fn expr(&mut self, e: &Expr) {
         match e {
-            Expr::Subquery(sub) => self.select(sub),
-            Expr::InSubquery { expr, query, .. } => {
-                self.expr(expr);
+            Expr::Subquery(query) | Expr::InSubquery { query, .. } => {
+                self.subqueries = true;
                 self.select(query);
             }
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-                self.expr(expr)
-            }
-            Expr::Binary { lhs, rhs, .. } => {
-                self.expr(lhs);
-                self.expr(rhs);
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => {
-                self.expr(expr);
-                self.expr(low);
-                self.expr(high);
-            }
-            Expr::InList { expr, list, .. } => {
-                self.expr(expr);
-                for item in list {
-                    self.expr(item);
-                }
-            }
-            Expr::Call { args, .. } => {
-                for a in args {
-                    self.expr(a);
-                }
-            }
-            Expr::Like { expr, pattern, .. } => {
-                self.expr(expr);
-                self.expr(pattern);
-            }
-            Expr::Case {
-                operand,
-                branches,
-                else_,
-            } => {
-                if let Some(op) = operand {
-                    self.expr(op);
-                }
-                for (w, t) in branches {
-                    self.expr(w);
-                    self.expr(t);
-                }
-                if let Some(els) = else_ {
-                    self.expr(els);
-                }
-            }
-            Expr::Literal(_) | Expr::Column { .. } | Expr::Param(_) | Expr::BoundValue(_) => {}
+            _ => {}
         }
+        e.for_each_child(|c| self.expr(c));
     }
 }
 

@@ -14,13 +14,15 @@
 //!   change its meaning as time advances).
 
 use crate::binder::{normalize_expr, Binder, BoundExpr, BoundKind, Scope, ScopeCol};
-use crate::catalog::{AggregateState, Catalog, ExecCtx};
+use crate::catalog::{AggregateState, CastFnImpl, Catalog, ExecCtx};
 use crate::error::{DbError, DbResult};
 use crate::pin::TableSource;
-use crate::sql::ast::{Expr, OrderItem, SelectItem, SelectStmt, Statement};
+use crate::sql::ast::{Expr, InsertSource, OrderItem, SelectItem, SelectStmt, Statement};
+use crate::storage::TableSchema;
 use crate::types::DataType;
 use crate::value::Value;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// One aggregate computation within an [`Plan::Aggregate`] node.
@@ -318,29 +320,84 @@ pub struct IndexRange {
     pub hi: Option<(BoundExpr, bool)>,
 }
 
-/// A planned UPDATE or DELETE. `scan` selects the victims: it is the
-/// plan a single-table SELECT with the same WHERE would get — index
-/// probes included — but full-width, since applying a change needs the
-/// whole old row and its old index keys.
+/// A planned INSERT, UPDATE or DELETE. Rowids are not part of it: an
+/// INSERT's are chosen when it runs, from the table it runs against.
 pub struct DmlPlan {
     /// Canonical name of the target table.
     pub table: String,
-    pub scan: Plan,
-    /// An UPDATE's assignments as (column index, new value over the old
-    /// row); `None` for a DELETE.
-    pub sets: Option<Vec<(usize, BoundExpr)>>,
+    pub op: DmlOp,
+}
+
+/// What a [`DmlPlan`] writes, and what it reads to find it.
+pub enum DmlOp {
+    /// `INSERT … VALUES`: one full-width row per VALUES row, each
+    /// expression coerced to its column's type (NULL where unlisted).
+    Values(Vec<Vec<BoundExpr>>),
+    /// `INSERT … SELECT`: the query's plan and, per output column, the
+    /// column it fills and the implicit cast it needs (`None` when the
+    /// types already agree).
+    Query {
+        plan: Plan,
+        targets: Vec<(usize, Option<CastFnImpl>)>,
+    },
+    /// `UPDATE`: `scan` selects the victims — the plan a single-table
+    /// SELECT with the same WHERE would get, index probes included, but
+    /// full-width, since applying a change needs the whole old row and
+    /// its old index keys. `sets` are the assignments as (column index,
+    /// new value over the old row).
+    Update {
+        scan: Plan,
+        sets: Vec<(usize, BoundExpr)>,
+    },
+    /// `DELETE`: `scan` as for UPDATE.
+    Delete { scan: Plan },
 }
 
 impl DmlPlan {
+    /// The plan the write reads through (a query or a victim scan), if
+    /// any — what its access path is charged from.
+    pub fn input(&self) -> Option<&Plan> {
+        match &self.op {
+            DmlOp::Values(_) => None,
+            DmlOp::Query { plan: input, .. }
+            | DmlOp::Update { scan: input, .. }
+            | DmlOp::Delete { scan: input } => Some(input),
+        }
+    }
+
+    /// `true` for both forms of INSERT.
+    pub fn is_insert(&self) -> bool {
+        matches!(self.op, DmlOp::Values(_) | DmlOp::Query { .. })
+    }
+
     /// `update(t) over ixscan(t)` — what EXPLAIN and the slow-query log
     /// show.
     pub fn describe(&self) -> String {
-        let verb = if self.sets.is_some() {
-            "update"
-        } else {
-            "delete"
+        let verb = match self.op {
+            DmlOp::Values(_) => return format!("insert({})", self.table),
+            DmlOp::Query { .. } => "insert",
+            DmlOp::Update { .. } => "update",
+            DmlOp::Delete { .. } => "delete",
         };
-        format!("{verb}({}) over {}", self.table, self.scan.describe())
+        let input = self.input().map_or_else(String::new, Plan::describe);
+        format!("{verb}({}) over {input}", self.table)
+    }
+}
+
+/// One planned statement: what the plan cache holds and what a session
+/// runs.
+pub enum Planned {
+    Select(PlannedSelect),
+    Write(DmlPlan),
+}
+
+impl Planned {
+    /// The one-line plan shape EXPLAIN returns.
+    pub fn describe(&self) -> String {
+        match self {
+            Planned::Select(select) => select.plan.describe(),
+            Planned::Write(dml) => dml.describe(),
+        }
     }
 }
 
@@ -367,42 +424,16 @@ fn conjuncts(e: &Expr) -> Vec<Expr> {
 }
 
 /// Does the AST expression contain an aggregate call (w.r.t. a catalog)?
+/// A subquery's own aggregates are its own.
 fn contains_aggregate(e: &Expr, cat: &Catalog) -> bool {
     match e {
-        Expr::Call {
-            name, args, star, ..
-        } => *star || cat.has_aggregate(name) || args.iter().any(|a| contains_aggregate(a, cat)),
-        Expr::Unary { expr, .. } => contains_aggregate(expr, cat),
-        Expr::Binary { lhs, rhs, .. } => {
-            contains_aggregate(lhs, cat) || contains_aggregate(rhs, cat)
+        Expr::Call { name, star, .. } if *star || cat.has_aggregate(name) => true,
+        Expr::InSubquery { .. } => false,
+        _ => {
+            let mut found = false;
+            e.for_each_child(|c| found = found || contains_aggregate(c, cat));
+            found
         }
-        Expr::IsNull { expr, .. } => contains_aggregate(expr, cat),
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            contains_aggregate(expr, cat)
-                || contains_aggregate(low, cat)
-                || contains_aggregate(high, cat)
-        }
-        Expr::InList { expr, list, .. } => {
-            contains_aggregate(expr, cat) || list.iter().any(|a| contains_aggregate(a, cat))
-        }
-        Expr::Cast { expr, .. } => contains_aggregate(expr, cat),
-        Expr::Like { expr, pattern, .. } => {
-            contains_aggregate(expr, cat) || contains_aggregate(pattern, cat)
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_,
-        } => {
-            operand.as_ref().is_some_and(|o| contains_aggregate(o, cat))
-                || branches
-                    .iter()
-                    .any(|(w, t)| contains_aggregate(w, cat) || contains_aggregate(t, cat))
-                || else_.as_ref().is_some_and(|e| contains_aggregate(e, cat))
-        }
-        _ => false,
     }
 }
 
@@ -410,60 +441,14 @@ fn contains_aggregate(e: &Expr, cat: &Catalog) -> bool {
 /// order (normalized for deduplication).
 fn collect_aggregates(e: &Expr, cat: &Catalog, out: &mut Vec<Expr>) {
     match e {
-        Expr::Call {
-            name, args, star, ..
-        } => {
-            if *star || cat.has_aggregate(name) {
-                let norm = normalize_expr(e);
-                if !out.contains(&norm) {
-                    out.push(norm);
-                }
-            } else {
-                for a in args {
-                    collect_aggregates(a, cat, out);
-                }
+        Expr::Call { name, star, .. } if *star || cat.has_aggregate(name) => {
+            let norm = normalize_expr(e);
+            if !out.contains(&norm) {
+                out.push(norm);
             }
         }
-        Expr::Unary { expr, .. } | Expr::Cast { expr, .. } => collect_aggregates(expr, cat, out),
-        Expr::Binary { lhs, rhs, .. } => {
-            collect_aggregates(lhs, cat, out);
-            collect_aggregates(rhs, cat, out);
-        }
-        Expr::IsNull { expr, .. } => collect_aggregates(expr, cat, out),
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            collect_aggregates(expr, cat, out);
-            collect_aggregates(low, cat, out);
-            collect_aggregates(high, cat, out);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_aggregates(expr, cat, out);
-            for a in list {
-                collect_aggregates(a, cat, out);
-            }
-        }
-        Expr::Like { expr, pattern, .. } => {
-            collect_aggregates(expr, cat, out);
-            collect_aggregates(pattern, cat, out);
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_,
-        } => {
-            if let Some(o) = operand {
-                collect_aggregates(o, cat, out);
-            }
-            for (w, t) in branches {
-                collect_aggregates(w, cat, out);
-                collect_aggregates(t, cat, out);
-            }
-            if let Some(e) = else_ {
-                collect_aggregates(e, cat, out);
-            }
-        }
-        _ => {}
+        Expr::InSubquery { .. } => {}
+        _ => e.for_each_child(|c| collect_aggregates(c, cat, out)),
     }
 }
 
@@ -485,93 +470,11 @@ fn subst_post_agg(e: &Expr, group_keys: &[Expr], aggs: &[Expr]) -> Expr {
             name: format!("a{j}"),
         };
     }
-    match e {
-        Expr::Unary { op, expr } => Expr::Unary {
-            op: *op,
-            expr: Box::new(subst_post_agg(expr, group_keys, aggs)),
-        },
-        Expr::Binary { op, lhs, rhs } => Expr::Binary {
-            op: *op,
-            lhs: Box::new(subst_post_agg(lhs, group_keys, aggs)),
-            rhs: Box::new(subst_post_agg(rhs, group_keys, aggs)),
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(subst_post_agg(expr, group_keys, aggs)),
-            negated: *negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(subst_post_agg(expr, group_keys, aggs)),
-            low: Box::new(subst_post_agg(low, group_keys, aggs)),
-            high: Box::new(subst_post_agg(high, group_keys, aggs)),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(subst_post_agg(expr, group_keys, aggs)),
-            list: list
-                .iter()
-                .map(|x| subst_post_agg(x, group_keys, aggs))
-                .collect(),
-            negated: *negated,
-        },
-        Expr::Call {
-            name,
-            args,
-            star,
-            distinct,
-        } => Expr::Call {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|x| subst_post_agg(x, group_keys, aggs))
-                .collect(),
-            star: *star,
-            distinct: *distinct,
-        },
-        Expr::Cast { expr, ty } => Expr::Cast {
-            expr: Box::new(subst_post_agg(expr, group_keys, aggs)),
-            ty: ty.clone(),
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(subst_post_agg(expr, group_keys, aggs)),
-            pattern: Box::new(subst_post_agg(pattern, group_keys, aggs)),
-            negated: *negated,
-        },
-        Expr::Case {
-            operand,
-            branches,
-            else_,
-        } => Expr::Case {
-            operand: operand
-                .as_ref()
-                .map(|o| Box::new(subst_post_agg(o, group_keys, aggs))),
-            branches: branches
-                .iter()
-                .map(|(w, t)| {
-                    (
-                        subst_post_agg(w, group_keys, aggs),
-                        subst_post_agg(t, group_keys, aggs),
-                    )
-                })
-                .collect(),
-            else_: else_
-                .as_ref()
-                .map(|e| Box::new(subst_post_agg(e, group_keys, aggs))),
-        },
-        other => other.clone(),
+    if let Expr::InSubquery { .. } = e {
+        return e.clone();
     }
+    let Ok(e) = e.try_map_children(|c| Ok::<_, Infallible>(subst_post_agg(c, group_keys, aggs)));
+    e
 }
 
 /// A display name for an output column without an alias.
@@ -582,6 +485,32 @@ fn expr_display_name(e: &Expr) -> String {
         Expr::Cast { expr, .. } => expr_display_name(expr),
         _ => "?column?".into(),
     }
+}
+
+/// An INSERT's target column indexes: its column list, else every
+/// column. Unknown and repeated columns are refused.
+fn target_columns(
+    schema: &TableSchema,
+    table: &str,
+    columns: &Option<Vec<String>>,
+) -> DbResult<Vec<usize>> {
+    let Some(names) = columns else {
+        return Ok((0..schema.columns.len()).collect());
+    };
+    let mut idxs = Vec::with_capacity(names.len());
+    for n in names {
+        let i = schema.col_index(n).ok_or_else(|| DbError::NotFound {
+            kind: "column",
+            name: format!("{table}.{n}"),
+        })?;
+        if idxs.contains(&i) {
+            return Err(DbError::Constraint {
+                message: format!("column {n} listed twice"),
+            });
+        }
+        idxs.push(i);
+    }
+    Ok(idxs)
 }
 
 /// The query planner for one statement.
@@ -616,23 +545,15 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Creates a planner that binds `:name` parameters as deferred
-    /// [`BoundKind::Param`] slots instead of freezing their values into
-    /// the plan. Used when the plan may be cached and re-executed with
-    /// fresh parameter values.
+    /// [`Planner::new`] under its former name: every planner binds
+    /// `:name` as a [`BoundKind::Param`] slot.
     pub fn new_deferred(
         catalog: &'a Catalog,
         tables: &'a dyn TableSource,
         params: &'a HashMap<String, Value>,
         ctx: ExecCtx,
     ) -> Planner<'a> {
-        Planner {
-            catalog,
-            tables,
-            binder: Binder::deferred(catalog, params),
-            ctx,
-            subquery_depth: std::cell::Cell::new(0),
-        }
+        Planner::new(catalog, tables, params, ctx)
     }
 
     /// Evaluates one uncorrelated subquery to its rows (single output
@@ -666,13 +587,15 @@ impl<'a> Planner<'a> {
     /// evaluation.
     pub fn resolve_subqueries(&self, e: &Expr) -> DbResult<Expr> {
         use crate::sql::ast::Lit;
-        Ok(match e {
+        match e {
             Expr::Subquery(sub) => {
                 let rows = self.eval_subquery(sub)?;
                 match rows.len() {
-                    0 => Expr::BoundValue(Value::Null),
-                    1 => Expr::BoundValue(rows.into_iter().next().expect("one").remove(0)),
-                    n => return Err(DbError::exec(format!("scalar subquery returned {n} rows"))),
+                    0 => Ok(Expr::BoundValue(Value::Null)),
+                    1 => Ok(Expr::BoundValue(
+                        rows.into_iter().next().expect("one").remove(0),
+                    )),
+                    n => Err(DbError::exec(format!("scalar subquery returned {n} rows"))),
                 }
             }
             Expr::InSubquery {
@@ -690,95 +613,14 @@ impl<'a> Planner<'a> {
                     .into_iter()
                     .map(|mut r| Expr::BoundValue(r.remove(0)))
                     .collect();
-                Expr::InList {
+                Ok(Expr::InList {
                     expr: Box::new(lhs),
                     list,
                     negated: *negated,
-                }
+                })
             }
-            Expr::Unary { op, expr } => Expr::Unary {
-                op: *op,
-                expr: Box::new(self.resolve_subqueries(expr)?),
-            },
-            Expr::Binary { op, lhs, rhs } => Expr::Binary {
-                op: *op,
-                lhs: Box::new(self.resolve_subqueries(lhs)?),
-                rhs: Box::new(self.resolve_subqueries(rhs)?),
-            },
-            Expr::IsNull { expr, negated } => Expr::IsNull {
-                expr: Box::new(self.resolve_subqueries(expr)?),
-                negated: *negated,
-            },
-            Expr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => Expr::Between {
-                expr: Box::new(self.resolve_subqueries(expr)?),
-                low: Box::new(self.resolve_subqueries(low)?),
-                high: Box::new(self.resolve_subqueries(high)?),
-                negated: *negated,
-            },
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => Expr::InList {
-                expr: Box::new(self.resolve_subqueries(expr)?),
-                list: list
-                    .iter()
-                    .map(|x| self.resolve_subqueries(x))
-                    .collect::<DbResult<_>>()?,
-                negated: *negated,
-            },
-            Expr::Call {
-                name,
-                args,
-                star,
-                distinct,
-            } => Expr::Call {
-                name: name.clone(),
-                args: args
-                    .iter()
-                    .map(|x| self.resolve_subqueries(x))
-                    .collect::<DbResult<_>>()?,
-                star: *star,
-                distinct: *distinct,
-            },
-            Expr::Cast { expr, ty } => Expr::Cast {
-                expr: Box::new(self.resolve_subqueries(expr)?),
-                ty: ty.clone(),
-            },
-            Expr::Like {
-                expr,
-                pattern,
-                negated,
-            } => Expr::Like {
-                expr: Box::new(self.resolve_subqueries(expr)?),
-                pattern: Box::new(self.resolve_subqueries(pattern)?),
-                negated: *negated,
-            },
-            Expr::Case {
-                operand,
-                branches,
-                else_,
-            } => Expr::Case {
-                operand: match operand {
-                    Some(o) => Some(Box::new(self.resolve_subqueries(o)?)),
-                    None => None,
-                },
-                branches: branches
-                    .iter()
-                    .map(|(w, t)| Ok((self.resolve_subqueries(w)?, self.resolve_subqueries(t)?)))
-                    .collect::<DbResult<_>>()?,
-                else_: match else_ {
-                    Some(x) => Some(Box::new(self.resolve_subqueries(x)?)),
-                    None => None,
-                },
-            },
-            other => other.clone(),
-        })
+            _ => e.try_map_children(|c| self.resolve_subqueries(c)),
+        }
     }
 
     /// Pre-pass over a whole SELECT: replaces subqueries everywhere an
@@ -841,25 +683,39 @@ impl<'a> Planner<'a> {
         Ok(planned)
     }
 
-    /// Plans an UPDATE or DELETE. The WHERE's conjuncts, subqueries
-    /// resolved, go through the same scan planning as a SELECT's.
+    /// Plans a SELECT or a write.
+    pub fn plan(&self, stmt: &Statement) -> DbResult<Planned> {
+        match stmt {
+            Statement::Select(sel) => Ok(Planned::Select(self.plan_select(sel)?)),
+            write => Ok(Planned::Write(self.plan_dml(write)?)),
+        }
+    }
+
+    /// Plans an INSERT, UPDATE or DELETE. A victim-finding WHERE goes,
+    /// its subqueries resolved, through the same scan planning as a
+    /// SELECT's conjuncts.
     pub fn plan_dml(&self, stmt: &Statement) -> DbResult<DmlPlan> {
-        let (table, sets, where_clause) = match stmt {
+        let (table, where_clause) = match stmt {
+            Statement::Insert { table, .. } => (table, &None),
             Statement::Update {
                 table,
-                sets,
                 where_clause,
-            } => (table, Some(sets), where_clause),
-            Statement::Delete {
+                ..
+            }
+            | Statement::Delete {
                 table,
                 where_clause,
-            } => (table, None, where_clause),
-            _ => return Err(DbError::binding("only UPDATE and DELETE plan as DML")),
+            } => (table, where_clause),
+            _ => {
+                return Err(DbError::binding(
+                    "only INSERT, UPDATE and DELETE plan as writes",
+                ))
+            }
         };
-        let t = self.tables.table(table)?;
-        let binding = t.schema.name.to_ascii_lowercase();
+        let schema = &self.tables.table(table)?.schema;
+        let binding = schema.name.to_ascii_lowercase();
         let scope = Scope::new(
-            t.schema
+            schema
                 .columns
                 .iter()
                 .map(|c| ScopeCol {
@@ -869,22 +725,6 @@ impl<'a> Planner<'a> {
                 })
                 .collect(),
         );
-        let sets = match sets {
-            None => None,
-            Some(sets) => {
-                let mut bound = Vec::with_capacity(sets.len());
-                for (name, e) in sets {
-                    let col = t.schema.col_index(name).ok_or_else(|| DbError::NotFound {
-                        kind: "column",
-                        name: format!("{table}.{name}"),
-                    })?;
-                    let e = self.binder.bind(&self.resolve_subqueries(e)?, &scope)?;
-                    let e = self.binder.coerce(e, t.schema.columns[col].ty, false)?;
-                    bound.push((col, self.fold(e)));
-                }
-                Some(bound)
-            }
-        };
         let pushed = match where_clause {
             Some(w) if contains_aggregate(w, self.catalog) => {
                 return Err(DbError::binding("aggregates are not allowed in WHERE"))
@@ -893,10 +733,121 @@ impl<'a> Planner<'a> {
             None => Vec::new(),
         };
         let range = (binding, 0..scope.cols.len());
+        let op = match stmt {
+            Statement::Insert {
+                columns,
+                source: InsertSource::Values(rows),
+                ..
+            } => DmlOp::Values(self.plan_values(
+                schema,
+                &target_columns(schema, table, columns)?,
+                rows,
+            )?),
+            Statement::Insert {
+                columns,
+                source: InsertSource::Query(sel),
+                ..
+            } => self.plan_insert_query(schema, &target_columns(schema, table, columns)?, sel)?,
+            Statement::Update { sets, .. } => {
+                let mut bound = Vec::with_capacity(sets.len());
+                for (name, e) in sets {
+                    let col = schema.col_index(name).ok_or_else(|| DbError::NotFound {
+                        kind: "column",
+                        name: format!("{table}.{name}"),
+                    })?;
+                    let e = self.binder.bind(&self.resolve_subqueries(e)?, &scope)?;
+                    let e = self.binder.coerce(e, schema.columns[col].ty, false)?;
+                    bound.push((col, self.fold(e)));
+                }
+                DmlOp::Update {
+                    scan: self.plan_scan(table, &pushed, &range, &scope)?,
+                    sets: bound,
+                }
+            }
+            _ => DmlOp::Delete {
+                scan: self.plan_scan(table, &pushed, &range, &scope)?,
+            },
+        };
         Ok(DmlPlan {
-            table: t.schema.name.clone(),
-            scan: self.plan_scan(table, &pushed, &range, &scope)?,
-            sets,
+            table: schema.name.clone(),
+            op,
+        })
+    }
+
+    /// INSERT … VALUES rows as full-width rows of bound expressions, each
+    /// coerced to its target column's type.
+    fn plan_values(
+        &self,
+        schema: &TableSchema,
+        targets: &[usize],
+        rows: &[Vec<Expr>],
+    ) -> DbResult<Vec<Vec<BoundExpr>>> {
+        let scope = Scope::default();
+        let mut out = Vec::with_capacity(rows.len());
+        for exprs in rows {
+            if exprs.len() != targets.len() {
+                return Err(DbError::Constraint {
+                    message: format!(
+                        "INSERT has {} value(s) but {} column(s)",
+                        exprs.len(),
+                        targets.len()
+                    ),
+                });
+            }
+            let mut row: Vec<BoundExpr> = (0..schema.columns.len())
+                .map(|_| BoundExpr::literal(Value::Null))
+                .collect();
+            for (e, &col) in exprs.iter().zip(targets) {
+                let bound = self.binder.bind(&self.resolve_subqueries(e)?, &scope)?;
+                let bound = self.binder.coerce(bound, schema.columns[col].ty, false)?;
+                row[col] = self.fold(bound);
+            }
+            out.push(row);
+        }
+        Ok(out)
+    }
+
+    /// The SELECT side of INSERT … SELECT, with the implicit cast each
+    /// produced column needs to land in its target column.
+    fn plan_insert_query(
+        &self,
+        schema: &TableSchema,
+        targets: &[usize],
+        sel: &SelectStmt,
+    ) -> DbResult<DmlOp> {
+        let planned = self.plan_select(sel)?;
+        if planned.columns.len() != targets.len() {
+            return Err(DbError::Constraint {
+                message: format!(
+                    "INSERT … SELECT produces {} column(s) but {} are targeted",
+                    planned.columns.len(),
+                    targets.len()
+                ),
+            });
+        }
+        let mut casts = Vec::with_capacity(targets.len());
+        for ((_, src_ty), &col) in planned.columns.iter().zip(targets) {
+            let dst_ty = schema.columns[col].ty;
+            let cast = if *src_ty == dst_ty || *src_ty == DataType::Null {
+                None
+            } else {
+                let cast = self
+                    .catalog
+                    .find_cast(*src_ty, dst_ty, false)
+                    .ok_or_else(|| DbError::NoOverload {
+                        what: format!(
+                            "cast {} -> {} for INSERT … SELECT",
+                            self.catalog.type_name(*src_ty),
+                            self.catalog.type_name(dst_ty)
+                        ),
+                    })?;
+                Some(cast.f.clone())
+            };
+            casts.push((col, cast));
+        }
+        Ok(DmlOp::Query {
+            plan: planned.plan,
+            targets: casts,
         })
     }
 
@@ -1814,105 +1765,8 @@ impl<'a> Planner<'a> {
     /// Shifts column references down by `offset` (used to rebase a
     /// right-side hash key from the concatenated scope onto the right
     /// input's own row).
-    fn rebase(&self, e: BoundExpr, offset: usize) -> BoundExpr {
-        fn walk(k: BoundKind, offset: usize) -> BoundKind {
-            match k {
-                BoundKind::ColumnRef(i) => BoundKind::ColumnRef(i - offset),
-                BoundKind::Apply { f, batch, args } => BoundKind::Apply {
-                    f,
-                    batch,
-                    args: args
-                        .into_iter()
-                        .map(|a| BoundExpr {
-                            ty: a.ty,
-                            now_dep: a.now_dep,
-                            kind: walk(a.kind, offset),
-                        })
-                        .collect(),
-                },
-                BoundKind::Cast { f, arg } => BoundKind::Cast {
-                    f,
-                    arg: Box::new(BoundExpr {
-                        ty: arg.ty,
-                        now_dep: arg.now_dep,
-                        kind: walk(arg.kind, offset),
-                    }),
-                },
-                BoundKind::Neg(a) => BoundKind::Neg(Box::new(BoundExpr {
-                    ty: a.ty,
-                    now_dep: a.now_dep,
-                    kind: walk(a.kind, offset),
-                })),
-                BoundKind::Not(a) => BoundKind::Not(Box::new(BoundExpr {
-                    ty: a.ty,
-                    now_dep: a.now_dep,
-                    kind: walk(a.kind, offset),
-                })),
-                BoundKind::And(a, b) => BoundKind::And(
-                    Box::new(BoundExpr {
-                        ty: a.ty,
-                        now_dep: a.now_dep,
-                        kind: walk(a.kind, offset),
-                    }),
-                    Box::new(BoundExpr {
-                        ty: b.ty,
-                        now_dep: b.now_dep,
-                        kind: walk(b.kind, offset),
-                    }),
-                ),
-                BoundKind::Or(a, b) => BoundKind::Or(
-                    Box::new(BoundExpr {
-                        ty: a.ty,
-                        now_dep: a.now_dep,
-                        kind: walk(a.kind, offset),
-                    }),
-                    Box::new(BoundExpr {
-                        ty: b.ty,
-                        now_dep: b.now_dep,
-                        kind: walk(b.kind, offset),
-                    }),
-                ),
-                BoundKind::IsNull { arg, negated } => BoundKind::IsNull {
-                    arg: Box::new(BoundExpr {
-                        ty: arg.ty,
-                        now_dep: arg.now_dep,
-                        kind: walk(arg.kind, offset),
-                    }),
-                    negated,
-                },
-                BoundKind::Case { branches, else_ } => BoundKind::Case {
-                    branches: branches
-                        .into_iter()
-                        .map(|(w, t)| {
-                            (
-                                BoundExpr {
-                                    ty: w.ty,
-                                    now_dep: w.now_dep,
-                                    kind: walk(w.kind, offset),
-                                },
-                                BoundExpr {
-                                    ty: t.ty,
-                                    now_dep: t.now_dep,
-                                    kind: walk(t.kind, offset),
-                                },
-                            )
-                        })
-                        .collect(),
-                    else_: else_.map(|e| {
-                        Box::new(BoundExpr {
-                            ty: e.ty,
-                            now_dep: e.now_dep,
-                            kind: walk(e.kind, offset),
-                        })
-                    }),
-                },
-                lit @ (BoundKind::Literal(_) | BoundKind::Param { .. }) => lit,
-            }
-        }
-        BoundExpr {
-            ty: e.ty,
-            now_dep: e.now_dep,
-            kind: walk(e.kind, offset),
-        }
+    fn rebase(&self, mut e: BoundExpr, offset: usize) -> BoundExpr {
+        e.map_columns(&mut |i| i - offset);
+        e
     }
 }

@@ -98,6 +98,38 @@ fn unclean_drop_replays_committed_transactions_from_the_log() {
     db.close().unwrap();
 }
 
+/// Every acknowledged view survives an unclean drop: its DDL replays
+/// from the log with nothing skipped.
+#[test]
+fn acknowledged_views_replay_after_an_unclean_drop() {
+    let dir = scratch("views");
+    {
+        let (db, _) = Database::open(&dir, cfg_off()).unwrap();
+        let s = db.session();
+        s.execute("CREATE TABLE t (id INT, x INT)").unwrap();
+        s.execute("INSERT INTO t VALUES (1, 3), (2, 4)").unwrap();
+        s.execute("CREATE VIEW v1 AS SELECT id FROM t WHERE x = 3")
+            .unwrap();
+        s.execute("CREATE VIEW v2 AS SELECT id FROM v1").unwrap();
+        // Refused before it is logged: a view takes no parameters.
+        assert!(s
+            .execute_with_params(
+                "CREATE VIEW v3 AS SELECT id FROM t WHERE x = :p",
+                &[("p", Value::Int(3))],
+            )
+            .is_err());
+        drop(s);
+        // No close(): the views live only in the WAL.
+    }
+    let (db, report) = Database::open(&dir, cfg_off()).unwrap();
+    assert_eq!(report.ops_skipped, 0, "{}", report.summary());
+    for view in ["v1", "v2"] {
+        assert_eq!(ids(&db, view), vec![1], "{view}");
+    }
+    assert!(db.session().query("SELECT * FROM v3").is_err());
+    db.close().unwrap();
+}
+
 #[test]
 fn checkpoint_truncates_log_and_reopen_skips_replay() {
     let dir = scratch("checkpoint");

@@ -380,3 +380,25 @@ fn aggregate_distinct() {
     // DISTINCT on a scalar routine is rejected.
     assert!(s.query("SELECT upper(DISTINCT g) FROM dup").is_err());
 }
+
+/// An `AS OF` operand is a constant expression: a subquery in it is a
+/// typed Binding error saying so, not a lookup of its table against an
+/// empty set (which reported an existing table as missing).
+#[test]
+fn as_of_refuses_a_subquery_operand() {
+    let db = db();
+    let s = db.session();
+    for sql in [
+        "SELECT count(*) FROM t AS OF COMMIT (SELECT max(id) FROM t)",
+        "SELECT count(*) FROM t AS OF (SELECT max(id) FROM t)",
+    ] {
+        match s.query(sql) {
+            Err(DbError::Binding { message }) => {
+                assert!(message.contains("constant expression"), "{message}")
+            }
+            other => panic!("{sql}: expected a Binding error, got {other:?}"),
+        }
+    }
+    let r = s.query("SELECT count(*) FROM t").unwrap();
+    assert_eq!(r.rows[0][0].as_int(), Some(4));
+}

@@ -180,3 +180,26 @@ fn explain_shows_the_inlined_view() {
     assert!(plan.contains("scan(sales)[f]"), "{plan}");
     assert!(plan.contains("filter("), "{plan}");
 }
+
+/// A view takes no host variables: recovery and replicas replay its text
+/// with no parameters to bind, so a `:name` in the body is refused with a
+/// typed error naming it, even when the statement supplies a value, and
+/// nothing is created.
+#[test]
+fn a_parameter_in_a_view_body_is_refused() {
+    let db = db();
+    let s = db.session();
+    for sql in [
+        "CREATE VIEW v AS SELECT region FROM sales WHERE amount = :p",
+        "CREATE VIEW v AS SELECT region FROM sales \
+         WHERE amount IN (SELECT amount FROM sales WHERE region = :p)",
+    ] {
+        match s.execute_with_params(sql, &[("p", minidb::Value::Int(3))]) {
+            Err(minidb::DbError::Binding { message }) => {
+                assert!(message.contains(":p"), "{message}")
+            }
+            other => panic!("{sql}: expected a Binding error, got {other:?}"),
+        }
+    }
+    assert!(s.query("SELECT * FROM v").is_err(), "no view was created");
+}

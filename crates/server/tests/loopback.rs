@@ -496,6 +496,26 @@ fn prepared_statements_execute_server_side() {
     assert!(matches!(bad.query(), Err(DbError::Syntax { .. })));
 }
 
+/// A parameter named twice (names match without case) comes back as a
+/// typed Binding error, and the connection goes on serving.
+#[test]
+fn a_parameter_given_twice_is_a_typed_error_and_the_connection_lives() {
+    let db = Database::new();
+    db.install_blade(&TipBlade).unwrap();
+    let server = serve(&db, ServerConfig::default());
+    let conn = Connection::connect(server.local_addr()).unwrap();
+    conn.execute("CREATE TABLE t (id INT, x INT)", &[]).unwrap();
+    conn.execute("INSERT INTO t VALUES (1, 0)", &[]).unwrap();
+    let params = [("v", HostValue::Int(5)), ("V", HostValue::Int(6))];
+    match conn.execute("UPDATE t SET x = :v WHERE id = 1", &params) {
+        Err(DbError::Binding { message }) => assert!(message.contains(":V"), "{message}"),
+        other => panic!("expected Binding, got {other:?}"),
+    }
+    let mut rows = conn.query("SELECT 1", &[]).unwrap();
+    assert!(rows.next());
+    assert_eq!(rows.get_int(0).unwrap(), 1);
+}
+
 /// Sends one HELLO at `version` on a raw socket and returns every byte
 /// the server answers with before it closes the connection.
 fn hello_at(addr: std::net::SocketAddr, version: u16) -> Vec<u8> {
@@ -565,14 +585,15 @@ fn plan_cache_entries_is_the_live_cache_length() {
         panic!("SHOW STATS lists no plan_cache.entries row");
     };
 
-    // A caches three plans and leaves; then the cache is cleared
-    // wholesale (a snapshot load swaps the world).
+    // A caches three plans (beside the loader's INSERT) and leaves; then
+    // the cache is cleared wholesale (a snapshot load swaps the world).
+    let seeded = db.plan_cache_len() as u64;
     let a = Connection::connect(addr).unwrap();
     for col in ["patient", "drug", "dosage"] {
         a.query(&format!("SELECT {col} FROM Prescription"), &[])
             .unwrap();
     }
-    assert_eq!(a.server_metrics().unwrap().plan_cache_entries, 3);
+    assert_eq!(a.server_metrics().unwrap().plan_cache_entries - seeded, 3);
     drop(a);
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while server.connection_count() != 0 {

@@ -49,3 +49,9 @@ pub use tip_client as client;
 pub use tip_core as core;
 pub use tip_layered as layered;
 pub use tip_workload as workload;
+
+/// README.md's code blocks, compiled and run by `cargo test` as doctests
+/// so the examples cannot drift from the API.
+#[doc = include_str!("../README.md")]
+#[cfg(doctest)]
+pub struct ReadmeDoctests;
