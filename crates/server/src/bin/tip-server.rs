@@ -9,8 +9,9 @@
 //! tip-server --promote ADDR
 //! ```
 //!
-//! `--workers` sizes the statement-execution pool (0 = one per core);
-//! `--max-subscribers` caps replication subscribers, which hold
+//! `--workers` sizes the reactor set: N threads that each own a share
+//! of the connections and run their statements (0 = one per core, at
+//! least 2); `--max-subscribers` caps replication subscribers, which hold
 //! dedicated streaming threads and do not count against
 //! `--max-connections`.
 //!
@@ -58,7 +59,9 @@ fn usage() -> ! {
          [--max-subscribers N] [--demo] \
          [--data-dir DIR] [--sync off|every-commit|interval:MS] [--checkpoint-bytes N] \
          [--mvcc-retention N] [--page-size N] [--pool-pages N] \
-         [--replicate-from ADDR] | --promote ADDR"
+         [--replicate-from ADDR] | --promote ADDR\n\
+         --workers N: reactor threads, each owning a share of the connections \
+         and running their statements (0 = one per core, at least 2)"
     );
     std::process::exit(2);
 }

@@ -8,51 +8,52 @@
 //!
 //! Design points:
 //!
-//! * **reactor + worker pool** — a single nonblocking event loop
-//!   ([`reactor`]) owns every socket and decodes frames into
-//!   per-connection statement queues; a fixed pool of workers sized to
-//!   cores executes statements and commits responses to per-connection
-//!   outboxes. Clients may **pipeline**: many in-flight statements per
-//!   connection, answered in order, flushed with one write per
-//!   readiness event;
+//! * **N reactors** — `ServerConfig::workers` nonblocking event loops
+//!   ([`reactor`]), each owning a share of the connections from accept
+//!   to close and running their statements inline on its own thread.
+//!   Clients may **pipeline**: on each readiness event a connection's
+//!   complete frames are parsed into its queue, run in order, and their
+//!   replies flushed with one write;
 //! * **per-connection session state** — each connection gets its own
 //!   [`Session`], so NOW overrides and metrics are isolated exactly as
 //!   they are for in-process sessions;
 //! * **admission control and backpressure** — connection slots are
 //!   reserved atomically (over-cap peers get a typed BUSY), statement
-//!   queues are bounded (reads pause at the high-water mark), and a
-//!   slow client whose outbox exceeds the write budget is *parked*
-//!   instead of pinning a worker;
-//! * **robustness** — malformed frames kill only the offending
-//!   connection, stalled handshakes and unread outboxes are swept on a
-//!   timeout, and shutdown drains queued statements before the process
-//!   lets go of the database;
+//!   queues are bounded (reads pause at `max_pipeline`), and a slow
+//!   client whose outbox exceeds the write budget is *parked* until it
+//!   drains;
+//! * **semi-synchronous replication without a blocked thread** — a
+//!   write's success frame is *held* until the acking replicas cover
+//!   its commit (or a timeout passes) while the reactor runs its other
+//!   connections;
+//! * **robustness** — malformed frames, and statements that panic, kill
+//!   only the offending connection; stalled handshakes and unread
+//!   outboxes are swept on a timeout, and shutdown drains queued
+//!   statements before the process lets go of the database;
 //! * **observability** — a `SERVER_METRICS` request aggregates every
 //!   live session's counters plus those of already-closed sessions via
 //!   [`MetricsSnapshot::absorb`]; [`Server::stats`] exposes the
-//!   reactor's own counters (accepts, rejects, parks, pipelining).
+//!   reactors' own counters (accepts, rejects, parks, pipelining).
 
 use minidb::{Database, DbError, DbResult, MetricsSnapshot, QueryMetrics};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Mutex as StdMutex};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tip_blade::TipTypes;
 use tip_client::protocol::{self, req, resp};
 
 mod conn;
+mod dispatch;
 pub mod net;
 mod reactor;
 pub mod repl;
-mod worker;
 
-use conn::ControlQueue;
-use worker::RunQueue;
+use reactor::Inbox;
 
 /// Tuning knobs for [`Server::bind`].
 #[derive(Debug, Clone)]
@@ -72,8 +73,9 @@ pub struct ServerConfig {
     pub rows_per_batch: usize,
     /// Free-form banner returned in HELLO_OK.
     pub banner: String,
-    /// Worker threads executing statements; 0 means auto (at least 2,
-    /// otherwise the machine's available parallelism).
+    /// Reactor threads, each owning a share of the connections and
+    /// running their statements; 0 means auto (the machine's available
+    /// parallelism, at least 2).
     pub workers: usize,
     /// In-flight statements one connection may queue before the server
     /// stops reading from it (pipelining depth bound).
@@ -107,7 +109,7 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// The worker-pool size `workers: 0` resolves to.
+    /// The reactor count `workers: 0` resolves to.
     fn resolved_workers(&self) -> usize {
         if self.workers > 0 {
             return self.workers;
@@ -129,7 +131,7 @@ const POLL_INTERVAL: Duration = Duration::from_millis(20);
 type PromoteFn = Box<dyn Fn() -> DbResult<u64> + Send + Sync>;
 
 /// Tracks the highest commit sequence each connected WAL subscriber has
-/// acknowledged, so committing statements can hold their success frame
+/// acknowledged, so a committing statement's success frame can be held
 /// until every replica has the bytes (semi-synchronous replication).
 ///
 /// A subscriber only appears in the table once it acks for the first
@@ -148,62 +150,32 @@ type PromoteFn = Box<dyn Fn() -> DbResult<u64> + Send + Sync>;
 /// replica. A strict mode (register at SUBSCRIBE, fail writes instead
 /// of timing out) is a deliberate non-goal for now and is documented
 /// as such in DESIGN.md §10.
+///
+/// A change can release held replies, so [`Shared::note_ack`] and
+/// [`Shared::unregister_subscriber`] wake every reactor after it.
 pub(crate) struct ReplHub {
     /// conn_id → highest watermark acked by that subscriber.
-    acked: StdMutex<HashMap<u64, u64>>,
-    advanced: Condvar,
+    acked: Mutex<HashMap<u64, u64>>,
 }
 
 impl ReplHub {
-    fn new() -> ReplHub {
-        ReplHub {
-            acked: StdMutex::new(HashMap::new()),
-            advanced: Condvar::new(),
-        }
-    }
-
-    pub(crate) fn note_ack(&self, conn_id: u64, watermark: u64) {
-        let mut m = self.acked.lock().unwrap();
-        let slot = m.entry(conn_id).or_insert(0);
-        *slot = (*slot).max(watermark);
-        self.advanced.notify_all();
-    }
-
-    fn unregister(&self, conn_id: u64) {
-        self.acked.lock().unwrap().remove(&conn_id);
-        self.advanced.notify_all();
-    }
-
-    fn is_empty(&self) -> bool {
-        self.acked.lock().unwrap().is_empty()
+    pub(crate) fn is_empty(&self) -> bool {
+        self.acked.lock().is_empty()
     }
 
     /// The slowest subscriber's acked watermark, if any have acked.
     fn min_acked(&self) -> Option<u64> {
-        self.acked.lock().unwrap().values().copied().min()
+        self.acked.lock().values().copied().min()
     }
 
-    /// Blocks until every registered subscriber has acked at least
-    /// `target`, no subscribers remain, or the timeout lapses —
-    /// availability wins over strict semi-sync.
-    fn wait_acked(&self, target: u64, timeout: Duration) {
-        let deadline = Instant::now() + timeout;
-        let mut m = self.acked.lock().unwrap();
-        loop {
-            if m.values().all(|&w| w >= target) {
-                return;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return;
-            }
-            let (guard, _) = self.advanced.wait_timeout(m, deadline - now).unwrap();
-            m = guard;
-        }
+    /// Every registered subscriber has acked at least `target` (true
+    /// when none is registered).
+    pub(crate) fn covers(&self, target: u64) -> bool {
+        self.acked.lock().values().all(|&w| w >= target)
     }
 }
 
-/// Reactor/worker counters, all monotonic except `subscribers`.
+/// Reactor counters, all monotonic except `subscribers`.
 pub(crate) struct StatsInner {
     pub(crate) accepted: AtomicU64,
     pub(crate) busy_rejects: AtomicU64,
@@ -251,9 +223,34 @@ pub(crate) struct Shared {
     pub(crate) stats: StatsInner,
     /// Detached replication-feed threads, joined at shutdown.
     pub(crate) sub_threads: Mutex<Vec<JoinHandle<()>>>,
+    /// Each reactor's inbox of handed-off sockets and its wake pipe.
+    pub(crate) reactors: Vec<Inbox>,
 }
 
 impl Shared {
+    /// Records a subscriber's REPL_ACK and wakes the reactors, whose
+    /// held replies it may cover.
+    pub(crate) fn note_ack(&self, conn_id: u64, watermark: u64) {
+        {
+            let mut m = self.repl.acked.lock();
+            let slot = m.entry(conn_id).or_insert(0);
+            *slot = (*slot).max(watermark);
+        }
+        self.wake_reactors();
+    }
+
+    /// Forgets a subscriber that went away; replies held for it release.
+    pub(crate) fn unregister_subscriber(&self, conn_id: u64) {
+        self.repl.acked.lock().remove(&conn_id);
+        self.wake_reactors();
+    }
+
+    pub(crate) fn wake_reactors(&self) {
+        for r in &self.reactors {
+            r.wake();
+        }
+    }
+
     /// Server-wide counters — every closed session plus every live
     /// one — with the node's gauges as of now.
     pub(crate) fn server_metrics(&self) -> MetricsSnapshot {
@@ -280,10 +277,7 @@ pub(crate) fn retire_metrics(conn_id: u64, shared: &Shared) {
 pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
-    reactor_thread: Option<JoinHandle<()>>,
-    worker_threads: Vec<JoinHandle<()>>,
-    runq: Arc<RunQueue>,
-    ctrl: Arc<ControlQueue>,
+    reactor_threads: Vec<JoinHandle<()>>,
 }
 
 impl Server {
@@ -304,11 +298,14 @@ impl Server {
         listener
             .set_nonblocking(true)
             .map_err(|e| DbError::unavailable(format!("set_nonblocking failed: {e}")))?;
-        let (wake_tx, wake_rx) = UnixStream::pair()
-            .map_err(|e| DbError::unavailable(format!("wake pipe failed: {e}")))?;
-        wake_tx
-            .set_nonblocking(true)
-            .map_err(|e| DbError::unavailable(format!("wake pipe failed: {e}")))?;
+        let mut inboxes = Vec::new();
+        let mut wake_rxs = Vec::new();
+        for _ in 0..cfg.resolved_workers() {
+            let (inbox, wake_rx) =
+                Inbox::new().map_err(|e| DbError::unavailable(format!("wake pipe failed: {e}")))?;
+            inboxes.push(inbox);
+            wake_rxs.push(wake_rx);
+        }
 
         let shared = Arc::new(Shared {
             db: Arc::clone(db),
@@ -319,7 +316,9 @@ impl Server {
             retired: Mutex::new(MetricsSnapshot::default()),
             live_count: AtomicUsize::new(0),
             next_conn_id: AtomicU64::new(1),
-            repl: ReplHub::new(),
+            repl: ReplHub {
+                acked: Mutex::new(HashMap::new()),
+            },
             promote: StdMutex::new(None),
             stats: StatsInner {
                 accepted: AtomicU64::new(0),
@@ -330,46 +329,31 @@ impl Server {
                 subscribers: AtomicUsize::new(0),
             },
             sub_threads: Mutex::new(Vec::new()),
+            reactors: inboxes,
         });
-        let runq = Arc::new(RunQueue::new());
-        let ctrl = Arc::new(ControlQueue::new(wake_tx));
 
-        let mut worker_threads = Vec::new();
-        for i in 0..shared.cfg.resolved_workers() {
-            let shared = Arc::clone(&shared);
-            let runq = Arc::clone(&runq);
-            let ctrl = Arc::clone(&ctrl);
-            let handle = thread::Builder::new()
-                .name(format!("tip-server-worker-{i}"))
-                .spawn(move || worker::worker_loop(shared, runq, ctrl))
-                .map_err(|e| DbError::unavailable(format!("spawn failed: {e}")))?;
-            worker_threads.push(handle);
-        }
-
-        let reactor_shared = Arc::clone(&shared);
-        let reactor_runq = Arc::clone(&runq);
-        let reactor_ctrl = Arc::clone(&ctrl);
-        let reactor_thread = thread::Builder::new()
-            .name("tip-server-reactor".to_string())
-            .spawn(move || {
-                reactor::run_reactor(
-                    listener,
-                    wake_rx,
-                    reactor_shared,
-                    reactor_runq,
-                    reactor_ctrl,
-                )
-            })
-            .map_err(|e| DbError::unavailable(format!("spawn failed: {e}")))?;
-
-        Ok(Server {
+        let mut server = Server {
             shared,
             local_addr,
-            reactor_thread: Some(reactor_thread),
-            worker_threads,
-            runq,
-            ctrl,
-        })
+            reactor_threads: Vec::new(),
+        };
+        // Reactor 0 keeps the listener and hands sockets to the others.
+        let mut listener = Some(listener);
+        for (index, wake_rx) in wake_rxs.into_iter().enumerate() {
+            let shared = Arc::clone(&server.shared);
+            let listener = listener.take();
+            let spawned = thread::Builder::new()
+                .name(format!("tip-server-reactor-{index}"))
+                .spawn(move || reactor::run(index, listener, wake_rx, shared));
+            match spawned {
+                Ok(handle) => server.reactor_threads.push(handle),
+                Err(e) => {
+                    server.shutdown();
+                    return Err(DbError::unavailable(format!("spawn failed: {e}")));
+                }
+            }
+        }
+        Ok(server)
     }
 
     /// The bound address (useful with port 0).
@@ -388,7 +372,7 @@ impl Server {
         self.shared.server_metrics()
     }
 
-    /// The reactor's own counters: admissions, rejects, backpressure
+    /// The reactors' own counters: admissions, rejects, backpressure
     /// events, and observed pipelining.
     pub fn stats(&self) -> ServerStats {
         let s = &self.shared.stats;
@@ -413,13 +397,14 @@ impl Server {
     /// `drain_timeout`), and joins all threads. Idempotent.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.ctrl.wake();
-        if let Some(t) = self.reactor_thread.take() {
+        self.shared.wake_reactors();
+        for t in std::mem::take(&mut self.reactor_threads) {
             let _ = t.join();
         }
-        self.runq.stop();
-        for w in std::mem::take(&mut self.worker_threads) {
-            let _ = w.join();
+        // A socket reactor 0 handed off as another reactor exited was
+        // never adopted: close it here.
+        for r in &self.shared.reactors {
+            r.discard(&self.shared);
         }
         loop {
             let drained: Vec<JoinHandle<()>> = std::mem::take(&mut *self.shared.sub_threads.lock());
@@ -449,26 +434,14 @@ pub(crate) fn send(stream: &mut TcpStream, tag: u8, body: &[u8]) -> io::Result<(
     stream.write_all(&frame)
 }
 
-/// How long a committing statement waits for every acking replica to
-/// cover the durable watermark before acknowledging the client anyway.
+/// How long a committed write's success frame is held for every acking
+/// replica to cover the durable watermark before it goes to the client
+/// anyway.
 const REPL_ACK_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Committed WAL bytes carried by one WAL_CHUNK, and the piece size for
 /// snapshot catch-up — both well under [`protocol::MAX_FRAME`].
 const REPL_CHUNK_MAX: usize = 1 << 20;
-
-/// Semi-synchronous replication: hold a write's success frame until
-/// every subscriber that has ever acked covers the current durable
-/// watermark. Bounded by [`REPL_ACK_TIMEOUT`] so a stalled replica
-/// degrades latency, not availability.
-pub(crate) fn wait_replicas_acked(shared: &Shared) {
-    if shared.repl.is_empty() {
-        return;
-    }
-    if let Some(p) = shared.db.wal_progress() {
-        shared.repl.wait_acked(p.seq, REPL_ACK_TIMEOUT);
-    }
-}
 
 /// What the subscriber poll saw between chunk shipments.
 enum SubFrame {
@@ -507,7 +480,7 @@ fn try_subscriber_frame(stream: &mut TcpStream, shared: &Shared) -> SubFrame {
 /// the requested generation is gone), then continuous WAL tailing with
 /// heartbeats, draining REPL_ACKs between shipments. The socket runs
 /// blocking on a dedicated thread — the feed is a long-lived
-/// sequential stream, a poor fit for the statement reactor, and
+/// sequential stream, a poor fit for a statement reactor, and
 /// subscribers hold their own slot class so they can't starve client
 /// admission.
 pub(crate) fn serve_subscriber(
@@ -529,7 +502,7 @@ pub(crate) fn serve_subscriber(
         match try_subscriber_frame(stream, shared) {
             SubFrame::Idle => {}
             SubFrame::Ack(watermark) => {
-                shared.repl.note_ack(conn_id, watermark);
+                shared.note_ack(conn_id, watermark);
                 if let (Some(p), Some(min)) = (db.wal_progress(), shared.repl.min_acked()) {
                     stats.set_lag(p.seq.saturating_sub(min));
                 }

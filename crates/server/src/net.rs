@@ -1,16 +1,23 @@
 //! Readiness polling over raw OS syscalls.
 //!
 //! The workspace vendors no libc/mio crate, so this module declares the
-//! handful of `extern "C"` entry points the reactor needs: `epoll` on
-//! Linux (O(ready) wakeups — the 10k-connection target makes `poll`'s
-//! O(registered) per-call scan a real cost), a `poll(2)` fallback on
-//! other Unixes, and `setrlimit` so a process serving (or opening)
-//! thousands of sockets can lift the file-descriptor ceiling first.
+//! handful of `extern "C"` entry points the reactors need: `epoll`
+//! (O(ready) wakeups — the 10k-connection target makes `poll`'s
+//! O(registered) per-call scan a real cost), and `setrlimit` so a
+//! process serving (or opening) thousands of sockets can lift the
+//! file-descriptor ceiling first. Epoll is the one backend, so the
+//! server builds on Linux only.
 //!
 //! The poller is deliberately tiny and private to the crate:
 //! register/modify/deregister a raw fd under a `u64` token, and wait
-//! for `Event`s. The reactor is its one user. Only
+//! for `Event`s. The reactors are its users. Only
 //! [`raise_nofile_limit`] is public.
+
+// Epoll is the one backend: a build for any other OS stops here.
+const _: () = assert!(
+    cfg!(target_os = "linux"),
+    "tip-server polls with epoll, its one backend: it builds on Linux only"
+);
 
 /// Interest in readability.
 pub(crate) const EV_READ: u32 = 0b01;
@@ -28,7 +35,6 @@ pub(crate) struct Event {
     pub hangup: bool,
 }
 
-#[cfg(target_os = "linux")]
 mod sys {
     use super::{Event, EV_READ, EV_WRITE};
     use std::io;
@@ -118,7 +124,10 @@ mod sys {
         }
 
         pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-            let ms = timeout.map_or(-1i32, |d| d.as_millis().min(i32::MAX as u128) as i32);
+            // Round up: a wait cut short of a deadline would spin.
+            let ms = timeout.map_or(-1i32, |d| {
+                d.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32
+            });
             let n = unsafe {
                 epoll_wait(
                     self.epfd,
@@ -166,106 +175,6 @@ mod sys {
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
-mod sys {
-    use super::{Event, EV_READ, EV_WRITE};
-    use std::collections::HashMap;
-    use std::io;
-    use std::os::unix::io::RawFd;
-    use std::time::Duration;
-
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-    const POLLNVAL: i16 = 0x020;
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u32, timeout: i32) -> i32;
-    }
-
-    /// Stateless-`poll(2)` fallback: registrations live in a map and
-    /// the fd array is rebuilt per wait. O(registered) per call — fine
-    /// for the non-Linux dev loop, not for the 10k benchmark.
-    pub struct Poller {
-        regs: HashMap<RawFd, (u64, u32)>,
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                regs: HashMap::new(),
-            })
-        }
-
-        pub fn register(&mut self, fd: RawFd, token: u64, interest: u32) -> io::Result<()> {
-            self.regs.insert(fd, (token, interest));
-            Ok(())
-        }
-
-        pub fn modify(&mut self, fd: RawFd, token: u64, interest: u32) -> io::Result<()> {
-            self.regs.insert(fd, (token, interest));
-            Ok(())
-        }
-
-        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-            self.regs.remove(&fd);
-            Ok(())
-        }
-
-        pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-            let mut fds: Vec<PollFd> = self
-                .regs
-                .iter()
-                .map(|(&fd, &(_, interest))| PollFd {
-                    fd,
-                    events: {
-                        let mut e = 0i16;
-                        if interest & EV_READ != 0 {
-                            e |= POLLIN;
-                        }
-                        if interest & EV_WRITE != 0 {
-                            e |= POLLOUT;
-                        }
-                        e
-                    },
-                    revents: 0,
-                })
-                .collect();
-            let ms = timeout.map_or(-1i32, |d| d.as_millis().min(i32::MAX as u128) as i32);
-            let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u32, ms) };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(e);
-            }
-            for pfd in &fds {
-                if pfd.revents == 0 {
-                    continue;
-                }
-                let token = self.regs[&pfd.fd].0;
-                out.push(Event {
-                    token,
-                    readable: pfd.revents & POLLIN != 0,
-                    writable: pfd.revents & POLLOUT != 0,
-                    hangup: pfd.revents & (POLLERR | POLLHUP | POLLNVAL) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-}
-
 pub(crate) use sys::Poller;
 
 #[repr(C)]
@@ -274,10 +183,7 @@ struct Rlimit {
     max: u64,
 }
 
-#[cfg(target_os = "linux")]
 const RLIMIT_NOFILE: i32 = 7;
-#[cfg(all(unix, not(target_os = "linux")))]
-const RLIMIT_NOFILE: i32 = 8;
 
 extern "C" {
     fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;

@@ -1,7 +1,8 @@
 //! Loopback integration tests: a real `Server` on 127.0.0.1 port 0,
 //! real `Connection::connect` clients, one process.
 
-use minidb::{Database, DbError};
+use minidb::catalog::FunctionOverload;
+use minidb::{Blade, Catalog, DataType, Database, DbError, DbResult, ExecCtx, Value};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -320,6 +321,115 @@ fn malformed_frames_kill_only_their_connection() {
             "good connection died after attack #{i}"
         );
     }
+}
+
+/// A blade whose `boom(INT)` panics: a stand-in for a routine's bug.
+struct BoomBlade;
+
+impl Blade for BoomBlade {
+    fn name(&self) -> &str {
+        "boom"
+    }
+    fn version(&self) -> &str {
+        "0"
+    }
+    fn register(&self, cat: &mut Catalog) -> DbResult<()> {
+        cat.register_function(
+            "boom",
+            FunctionOverload::new(
+                vec![DataType::Int],
+                DataType::Int,
+                false,
+                Arc::new(|_: &ExecCtx, _: &[Value]| -> DbResult<Value> {
+                    panic!("boom: a routine's bug")
+                }),
+            ),
+        )
+    }
+}
+
+#[test]
+fn a_panicking_statement_closes_only_its_connection() {
+    let db = Database::new();
+    db.install_blade(&TipBlade).unwrap();
+    db.install_blade(&BoomBlade).unwrap();
+    // One reactor: the panic happens on the thread that serves B too.
+    let server = serve(
+        &db,
+        ServerConfig {
+            workers: 1,
+            ..Default::default()
+        },
+    );
+    // A short read timeout turns a stranded connection into a failure
+    // instead of a hang.
+    let opts = ConnectOptions {
+        read_timeout: Duration::from_secs(3),
+        ..Default::default()
+    };
+    let a = Connection::connect_with(server.local_addr(), &opts).unwrap();
+    let b = Connection::connect_with(server.local_addr(), &opts).unwrap();
+
+    assert!(
+        a.query("SELECT boom(1)", &[]).is_err(),
+        "a panicking statement must answer an error or close"
+    );
+    for i in 0..20 {
+        let mut rows = b
+            .query("SELECT 1", &[])
+            .unwrap_or_else(|e| panic!("B's statement {i} after A's panic: {e}"));
+        assert!(rows.next());
+        assert_eq!(rows.get_int(0).unwrap(), 1);
+    }
+    // A's session may be half-updated, so A is closed.
+    assert!(a.query("SELECT 1", &[]).is_err());
+}
+
+#[test]
+fn a_blocked_reactor_leaves_the_others_serving() {
+    let db = Database::new();
+    db.install_blade(&TipBlade).unwrap();
+    let setup = db.session();
+    setup.execute("CREATE TABLE t (x INT)").unwrap();
+    setup.execute("INSERT INTO t VALUES (1)").unwrap();
+    let server = serve(
+        &db,
+        ServerConfig {
+            workers: 2,
+            ..Default::default()
+        },
+    );
+    // Sockets go to the reactor with the fewest live connections, ties
+    // to the lowest index: A lands on reactor 0 and B on reactor 1.
+    let a = Connection::connect(server.local_addr()).unwrap();
+    let b = Connection::connect(server.local_addr()).unwrap();
+
+    let (tx, rx) = mpsc::channel();
+    let writer = db
+        .with_table_write("t", |_| {
+            // A's INSERT blocks reactor 0 on t's write guard.
+            let writer = thread::spawn(move || {
+                tx.send(a.execute("INSERT INTO t VALUES (2)", &[])).unwrap();
+            });
+            thread::sleep(Duration::from_millis(200));
+            // B's reads take no guard and run on reactor 1.
+            for _ in 0..20 {
+                let rows = b.query("SELECT x FROM t", &[]).unwrap();
+                assert_eq!(rows.len(), 1);
+            }
+            assert!(
+                rx.try_recv().is_err(),
+                "the INSERT finished while t's write guard was held"
+            );
+            writer
+        })
+        .unwrap();
+    // The guard is released: A's INSERT completes.
+    let affected = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the INSERT never finished after the guard was released");
+    assert_eq!(affected.unwrap(), 1);
+    writer.join().unwrap();
 }
 
 #[test]

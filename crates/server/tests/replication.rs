@@ -394,3 +394,81 @@ fn replica_backs_off_from_a_peer_at_another_version() {
     fake.join().unwrap();
     drop(client);
 }
+
+/// A replica that registered (one REPL_ACK) and then went silent holds
+/// each write's reply for the ack timeout, and only that writer's: the
+/// one reactor keeps serving another connection meanwhile.
+#[test]
+fn a_stalled_replica_holds_only_its_own_writer() {
+    use tip_client::protocol::{self, req, resp, Hello, VERSION};
+
+    let dir = scratch("stalled");
+    let cfg = DurabilityConfig {
+        sync_mode: SyncMode::EveryCommit,
+        ..DurabilityConfig::default()
+    };
+    let (db, _) = Database::open_with(&dir, cfg, |db| db.install_blade(&TipBlade)).unwrap();
+    let server = Server::bind(
+        "127.0.0.1:0",
+        &db,
+        ServerConfig {
+            workers: 1,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let setup = Connection::connect(addr).unwrap();
+    setup.execute("CREATE TABLE t (id INT)", &[]).unwrap();
+
+    let mut sub = TcpStream::connect(addr).unwrap();
+    let hello = Hello {
+        version: VERSION,
+        now_unix: None,
+    };
+    protocol::write_frame(&mut sub, req::HELLO, &protocol::encode_hello(&hello)).unwrap();
+    let (tag, _) = protocol::read_frame(&mut sub).unwrap();
+    assert_eq!(tag, resp::HELLO_OK);
+    let mut wire = Vec::new();
+    protocol::write_frame(&mut wire, req::SUBSCRIBE, &protocol::encode_subscribe(0, 0)).unwrap();
+    protocol::write_frame(
+        &mut wire,
+        req::REPL_ACK,
+        &protocol::encode_repl_ack(0, 0, 0),
+    )
+    .unwrap();
+    sub.write_all(&wire).unwrap();
+    // Let the feed thread register the ack.
+    std::thread::sleep(Duration::from_millis(300));
+
+    let a = Connection::connect(addr).unwrap();
+    let b = Connection::connect(addr).unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let writer = std::thread::spawn(move || {
+        let sent = Instant::now();
+        let affected = a.execute("INSERT INTO t VALUES (1)", &[]);
+        tx.send((affected, sent.elapsed(), Instant::now())).unwrap();
+    });
+    std::thread::sleep(Duration::from_millis(100));
+    for _ in 0..20 {
+        b.query("SELECT id FROM t", &[]).unwrap();
+    }
+    let reads_done = Instant::now();
+
+    let (affected, waited, replied) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+    writer.join().unwrap();
+    assert_eq!(affected.unwrap(), 1);
+    assert!(
+        reads_done < replied,
+        "B's reads waited behind A's held reply"
+    );
+    assert!(
+        waited >= Duration::from_millis(1500),
+        "A's reply came {waited:?} after it was sent, before the ack timeout"
+    );
+
+    drop(sub);
+    drop(server);
+    let _ = db.close();
+    let _ = std::fs::remove_dir_all(&dir);
+}
